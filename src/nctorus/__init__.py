@@ -4,8 +4,11 @@ Twisted Laurent polynomials with formal phase coefficients, isotypic
 grading, factor systems and their verifiers, the group-cohomological
 obstruction calculus for lifting automorphisms, derivation lifts with
 their gauge Lie algebra, and frame connections with curvature on
-associated modules.  Everything is exact; all values are immutable and
-all operations are pure functions, so sharing across threads is safe.
+associated modules.  Everything is exact.  Ring values (phases,
+polynomials, matrices) are immutable.  Morphisms, factor systems and
+character-indexed families fill memo caches in place on first use; the
+cached values are pure functions of their keys, so a cache only ever
+gains entries that any caller would compute identically.
 """
 
 from .algebra import (

@@ -4,20 +4,29 @@ The quantum torus on n unitary generators u1, ..., un with relation
 ``u_k u_l = lambda_{kl} u_l u_k`` is modelled on the normal-ordered
 monomial basis u^a = u1^a1 * ... * un^an, a in Z^n.  Reordering phases
 are tracked exactly in the strictly-upper-triangular units q_{kl}
-(k < l), which stand for lambda_{kl} = exp(2*pi*i*theta_{kl}); a single
-product of two monomials contributes q_{ji}^(-a_i*b_j) for every pair
-i > j.  Coefficients never touch floating point; ``evaluate`` is the
-one numeric boundary.
+(k < l), which stand for lambda_{kl} = exp(2*pi*i*theta_{kl}).
+
+The algebra is the twisted group algebra of Z^n: u^a * u^b =
+q^s(a, b) * u^(a+b), where the q-exponent vector s(a, b) is the integer
+bilinear form -a^T L b with L strictly lower-triangular, i.e. slot
+q_{ji} gets -a_i*b_j for every pair i > j.  ``TwistMatrix.reorder``
+lists the (i, j, slot) terms of this form once per twist, and the
+product adds s(a, b) straight to the phase keys.  The star and the
+monomial inverse use the diagonal case: star(u^a) = q^s(a, a) * u^(-a),
+since u^(-a) * u^a = q^s(-a, a) * u^0 and s(-a, a) = -s(a, a).
+Coefficients never touch floating point; ``evaluate`` is the one
+numeric boundary.
 
 Canonical form (merged exponents, no zero coefficients) makes ``==``
 the algebra equality, which all verifiers downstream rely on.  Values
-are immutable after construction and safe to share across threads.
+are immutable after construction and can be shared freely.
 """
 
 from __future__ import annotations
 
 import cmath
 from fractions import Fraction
+from operator import add
 
 from .phases import Phase, QQi
 
@@ -34,7 +43,7 @@ class TwistMatrix:
     0-based in the API; printed names are 1-based (u1, q12, ...).
     """
 
-    __slots__ = ("n", "theta", "nslots", "_slot_of", "slot_pairs")
+    __slots__ = ("n", "theta", "nslots", "_slot_of", "slot_pairs", "reorder")
 
     def __init__(self, theta):
         rows = [tuple(Fraction(x) for x in row) for row in theta]
@@ -52,6 +61,10 @@ class TwistMatrix:
         self.slot_pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
         self._slot_of = {p: i for i, p in enumerate(self.slot_pairs)}
         self.nslots = len(self.slot_pairs)
+        # (i, j, slot of q_{ji}) for i > j: the terms of the reordering form
+        self.reorder = tuple(
+            (i, j, self._slot_of[(j, i)]) for i in range(n) for j in range(i)
+        )
 
     def slot(self, k: int, l: int) -> int:
         """Slot index of the unit q_{kl}, k < l."""
@@ -74,6 +87,8 @@ class TwistMatrix:
         ]
 
     def __eq__(self, other) -> bool:
+        if self is other:
+            return True
         if not isinstance(other, TwistMatrix):
             return NotImplemented
         return self.theta == other.theta
@@ -94,40 +109,23 @@ def check_skew_numeric(theta_numeric, n: int, tol: float = 1e-12):
                 raise ValueError("numeric theta is not skew-symmetric within 1e-12")
 
 
-def _swap_phase(twist: TwistMatrix, a, b) -> Phase:
-    """Phase produced by normal-ordering u^a * u^b: q_{ji}^(-a_i b_j), i > j."""
-    e = [0] * twist.nslots
-    nonzero = False
-    for i in range(twist.n):
+def _reorder_shift(twist: TwistMatrix, a, b):
+    """q-exponent shift of u^a * u^b = q^shift * u^(a+b), or None if zero.
+
+    The shift is -a^T L b with L strictly lower-triangular: slot q_{ji}
+    gets -a_i*b_j for each i > j.  Each slot has one term, so the shift is
+    zero exactly when every product a_i*b_j vanishes.
+    """
+    e = None
+    for i, j, slot in twist.reorder:
         ai = a[i]
-        if not ai:
-            continue
-        for j in range(i):
+        if ai:
             bj = b[j]
             if bj:
-                e[twist.slot(j, i)] -= ai * bj
-                nonzero = True
-    if not nonzero:
-        return Phase.one(twist.nslots)
-    return Phase(twist.nslots, {(tuple(e), 0): QQi.one()})
-
-
-def _star_phase(twist: TwistMatrix, a) -> Phase:
-    """Phase of star(u^a) = phase * u^(-a): q_{ji}^(-a_i a_j), i > j."""
-    e = [0] * twist.nslots
-    nonzero = False
-    for i in range(twist.n):
-        ai = a[i]
-        if not ai:
-            continue
-        for j in range(i):
-            aj = a[j]
-            if aj:
-                e[twist.slot(j, i)] -= ai * aj
-                nonzero = True
-    if not nonzero:
-        return Phase.one(twist.nslots)
-    return Phase(twist.nslots, {(tuple(e), 0): QQi.one()})
+                if e is None:
+                    e = [0] * twist.nslots
+                e[slot] = -ai * bj
+    return None if e is None else tuple(e)
 
 
 def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
@@ -217,14 +215,18 @@ class TwistedPoly:
     def __mul__(self, other) -> "TwistedPoly":
         if isinstance(other, TwistedPoly):
             self._check(other)
+            twist = self.twist
             out: dict = {}
             for a, pa in self.terms.items():
                 for b, pb in other.terms.items():
-                    key = tuple(x + y for x, y in zip(a, b))
-                    p = pa.mul(pb).mul(_swap_phase(self.twist, a, b))
+                    key = tuple(map(add, a, b))
+                    p = pa.mul(pb)
+                    e = _reorder_shift(twist, a, b)
+                    if e is not None:
+                        p = p.shift(e)
                     acc = out.get(key)
                     out[key] = p if acc is None else acc.add(p)
-            return TwistedPoly(self.twist, out)
+            return TwistedPoly(twist, out)
         c = _coerce_phase(self.twist, other)
         if c is None:
             return NotImplemented
@@ -245,7 +247,11 @@ class TwistedPoly:
         out: dict = {}
         for a, p in self.terms.items():
             key = tuple(-x for x in a)
-            q = p.conjugate().mul(_star_phase(self.twist, a))
+            q = p.conjugate()
+            # star(u^a) = q^shift(a, a) * u^-a
+            e = _reorder_shift(self.twist, a, a)
+            if e is not None:
+                q = q.shift(e)
             acc = out.get(key)
             out[key] = q if acc is None else acc.add(q)
         return TwistedPoly(self.twist, out)
@@ -257,7 +263,10 @@ class TwistedPoly:
         (a, p), = self.terms.items()
         inv_exp = tuple(-x for x in a)
         # (c u^a)^-1 = c^-1 (u^a)^-1 and (u^a)^-1 = (u^a)^* for the unitary u^a
-        q = p.invert().mul(_star_phase(self.twist, a))
+        q = p.invert()
+        e = _reorder_shift(self.twist, a, a)
+        if e is not None:
+            q = q.shift(e)
         return TwistedPoly(self.twist, {inv_exp: q})
 
     # -- predicates and views ------------------------------------------
@@ -399,11 +408,6 @@ class PolyMatrix:
     def from_scalar(cls, poly: TwistedPoly) -> "PolyMatrix":
         return cls(poly.twist, [[poly]])
 
-    @classmethod
-    def column(cls, polys) -> "PolyMatrix":
-        polys = list(polys)
-        return cls(polys[0].twist, [[p] for p in polys])
-
     # -- algebra -------------------------------------------------------
 
     def _check_twist(self, other: "PolyMatrix"):
@@ -449,9 +453,6 @@ class PolyMatrix:
             out.append(row)
         return PolyMatrix(self.twist, out)
 
-    def __matmul__(self, other: "PolyMatrix") -> "PolyMatrix":
-        return self.__mul__(other)
-
     def adjoint(self) -> "PolyMatrix":
         return PolyMatrix(
             self.twist,
@@ -476,9 +477,6 @@ class PolyMatrix:
 
     def scale_left(self, poly: TwistedPoly) -> "PolyMatrix":
         return self.map(lambda e: poly * e)
-
-    def scale_right(self, poly: TwistedPoly) -> "PolyMatrix":
-        return self.map(lambda e: e * poly)
 
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix(self.twist, [[fn(e) for e in row] for row in self.entries])

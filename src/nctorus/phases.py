@@ -16,6 +16,7 @@ exponent (tau is real).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 
 
 class QQi:
@@ -53,10 +54,28 @@ class QQi:
         return QQi(-self.re, -self.im)
 
     def __mul__(self, other: "QQi") -> "QQi":
-        return QQi(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        out = _times_unit(self, other)
+        if out is None:
+            out = _times_unit(other, self)
+        if out is None:
+            out = QQi(
+                self.re * other.re - self.im * other.im,
+                self.re * other.im + self.im * other.re,
+            )
+        return out
+
+    def __pow__(self, k: int) -> "QQi":
+        """Integer power by repeated squaring; a negative k inverts first."""
+        if k < 0:
+            return self.inverse() ** (-k)
+        out, base = _QQI_ONE, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
     def conjugate(self) -> "QQi":
         return QQi(self.re, -self.im)
@@ -100,6 +119,26 @@ class QQi:
         return f"({self.re}{sign}{imag(abs(self.im))})"
 
 
+def _times_unit(z: QQi, u: QQi) -> QQi | None:
+    """``z * u`` when ``u`` is 1, -1, i or -i, else None.
+
+    Multiplying by a unit only swaps and negates the components of ``z``,
+    so no Fraction product is needed.
+    """
+    re, im = u.re, u.im
+    if not im:
+        if re == 1:
+            return z
+        if re == -1:
+            return QQi(-z.re, -z.im)
+    elif not re:
+        if im == 1:
+            return QQi(-z.im, z.re)
+        if im == -1:
+            return QQi(z.im, -z.re)
+    return None
+
+
 _QQI_ZERO = QQi(0, 0)
 _QQI_ONE = QQi(1, 0)
 _QQI_I = QQi(0, 1)
@@ -107,6 +146,14 @@ _QQI_I = QQi(0, 1)
 
 def _clean(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not c.is_zero()}
+
+
+def _canonical(nslots: int, terms: dict) -> "Phase":
+    """Wrap ``terms`` that are already canonical (no zero coefficient)."""
+    p = object.__new__(Phase)
+    p.nslots = nslots
+    p.terms = terms
+    return p
 
 
 class Phase:
@@ -164,21 +211,35 @@ class Phase:
         out = dict(self.terms)
         for k, c in other.terms.items():
             acc = out.get(k)
-            out[k] = c if acc is None else acc + c
-        return Phase(self.nslots, out)
+            if acc is None:
+                out[k] = c
+            else:
+                # only a merged key can cancel to zero
+                s = acc + c
+                if s.is_zero():
+                    del out[k]
+                else:
+                    out[k] = s
+        return _canonical(self.nslots, out)
 
     def sub(self, other: "Phase") -> "Phase":
         return self.add(other.neg())
 
     def neg(self) -> "Phase":
-        return Phase(self.nslots, {k: -c for k, c in self.terms.items()})
+        return _canonical(self.nslots, {k: -c for k, c in self.terms.items()})
 
     def mul(self, other: "Phase") -> "Phase":
         self._check(other)
+        if len(self.terms) == 1 and len(other.terms) == 1:
+            # monomial times monomial: one key, and QQ(i) has no zero divisors
+            ((e1, t1), c1), = self.terms.items()
+            ((e2, t2), c2), = other.terms.items()
+            key = (tuple(map(add, e1, e2)), t1 + t2)
+            return _canonical(self.nslots, {key: c1 * c2})
         out: dict = {}
         for (e1, t1), c1 in self.terms.items():
             for (e2, t2), c2 in other.terms.items():
-                key = (tuple(a + b for a, b in zip(e1, e2)), t1 + t2)
+                key = (tuple(map(add, e1, e2)), t1 + t2)
                 c = c1 * c2
                 acc = out.get(key)
                 out[key] = c if acc is None else acc + c
@@ -187,11 +248,18 @@ class Phase:
     def scale(self, c: QQi) -> "Phase":
         if c.is_zero():
             return Phase(self.nslots)
-        return Phase(self.nslots, {k: v * c for k, v in self.terms.items()})
+        return _canonical(self.nslots, {k: v * c for k, v in self.terms.items()})
+
+    def shift(self, e) -> "Phase":
+        """Multiply by the unit monomial ``q^e``: add ``e`` to every q-exponent."""
+        return _canonical(
+            self.nslots,
+            {(tuple(map(add, k, e)), t): c for (k, t), c in self.terms.items()},
+        )
 
     def conjugate(self) -> "Phase":
         # q units are unimodular (exponent flips); tau is real (exponent kept)
-        return Phase(
+        return _canonical(
             self.nslots,
             {(tuple(-x for x in e), t): c.conjugate() for (e, t), c in self.terms.items()},
         )
@@ -201,14 +269,21 @@ class Phase:
         if len(self.terms) != 1:
             raise ValueError("only monomial phases are invertible")
         ((e, t), c), = self.terms.items()
-        return Phase(self.nslots, {(tuple(-x for x in e), -t): c.inverse()})
+        return _canonical(self.nslots, {(tuple(-x for x in e), -t): c.inverse()})
 
     def __pow__(self, k: int) -> "Phase":
         if k < 0:
             return self.invert() ** (-k)
-        out = Phase.one(self.nslots)
-        for _ in range(k):
-            out = out.mul(self)
+        if len(self.terms) == 1:
+            ((e, t), c), = self.terms.items()
+            return _canonical(self.nslots, {(tuple(x * k for x in e), t * k): c**k})
+        out, base = Phase.one(self.nslots), self
+        while k:
+            if k & 1:
+                out = out.mul(base)
+            k >>= 1
+            if k:
+                base = base.mul(base)
         return out
 
     # -- predicates and conversion -----------------------------------

@@ -1,0 +1,30 @@
+"""CLI reports stay byte-identical to the committed golden reports.
+
+The reports in ``tests/golden/`` were produced by the CLI with ``--json``
+and without ``--timing``; any change to the exact arithmetic, to term
+order or to rendering shows up here as a byte difference.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from nctorus.cli import main
+
+GOLDEN = Path(__file__).parent / "golden"
+
+CASES = [
+    ("demo_q3torus", ["demo", "q3torus", "--json"], 0),
+    (
+        "rank2_corrupted",
+        ["check-factor-system", "--json", "--config", str(GOLDEN / "rank2_corrupted.config.json")],
+        1,
+    ),
+]
+
+
+@pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
+def test_cli_report_matches_golden(capsys, name, argv, code):
+    assert main(argv) == code
+    out = capsys.readouterr().out
+    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")

@@ -1,0 +1,209 @@
+"""Exact reference checks for the monomial core of the ring.
+
+The product, star and monomial inverse fold the reordering phase straight
+into the phase keys, and ``QQi``/``Phase`` multiplication take shortcuts
+for unit and single-term operands.  Here every result is compared with the
+explicit construction those shortcuts replace: the reordering phase built
+as a ``Phase`` with coefficient ``QQi(1)`` and multiplied in, with all
+scalar products done by the component formula.
+"""
+
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nctorus.algebra import TwistedPoly, TwistMatrix
+from nctorus.phases import Phase, QQi
+
+# ---------------------------------------------------------------------------
+# reference arithmetic: component formulas and the explicit reordering phase
+# ---------------------------------------------------------------------------
+
+
+def ref_qqi_mul(x: QQi, y: QQi) -> QQi:
+    return QQi(x.re * y.re - x.im * y.im, x.re * y.im + x.im * y.re)
+
+
+def ref_phase_mul(p: Phase, q: Phase) -> Phase:
+    out: dict = {}
+    for (e1, t1), c1 in p.terms.items():
+        for (e2, t2), c2 in q.terms.items():
+            key = (tuple(a + b for a, b in zip(e1, e2)), t1 + t2)
+            c = ref_qqi_mul(c1, c2)
+            out[key] = out[key] + c if key in out else c
+    return Phase(p.nslots, out)
+
+
+def ref_reorder_phase(twist: TwistMatrix, a, b) -> Phase:
+    """q_{ji}^(-a_i b_j) for i > j, as a unit phase with coefficient QQi(1)."""
+    e = [0] * twist.nslots
+    for i in range(twist.n):
+        for j in range(i):
+            e[twist.slot(j, i)] -= a[i] * b[j]
+    return Phase(twist.nslots, {(tuple(e), 0): QQi(1)})
+
+
+def ref_mul(x: TwistedPoly, y: TwistedPoly) -> TwistedPoly:
+    tw = x.twist
+    out: dict = {}
+    for a, pa in x.terms.items():
+        for b, pb in y.terms.items():
+            key = tuple(s + t for s, t in zip(a, b))
+            p = ref_phase_mul(ref_phase_mul(pa, pb), ref_reorder_phase(tw, a, b))
+            out[key] = _ref_add(out[key], p) if key in out else p
+    return TwistedPoly(tw, out)
+
+
+def _ref_add(p: Phase, q: Phase) -> Phase:
+    out = dict(p.terms)
+    for k, c in q.terms.items():
+        out[k] = out[k] + c if k in out else c
+    return Phase(p.nslots, out)
+
+
+def _ref_conjugate(p: Phase) -> Phase:
+    return Phase(
+        p.nslots, {(tuple(-x for x in e), t): QQi(c.re, -c.im) for (e, t), c in p.terms.items()}
+    )
+
+
+def ref_star(x: TwistedPoly) -> TwistedPoly:
+    tw = x.twist
+    return TwistedPoly(
+        tw,
+        {
+            tuple(-s for s in a): ref_phase_mul(_ref_conjugate(p), ref_reorder_phase(tw, a, a))
+            for a, p in x.terms.items()
+        },
+    )
+
+
+def ref_inverse_monomial(x: TwistedPoly) -> TwistedPoly:
+    (a, p), = x.terms.items()
+    ((e, t), c), = p.terms.items()
+    n = c.re * c.re + c.im * c.im
+    inv = Phase(p.nslots, {(tuple(-s for s in e), -t): QQi(c.re / n, -c.im / n)})
+    q = ref_phase_mul(inv, ref_reorder_phase(x.twist, a, a))
+    return TwistedPoly(x.twist, {tuple(-s for s in a): q})
+
+
+def assert_canonical(x: TwistedPoly):
+    for p in x.terms.values():
+        assert p.terms, "empty phase left in a polynomial"
+        assert all(not c.is_zero() for c in p.terms.values()), "zero coefficient in a phase"
+
+
+# ---------------------------------------------------------------------------
+# strategies
+# ---------------------------------------------------------------------------
+
+_UNITS = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1)]
+_fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+_any_qqi = st.one_of(
+    st.sampled_from(_UNITS + [QQi(0)]),
+    st.builds(QQi, _fractions, _fractions),
+)
+_nonzero_qqi = _any_qqi.filter(lambda c: not c.is_zero())
+
+
+@st.composite
+def twists(draw):
+    n = draw(st.integers(2, 4))
+    theta = [[Fraction(0)] * n for _ in range(n)]
+    for k in range(n):
+        for l in range(k + 1, n):
+            theta[k][l] = Fraction(draw(st.integers(-5, 5)), draw(st.integers(1, 7)))
+            theta[l][k] = -theta[k][l]
+    return TwistMatrix(theta)
+
+
+def phases(nslots: int, max_terms: int = 3):
+    key = st.tuples(
+        st.tuples(*[st.integers(-2, 2) for _ in range(nslots)]), st.integers(0, 1)
+    )
+    return st.dictionaries(key, _nonzero_qqi, min_size=1, max_size=max_terms).map(
+        lambda terms: Phase(nslots, terms)
+    )
+
+
+def polys(twist: TwistMatrix, max_terms: int = 3, max_phase_terms: int = 3):
+    exps = st.tuples(*[st.integers(-2, 2) for _ in range(twist.n)])
+    return st.dictionaries(
+        exps, phases(twist.nslots, max_phase_terms), min_size=1, max_size=max_terms
+    ).map(lambda terms: TwistedPoly(twist, terms))
+
+
+@st.composite
+def poly_pairs(draw):
+    tw = draw(twists())
+    return draw(polys(tw)), draw(polys(tw))
+
+
+@st.composite
+def invertible_monomials(draw):
+    tw = draw(twists())
+    return draw(polys(tw, max_terms=1, max_phase_terms=1))
+
+
+# ---------------------------------------------------------------------------
+# properties
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_product_matches_explicit_reordering(pair):
+    x, y = pair
+    got = x * y
+    assert got == ref_mul(x, y)
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(poly_pairs())
+def test_star_matches_explicit_reordering(pair):
+    x, _ = pair
+    got = x.star()
+    assert got == ref_star(x)
+    assert_canonical(got)
+
+
+@settings(max_examples=100, deadline=None)
+@given(invertible_monomials())
+def test_inverse_monomial_matches_explicit_reordering(x):
+    got = x.inverse_monomial()
+    assert got == ref_inverse_monomial(x)
+    assert_canonical(got)
+    assert x * got == TwistedPoly.one(x.twist)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_qqi, _any_qqi)
+def test_qqi_product_matches_component_formula(x, y):
+    got = x * y
+    ref = ref_qqi_mul(x, y)
+    assert (got.re, got.im) == (ref.re, ref.im)
+    assert got == ref and hash(got) == hash(ref)
+    assert isinstance(got.re, Fraction) and isinstance(got.im, Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_any_qqi, st.integers(-6, 6))
+def test_qqi_power_matches_repeated_product(x, k):
+    if k < 0 and x.is_zero():
+        return
+    base = x if k >= 0 else x.inverse()
+    ref = QQi(1)
+    for _ in range(abs(k)):
+        ref = ref_qqi_mul(ref, base)
+    assert x**k == ref and hash(x**k) == hash(ref)
+
+
+def test_every_unit_on_either_side():
+    z = QQi(Fraction(2, 3), Fraction(-5, 7))
+    for u in _UNITS + [QQi(0)]:
+        assert u * z == ref_qqi_mul(u, z)
+        assert z * u == ref_qqi_mul(z, u)
+        for v in _UNITS + [QQi(0)]:
+            assert u * v == ref_qqi_mul(u, v)

@@ -61,6 +61,29 @@ class TestPhase:
         val = p.evaluate([cmath.exp(0.5j)], 2 * cmath.pi)
         assert val == pytest.approx(2 * cmath.exp(0.5j) * 2 * cmath.pi)
 
+    @pytest.mark.parametrize(
+        "phase",
+        [
+            Phase(2, {((1, -2), 0): QQi(Fraction(2, 3), -1)}),
+            Phase(2, {((0, 1), 0): QQi(0, -1)}),
+            Phase(2, {((1, 0), 2): QQi(0, 3)}),
+            Phase(2, {((1, 0), 0): QQi(1), ((0, -1), 1): QQi(Fraction(1, 2), 2)}),
+            Phase(2, {((0, 0), 1): QQi(0, 1), ((1, 1), 0): QQi(-1)}),
+        ],
+        ids=["monomial", "unit", "tau-monomial", "multi-term", "tau-multi-term"],
+    )
+    def test_power_equals_repeated_product(self, phase):
+        for k in range(-6, 7):
+            if k < 0 and len(phase.terms) != 1:
+                with pytest.raises(ValueError):
+                    phase**k
+                continue
+            base = phase if k >= 0 else phase.invert()
+            ref = Phase.one(phase.nslots)
+            for _ in range(abs(k)):
+                ref = ref.mul(base)
+            assert phase**k == ref, k
+
 
 class TestSingleGeneratorTorus:
     def test_engine_degenerates_gracefully(self):
