@@ -109,12 +109,13 @@ def check_skew_numeric(theta_numeric, n: int, tol: float = 1e-12):
                 raise ValueError("numeric theta is not skew-symmetric within 1e-12")
 
 
-def _reorder_shift(twist: TwistMatrix, a, b):
-    """q-exponent shift of u^a * u^b = q^shift * u^(a+b), or None if zero.
+def _reordered(twist: TwistMatrix, p: Phase, a, b) -> Phase:
+    """``p`` times the phase of normal-ordering u^a * u^b.
 
-    The shift is -a^T L b with L strictly lower-triangular: slot q_{ji}
-    gets -a_i*b_j for each i > j.  Each slot has one term, so the shift is
-    zero exactly when every product a_i*b_j vanishes.
+    u^a * u^b = q^s * u^(a+b) with s = -a^T L b, L strictly
+    lower-triangular: slot q_{ji} gets -a_i*b_j for each i > j.  Each
+    slot has one term, so ``p`` comes back unchanged exactly when every
+    product a_i*b_j vanishes.
     """
     e = None
     for i, j, slot in twist.reorder:
@@ -125,7 +126,7 @@ def _reorder_shift(twist: TwistMatrix, a, b):
                 if e is None:
                     e = [0] * twist.nslots
                 e[slot] = -ai * bj
-    return None if e is None else tuple(e)
+    return p if e is None else p.shift(e)
 
 
 def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
@@ -220,10 +221,7 @@ class TwistedPoly:
             for a, pa in self.terms.items():
                 for b, pb in other.terms.items():
                     key = tuple(map(add, a, b))
-                    p = pa.mul(pb)
-                    e = _reorder_shift(twist, a, b)
-                    if e is not None:
-                        p = p.shift(e)
+                    p = _reordered(twist, pa.mul(pb), a, b)
                     acc = out.get(key)
                     out[key] = p if acc is None else acc.add(p)
             return TwistedPoly(twist, out)
@@ -247,11 +245,8 @@ class TwistedPoly:
         out: dict = {}
         for a, p in self.terms.items():
             key = tuple(-x for x in a)
-            q = p.conjugate()
-            # star(u^a) = q^shift(a, a) * u^-a
-            e = _reorder_shift(self.twist, a, a)
-            if e is not None:
-                q = q.shift(e)
+            # star(u^a) = q^s(a, a) * u^-a
+            q = _reordered(self.twist, p.conjugate(), a, a)
             acc = out.get(key)
             out[key] = q if acc is None else acc.add(q)
         return TwistedPoly(self.twist, out)
@@ -263,10 +258,7 @@ class TwistedPoly:
         (a, p), = self.terms.items()
         inv_exp = tuple(-x for x in a)
         # (c u^a)^-1 = c^-1 (u^a)^-1 and (u^a)^-1 = (u^a)^* for the unitary u^a
-        q = p.invert()
-        e = _reorder_shift(self.twist, a, a)
-        if e is not None:
-            q = q.shift(e)
+        q = _reordered(self.twist, p.invert(), a, a)
         return TwistedPoly(self.twist, {inv_exp: q})
 
     # -- predicates and views ------------------------------------------

@@ -65,16 +65,11 @@ class QQi:
         return out
 
     def __pow__(self, k: int) -> "QQi":
-        """Integer power by repeated squaring; a negative k inverts first."""
         if k < 0:
             return self.inverse() ** (-k)
-        out, base = _QQI_ONE, self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
+        out = _QQI_ONE
+        for _ in range(k):
+            out = out * self
         return out
 
     def conjugate(self) -> "QQi":
@@ -226,7 +221,7 @@ class Phase:
         return self.add(other.neg())
 
     def neg(self) -> "Phase":
-        return _canonical(self.nslots, {k: -c for k, c in self.terms.items()})
+        return Phase(self.nslots, {k: -c for k, c in self.terms.items()})
 
     def mul(self, other: "Phase") -> "Phase":
         self._check(other)
@@ -248,7 +243,7 @@ class Phase:
     def scale(self, c: QQi) -> "Phase":
         if c.is_zero():
             return Phase(self.nslots)
-        return _canonical(self.nslots, {k: v * c for k, v in self.terms.items()})
+        return Phase(self.nslots, {k: v * c for k, v in self.terms.items()})
 
     def shift(self, e) -> "Phase":
         """Multiply by the unit monomial ``q^e``: add ``e`` to every q-exponent."""
@@ -259,7 +254,7 @@ class Phase:
 
     def conjugate(self) -> "Phase":
         # q units are unimodular (exponent flips); tau is real (exponent kept)
-        return _canonical(
+        return Phase(
             self.nslots,
             {(tuple(-x for x in e), t): c.conjugate() for (e, t), c in self.terms.items()},
         )
@@ -269,21 +264,17 @@ class Phase:
         if len(self.terms) != 1:
             raise ValueError("only monomial phases are invertible")
         ((e, t), c), = self.terms.items()
-        return _canonical(self.nslots, {(tuple(-x for x in e), -t): c.inverse()})
+        return Phase(self.nslots, {(tuple(-x for x in e), -t): c.inverse()})
 
     def __pow__(self, k: int) -> "Phase":
         if k < 0:
             return self.invert() ** (-k)
         if len(self.terms) == 1:
             ((e, t), c), = self.terms.items()
-            return _canonical(self.nslots, {(tuple(x * k for x in e), t * k): c**k})
-        out, base = Phase.one(self.nslots), self
-        while k:
-            if k & 1:
-                out = out.mul(base)
-            k >>= 1
-            if k:
-                base = base.mul(base)
+            return Phase(self.nslots, {(tuple(x * k for x in e), t * k): c**k})
+        out = Phase.one(self.nslots)
+        for _ in range(k):
+            out = out.mul(self)
         return out
 
     # -- predicates and conversion -----------------------------------
