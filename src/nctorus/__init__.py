@@ -26,7 +26,6 @@ from .cohomology import (
     TwoCocycle,
     WitnessError,
     extract_cocycle,
-    lift_automorphism,
     lift_via_cohomology,
     pointwise_ratio,
     solve_coboundary,
@@ -35,7 +34,6 @@ from .cohomology import (
 )
 from .derivations import (
     ConnectionSection,
-    CrossedHom,
     Derivation,
     DerivationError,
     HFamily,
@@ -82,6 +80,7 @@ from .factor_system import (
     frohlich_morphism,
     from_cleft,
     isotypic_mul,
+    twisted_product,
     verify_axioms,
     verify_conjugacy,
     verify_gauge_unitary,

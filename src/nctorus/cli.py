@@ -36,7 +36,7 @@ from .derivations import (
     atiyah_check,
     verify_lift_conditions,
 )
-from .dynamics import TorusAction, char_box
+from .dynamics import TorusAction, char_box, char_neg
 from .factor_system import (
     AlgebraMorphism,
     Automorphism,
@@ -48,12 +48,14 @@ from .factor_system import (
 from .geometry import curvature, make_module
 from .phases import Phase, QQi
 from .q3torus import (
+    all_weight_monomials,
     base_scaling_derivation,
     gauge_h_family,
     random_rational_twist,
     standard_angles,
     twist3,
 )
+from .report import ReportBuilder
 
 
 class ConfigError(ValueError):
@@ -347,6 +349,38 @@ def _build_system(cfg: dict):
     return action, fs
 
 
+def _seeded_sample(action: TorusAction, rng_range, seed: int) -> list:
+    """Six weight monomials of weight at most 1, shuffled by the seed."""
+    rng = random.Random(seed)
+    sample = []
+    for char in char_box(action.d, min(rng_range, 1)):
+        sample.extend(all_weight_monomials(action, char, 1))
+    rng.shuffle(sample)
+    return sample[:6]
+
+
+def _curvature_sweep(name: str, fs, d1, d2, cases: dict, degree: int):
+    """Commutator vs closed-formula curvature on associated modules.
+
+    ``cases`` maps each module weight sigma to the fields that locate its
+    counterexamples; the sweep runs over the weight monomials of weight
+    -sigma up to ``degree``.  Returns the report and whether every
+    commutator value vanished.
+    """
+    rb = ReportBuilder(name)
+    flat = True
+    for sigma, where in cases.items():
+        module = make_module(fs, sigma)
+        for x in all_weight_monomials(fs.action, char_neg(sigma), degree):
+            c_comm = curvature(module, d1, d2, x, "commutator")
+            c_form = curvature(module, d1, d2, x, "formula")
+            rb.expect("commutator vs closed formula", {**where, "x": x},
+                      c_comm.value, c_form.value)
+            if not c_comm.is_zero():
+                flat = False
+    return rb.finish(), flat
+
+
 # ---------------------------------------------------------------------------
 # commands
 # ---------------------------------------------------------------------------
@@ -380,67 +414,47 @@ def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
     rng_range = args.range if args.range is not None else cfg.get("char_range", 2)
     degree = args.degree if args.degree is not None else cfg.get("gen_degree", 2)
     start = time.perf_counter()
+    notes = []
 
     if "cocycle" in cfg:
         u = parse_synthetic_cocycle(action, cfg["cocycle"])
         rep = verify_cocycle(u, rng_range)
         outcome = solve_coboundary(u, rng_range) if rep.passed else None
-        obstructed = isinstance(outcome, Obstruction)
+        obstruction = outcome if isinstance(outcome, Obstruction) else None
         details = {"source": "synthetic-cocycle", "cocycle_valid": rep.passed}
-        if obstructed:
-            details["obstruction"] = {
-                "witness": [list(c) for c in outcome.witness],
-                "residual": repr(outcome.residual),
-                "kind": outcome.kind,
-            }
-        passed = rep.passed and not obstructed
-        report = _report(
-            "lift",
-            passed,
-            details,
-            reports=[rep],
-            elapsed=(time.perf_counter() - start) if args.timing else None,
-        )
-        return report, 0 if passed else 1
+        reports = [rep]
+        passed = rep.passed and obstruction is None
+    else:
+        if "automorphism" not in cfg:
+            raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
+        beta = parse_automorphism(action, cfg["automorphism"])
+        v = parse_v_family(action, cfg.get("v_family"))
+        outcome = lift_via_cohomology(fs, beta, v, rng_range, degree)
+        obstruction = outcome.obstruction
+        details = {"source": "automorphism", "cocycle_valid": outcome.cocycle_report.passed}
+        reports = [outcome.cocycle_report]
+        passed = outcome.lifts
+        if outcome.lifts:
+            # re-verify multiplicativity and involution on a seeded sample
+            sample = _seeded_sample(action, rng_range, args.seed)
+            rb = ReportBuilder("lift-sample")
+            lift = outcome.lifted
+            for x in sample:
+                for y in sample[:3]:
+                    rb.expect("multiplicativity", {"x": x, "y": y},
+                              lift.apply(x * y), lift.apply(x) * lift.apply(y))
+                rb.expect("involution", {"x": x}, lift.apply(x.star()), lift.apply(x).star())
+            sample_rep = rb.finish()
+            reports.append(sample_rep)
+            passed = passed and sample_rep.passed
+            notes.append("materialized lift re-verified on a seeded sample")
 
-    if "automorphism" not in cfg:
-        raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
-    beta = parse_automorphism(action, cfg["automorphism"])
-    v = parse_v_family(action, cfg.get("v_family"))
-    outcome = lift_via_cohomology(fs, beta, v, rng_range, degree)
-    details = {"source": "automorphism", "cocycle_valid": outcome.cocycle_report.passed}
-    reports = [outcome.cocycle_report]
-    notes = []
-    passed = outcome.lifts
-    if outcome.obstruction is not None:
+    if obstruction is not None:
         details["obstruction"] = {
-            "witness": [list(c) for c in outcome.obstruction.witness],
-            "residual": repr(outcome.obstruction.residual),
-            "kind": outcome.obstruction.kind,
+            "witness": [list(c) for c in obstruction.witness],
+            "residual": repr(obstruction.residual),
+            "kind": obstruction.kind,
         }
-    if outcome.lifts:
-        # re-verify multiplicativity and involution on a seeded sample
-        rng = random.Random(args.seed)
-        from .q3torus import all_weight_monomials
-
-        sample = []
-        for char in char_box(action.d, min(rng_range, 1)):
-            sample.extend(all_weight_monomials(action, char, 1))
-        rng.shuffle(sample)
-        sample = sample[:6]
-        from .report import ReportBuilder
-
-        rb = ReportBuilder("lift-sample")
-        lift = outcome.lifted
-        for x in sample:
-            for y in sample[:3]:
-                rb.expect("multiplicativity", {"x": x, "y": y},
-                          lift.apply(x * y), lift.apply(x) * lift.apply(y))
-            rb.expect("involution", {"x": x}, lift.apply(x.star()), lift.apply(x).star())
-        sample_rep = rb.finish()
-        reports.append(sample_rep)
-        passed = passed and sample_rep.passed
-        notes.append("materialized lift re-verified on a seeded sample")
     report = _report(
         "lift",
         passed,
@@ -470,15 +484,7 @@ def cmd_lift_derivation(cfg: dict, args) -> tuple[dict, int]:
     passed = rep.passed
     if passed:
         lifted = LiftedDerivation(fs, delta, h)
-        rng = random.Random(args.seed)
-        from .q3torus import all_weight_monomials
-        from .report import ReportBuilder
-
-        sample = []
-        for char in char_box(action.d, min(rng_range, 1)):
-            sample.extend(all_weight_monomials(action, char, 1))
-        rng.shuffle(sample)
-        sample = sample[:6]
+        sample = _seeded_sample(action, rng_range, args.seed)
         rb = ReportBuilder("lift-sample")
         for x in sample:
             for y in sample[:3]:
@@ -511,19 +517,7 @@ def cmd_curvature(cfg: dict, args) -> tuple[dict, int]:
     d2 = parse_derivation(action, cfg["derivation_2"], "derivation_2") if "derivation_2" in cfg \
         else base_scaling_derivation(action, action.base[-1])
     start = time.perf_counter()
-    module = make_module(fs, sigma)
-    from .q3torus import all_weight_monomials
-    from .report import ReportBuilder
-
-    rb = ReportBuilder("curvature")
-    all_zero = True
-    for x in all_weight_monomials(action, tuple(-s for s in sigma), degree):
-        c_comm = curvature(module, d1, d2, x, "commutator")
-        c_form = curvature(module, d1, d2, x, "formula")
-        rb.expect("commutator vs closed formula", {"x": x}, c_comm.value, c_form.value)
-        if not c_comm.is_zero():
-            all_zero = False
-    rep = rb.finish()
+    rep, all_zero = _curvature_sweep("curvature", fs, d1, d2, {sigma: {}}, degree)
     details = {"sigma": list(sigma), "curvature_vanishes": all_zero}
     report = _report(
         "curvature",
@@ -585,21 +579,9 @@ def cmd_demo_q3torus(args) -> tuple[dict, int]:
     )
     split = atiyah_check(fs, section, min(rng_range, 2), degree)
 
-    from .q3torus import all_weight_monomials
-    from .report import ReportBuilder
-
-    rb = ReportBuilder("curvature-sweep")
-    flat = True
-    for k in (0, 1, 2):
-        module = make_module(fs, (k,))
-        for x in all_weight_monomials(action, (-k,), 1):
-            c_comm = curvature(module, d1, d2, x, "commutator")
-            c_form = curvature(module, d1, d2, x, "formula")
-            rb.expect("commutator vs closed formula", {"sigma": k, "x": x},
-                      c_comm.value, c_form.value)
-            if not c_comm.is_zero():
-                flat = False
-    sweep = rb.finish()
+    sweep, flat = _curvature_sweep(
+        "curvature-sweep", fs, d1, d2, {(k,): {"sigma": k} for k in (0, 1, 2)}, 1
+    )
 
     passed = axioms.passed and split.passed and sweep.passed and omega_all_one and flat
     details = {

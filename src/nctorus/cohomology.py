@@ -25,12 +25,14 @@ from typing import Callable
 from .algebra import PolyMatrix, TwistedPoly
 from .dynamics import (
     Character,
+    GradedElement,
     TorusAction,
     char_add,
     char_box,
     char_zero,
+    grade,
+    resolve_chars,
 )
-from .dynamics import resolve_chars
 from .factor_system import (
     AlgebraMorphism,
     Automorphism,
@@ -385,23 +387,14 @@ class LiftedAutomorphism:
         out = self.beta.apply_matrix(y) * self.v(char) * s
         return out.as_scalar()
 
-    def apply_graded(self, x) -> "GradedElement":
-        from .dynamics import GradedElement
-
+    def apply_graded(self, x) -> GradedElement:
         return GradedElement(
             self.fs.action,
             {c: self.apply_component(c, p) for c, p in x.components.items()},
         )
 
     def apply(self, x: TwistedPoly) -> TwistedPoly:
-        from .dynamics import grade
-
         return self.apply_graded(grade(self.fs.action, x)).to_poly()
-
-
-def lift_automorphism(fs, beta, v, x, char_range=2, gen_degree: int = 2):
-    """One-shot lift application; see :class:`LiftedAutomorphism`."""
-    return LiftedAutomorphism(fs, beta, v, char_range, gen_degree).apply_graded(x)
 
 
 @dataclass

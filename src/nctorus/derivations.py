@@ -22,20 +22,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMatrix, exchange_phase
 from .dynamics import (
     Character,
+    GradedElement,
     TorusAction,
     base_monomials,
     char_add,
     char_zero,
     grade,
-    in_base_algebra,
+    matrix_in_base_algebra,
     resolve_chars,
 )
-from .factor_system import FactorSystem, ScopeError
+from .factor_system import CharacterFamily, FactorSystem, ScopeError
 from .phases import Phase, QQi
 from .report import CheckReport, ReportBuilder
 
@@ -208,22 +208,15 @@ def scaling_derivation(twist: TwistMatrix, gens, k: int) -> Derivation:
 # ---------------------------------------------------------------------------
 
 
-class HFamily:
+class HFamily(CharacterFamily):
     """Character-indexed family of matrices over B0, H(0) = 0."""
 
-    def __init__(self, action: TorusAction, fn: Callable[[Character], PolyMatrix]):
-        self.action = action
-        self._fn = fn
-        self._cache: dict = {}
+    __slots__ = ()
 
     @classmethod
     def zero(cls, action: TorusAction, dim: int = 1) -> "HFamily":
         z = PolyMatrix.zeros(action.twist, dim, dim)
         return cls(action, lambda char: z)
-
-    @classmethod
-    def from_scalars(cls, action: TorusAction, fn: Callable[[Character], TwistedPoly]):
-        return cls(action, lambda char: PolyMatrix.from_scalar(fn(char)))
 
     @classmethod
     def linear_scalar(cls, action: TorusAction, slopes) -> "HFamily":
@@ -242,50 +235,40 @@ class HFamily:
 
         return cls(action, fn)
 
-    def value(self, char: Character) -> PolyMatrix:
-        char = tuple(char)
-        cached = self._cache.get(char)
-        if cached is not None:
-            return cached
-        m = self._fn(char)
-        for row in m.entries:
-            for e in row:
-                if not in_base_algebra(self.action, e):
-                    raise ScopeError(f"family value at {char} leaves the fixed algebra")
+    def _check(self, char: Character, m: PolyMatrix) -> None:
+        if not matrix_in_base_algebra(self.action, m):
+            raise ScopeError(f"family value at {char} leaves the fixed algebra")
         if char == char_zero(self.action.d) and not m.is_zero():
             raise ValueError("family must vanish at the trivial character")
-        self._cache[char] = m
-        return m
-
-    def scalar_value(self, char: Character) -> TwistedPoly:
-        return self.value(char).as_scalar()
 
     def __add__(self, other: "HFamily") -> "HFamily":
-        return HFamily(self.action, lambda c: self.value(c) + other.value(c))
+        return HFamily(self.action, lambda c: self(c) + other(c))
 
     def __sub__(self, other: "HFamily") -> "HFamily":
-        return HFamily(self.action, lambda c: self.value(c) - other.value(c))
+        return HFamily(self.action, lambda c: self(c) - other(c))
 
     def __neg__(self) -> "HFamily":
-        return HFamily(self.action, lambda c: -self.value(c))
+        return HFamily(self.action, lambda c: -self(c))
 
     def scale(self, c) -> "HFamily":
-        return HFamily(self.action, lambda ch: self.value(ch).map(lambda e: e.scale(c)))
-
-
-class CrossedHom(HFamily):
-    """Scalar-valued family used as a crossed homomorphism candidate."""
-
-    def value(self, char: Character) -> PolyMatrix:
-        m = super().value(char)
-        if (m.rows, m.cols) != (1, 1):
-            raise ValueError("crossed homomorphisms are scalar families")
-        return m
+        return HFamily(self.action, lambda ch: self(ch).map(lambda e: e.scale(c)))
 
 
 # ---------------------------------------------------------------------------
 # lift conditions and lifted derivations
 # ---------------------------------------------------------------------------
+
+
+def _cocycle_derivative(
+    fs: FactorSystem, h: HFamily, sigma: Character, pi_: Character
+) -> PolyMatrix:
+    """(H(sigma) ox 1) omega + gamma_sigma(H(pi)) omega + omega H(sigma+pi)*."""
+    om = fs.omega(sigma, pi_)
+    return (
+        h(sigma).kron(PolyMatrix.identity(fs.action.twist, fs.dim(pi_))) * om
+        + fs.gamma(sigma).apply_to_matrix(h(pi_)) * om
+        + om * h(char_add(sigma, pi_)).adjoint()
+    )
 
 
 def verify_lift_conditions(
@@ -305,13 +288,13 @@ def verify_lift_conditions(
     rb.expect(
         "normalization H(0) = 0",
         {},
-        h.value(char_zero(action.d)),
+        h(char_zero(action.d)),
         PolyMatrix.zeros(tw, fs.dim(char_zero(action.d)), fs.dim(char_zero(action.d))),
     )
 
     for sigma in chars:
         g = fs.gamma(sigma)
-        hs = h.value(sigma)
+        hs = h(sigma)
         hsa = hs.adjoint()
         for b in monomials:
             gb = g.apply(b)
@@ -322,17 +305,9 @@ def verify_lift_conditions(
             )
 
     for sigma in chars:
-        g = fs.gamma(sigma)
-        hs = h.value(sigma)
         for pi_ in chars:
-            om = fs.omega(sigma, pi_)
-            d_pi = fs.dim(pi_)
-            lhs = delta.apply_matrix(om)
-            rhs = (
-                hs.kron(PolyMatrix.identity(tw, d_pi)) * om
-                + g.apply_to_matrix(h.value(pi_)) * om
-                + om * h.value(char_add(sigma, pi_)).adjoint()
-            )
+            lhs = delta.apply_matrix(fs.omega(sigma, pi_))
+            rhs = _cocycle_derivative(fs, h, sigma, pi_)
             rb.expect("cocycle derivative", {"sigma": sigma, "pi": pi_}, lhs, rhs)
 
     return rb.finish()
@@ -365,12 +340,10 @@ class LiftedDerivation:
     def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
         s = self.fs.isometries(char)
         y = s.adjoint().scale_left(x)
-        out = self.base.apply_matrix(y) * s + y * self.h.value(char) * s
+        out = self.base.apply_matrix(y) * s + y * self.h(char) * s
         return out.as_scalar()
 
     def apply_graded(self, x):
-        from .dynamics import GradedElement
-
         return GradedElement(
             self.fs.action,
             {c: self.apply_component(c, p) for c, p in x.components.items()},
@@ -405,8 +378,8 @@ def bracket(l1: LiftedDerivation, l2: LiftedDerivation) -> LiftedDerivation:
     base = bracket_derivations(l1.base, l2.base)
 
     def fn(char: Character) -> PolyMatrix:
-        h1 = l1.h.value(char)
-        h2 = l2.h.value(char)
+        h1 = l1.h(char)
+        h2 = l2.h(char)
         return (
             l1.base.apply_matrix(h2)
             - l2.base.apply_matrix(h1)
@@ -431,11 +404,11 @@ def gauge_report(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2
     rb = ReportBuilder("gauge-family")
 
     d0 = fs.dim(char_zero(action.d))
-    rb.expect("normalization H(0) = 0", {}, h.value(char_zero(action.d)),
+    rb.expect("normalization H(0) = 0", {}, h(char_zero(action.d)),
               PolyMatrix.zeros(tw, d0, d0))
 
     for sigma in chars:
-        hs = h.value(sigma)
+        hs = h(sigma)
         hsa = hs.adjoint()
         rb.expect("skew-adjointness", {"sigma": sigma}, hsa, -hs)
         g = fs.gamma(sigma)
@@ -449,16 +422,8 @@ def gauge_report(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2
             )
 
     for sigma in chars:
-        hs = h.value(sigma)
-        g = fs.gamma(sigma)
         for pi_ in chars:
-            om = fs.omega(sigma, pi_)
-            d_pi = fs.dim(pi_)
-            total = (
-                hs.kron(PolyMatrix.identity(tw, d_pi)) * om
-                + g.apply_to_matrix(h.value(pi_)) * om
-                + om * h.value(char_add(sigma, pi_)).adjoint()
-            )
+            total = _cocycle_derivative(fs, h, sigma, pi_)
             rb.expect(
                 "cocycle condition",
                 {"sigma": sigma, "pi": pi_},
@@ -488,15 +453,15 @@ def crossed_hom_report(fs: FactorSystem, h: HFamily, char_range=2) -> CheckRepor
     rb = ReportBuilder("crossed-homomorphism")
 
     for sigma in chars:
-        hs = h.scalar_value(sigma)
+        hs = h(sigma).as_scalar()
         rb.expect("skew-adjointness", {"sigma": sigma}, hs.star(), -hs)
 
     for sigma in chars:
         g = fs.gamma(sigma)
-        hs = h.scalar_value(sigma)
+        hs = h(sigma).as_scalar()
         for pi_ in chars:
-            lhs = h.scalar_value(char_add(sigma, pi_))
-            rhs = hs + g.apply(h.scalar_value(pi_)).as_scalar()
+            lhs = h(char_add(sigma, pi_)).as_scalar()
+            rhs = hs + g.apply(h(pi_).as_scalar()).as_scalar()
             rb.expect("twisted additivity", {"sigma": sigma, "pi": pi_}, lhs, rhs)
 
     return rb.finish()

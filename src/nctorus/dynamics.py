@@ -168,10 +168,6 @@ def is_equivariant(action: TorusAction, x: TwistedPoly, char: Character) -> bool
     return all(action.degree(a) == tuple(char) for a in x.terms)
 
 
-def is_fixed(action: TorusAction, x: TwistedPoly) -> bool:
-    return is_equivariant(action, x, char_zero(action.d))
-
-
 def base_monomials(action: TorusAction, gen_degree: int) -> list[TwistedPoly]:
     """Monomials of the fixed algebra with total absolute degree <= gen_degree.
 
@@ -193,8 +189,8 @@ def base_monomials(action: TorusAction, gen_degree: int) -> list[TwistedPoly]:
 
 
 def in_base_algebra(action: TorusAction, x: TwistedPoly) -> bool:
-    return is_fixed(action, x)
+    return is_equivariant(action, x, char_zero(action.d))
 
 
 def matrix_in_base_algebra(action: TorusAction, m: PolyMatrix) -> bool:
-    return all(is_fixed(action, e) for row in m.entries for e in row)
+    return all(in_base_algebra(action, e) for row in m.entries for e in row)

@@ -9,6 +9,17 @@ from the unitary weight monomials s(sigma):
     gamma_sigma(b) = s(sigma) b s(sigma)*          (conjugation)
     omega(sigma, pi) = s(sigma) s(pi) s(sigma+pi)*
 
+Isotypic data of weights sigma and pi multiply through the factor
+system as :func:`twisted_product`,
+
+    (x ox 1) gamma_sigma(y) omega(sigma, pi),
+
+the one place that product is spelled out.  The character-indexed lift
+data (isometries s, conjugacy witnesses v, derivation-lift families H)
+are :class:`CharacterFamily` instances: a value is computed on first
+use, validated by the family's ``_check`` and only then cached, so a
+value that fails its check is never stored.
+
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
 set of fixed-algebra monomials; that suffices because every law is
@@ -83,8 +94,6 @@ class AlgebraMorphism:
         )
 
     def _power(self, k: int, m: int) -> TwistedPoly:
-        if m == 0:
-            return TwistedPoly.one(self.action.twist)
         cached = self._powers.get((k, m))
         if cached is not None:
             return cached
@@ -107,9 +116,6 @@ class AlgebraMorphism:
                     term = term * self._power(k, a[k])
             total = total + term
         return total
-
-    def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
-        return m.map(self.apply)
 
     def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
         """self after other."""
@@ -235,38 +241,7 @@ class MatrixMorphism:
         self.inv_images = dict(inv_images)
         self._powers: dict = {}
 
-    @classmethod
-    def identity(cls, action: TorusAction, dim: int = 1) -> "MatrixMorphism":
-        tw = action.twist
-        ident = PolyMatrix.identity(tw, dim)
-        return cls(
-            action,
-            dim,
-            {k: ident.scale_left(TwistedPoly.generator(tw, k)) for k in action.base},
-            {k: ident.scale_left(TwistedPoly.generator(tw, k, -1)) for k in action.base},
-        )
-
-    @classmethod
-    def from_scalar(cls, morphism: AlgebraMorphism) -> "MatrixMorphism":
-        return cls(
-            morphism.action,
-            1,
-            {k: PolyMatrix.from_scalar(v) for k, v in morphism.images.items()},
-            {k: PolyMatrix.from_scalar(v) for k, v in morphism.inv_images.items()},
-        )
-
-    def scalar_morphism(self) -> AlgebraMorphism:
-        if self.dim != 1:
-            raise ValueError("matrix morphism is not one-dimensional")
-        return AlgebraMorphism(
-            self.action,
-            {k: v.as_scalar() for k, v in self.images.items()},
-            {k: v.as_scalar() for k, v in self.inv_images.items()},
-        )
-
     def _power(self, k: int, m: int) -> PolyMatrix:
-        if m == 0:
-            return PolyMatrix.identity(self.action.twist, self.dim)
         cached = self._powers.get((k, m))
         if cached is not None:
             return cached
@@ -315,46 +290,17 @@ class MatrixMorphism:
 
 
 # ---------------------------------------------------------------------------
-# isometry data
+# character-indexed families
 # ---------------------------------------------------------------------------
 
 
-class IsometryFamily:
-    """Family of equivariant isometry columns s(sigma) over the full algebra."""
+class CharacterFamily:
+    """Lazily computed, validated and cached family of matrices per character.
 
-    __slots__ = ("action", "_fn", "cleft", "_cache")
-
-    def __init__(self, action: TorusAction, fn: Callable[[Character], PolyMatrix], cleft: bool):
-        self.action = action
-        self._fn = fn
-        self.cleft = cleft
-        self._cache: dict = {}
-
-    @classmethod
-    def from_cleft_generators(cls, action: TorusAction) -> "IsometryFamily":
-        def fn(char: Character) -> PolyMatrix:
-            return PolyMatrix.from_scalar(cleft_generator(action, char))
-
-        return cls(action, fn, cleft=True)
-
-    def __call__(self, char: Character) -> PolyMatrix:
-        char = tuple(char)
-        cached = self._cache.get(char)
-        if cached is not None:
-            return cached
-        m = self._fn(char)
-        for row in m.entries:
-            for e in row:
-                if not is_equivariant(self.action, e, char):
-                    raise ValueError(f"isometry entry at {char} is not equivariant")
-        if char == char_zero(self.action.d) and m != PolyMatrix.identity(self.action.twist, 1):
-            raise ValueError("isometry family must send the trivial character to 1")
-        self._cache[char] = m
-        return m
-
-
-class PartialIsometryFamily:
-    """Family of matrices over B0 used as conjugacy witnesses, v(0) = 1."""
+    ``family(char)`` computes the value once, runs ``_check`` on it and
+    only then caches it.  Subclasses supply ``_check`` and their own
+    constructors.
+    """
 
     __slots__ = ("action", "_fn", "_cache")
 
@@ -364,13 +310,12 @@ class PartialIsometryFamily:
         self._cache: dict = {}
 
     @classmethod
-    def constant_one(cls, action: TorusAction) -> "PartialIsometryFamily":
-        one = PolyMatrix.from_scalar(TwistedPoly.one(action.twist))
-        return cls(action, lambda char: one)
-
-    @classmethod
     def from_scalars(cls, action: TorusAction, fn: Callable[[Character], TwistedPoly]):
         return cls(action, lambda char: PolyMatrix.from_scalar(fn(char)))
+
+    def _check(self, char: Character, m: PolyMatrix) -> None:
+        """Raise if ``m`` is not a valid value at ``char``."""
+        raise NotImplementedError
 
     def __call__(self, char: Character) -> PolyMatrix:
         char = tuple(char)
@@ -378,13 +323,48 @@ class PartialIsometryFamily:
         if cached is not None:
             return cached
         m = self._fn(char)
+        self._check(char, m)
+        self._cache[char] = m
+        return m
+
+
+class IsometryFamily(CharacterFamily):
+    """Family of equivariant isometry columns s(sigma) over the full algebra."""
+
+    __slots__ = ()
+
+    @classmethod
+    def from_cleft_generators(cls, action: TorusAction) -> "IsometryFamily":
+        def fn(char: Character) -> PolyMatrix:
+            return PolyMatrix.from_scalar(cleft_generator(action, char))
+
+        return cls(action, fn)
+
+    def _check(self, char: Character, m: PolyMatrix) -> None:
+        for row in m.entries:
+            for e in row:
+                if not is_equivariant(self.action, e, char):
+                    raise ValueError(f"isometry entry at {char} is not equivariant")
+        if char == char_zero(self.action.d) and m != PolyMatrix.identity(self.action.twist, 1):
+            raise ValueError("isometry family must send the trivial character to 1")
+
+
+class PartialIsometryFamily(CharacterFamily):
+    """Family of matrices over B0 used as conjugacy witnesses, v(0) = 1."""
+
+    __slots__ = ()
+
+    @classmethod
+    def constant_one(cls, action: TorusAction) -> "PartialIsometryFamily":
+        one = PolyMatrix.from_scalar(TwistedPoly.one(action.twist))
+        return cls(action, lambda char: one)
+
+    def _check(self, char: Character, m: PolyMatrix) -> None:
         if not matrix_in_base_algebra(self.action, m):
             raise ScopeError(f"witness at {char} leaves the fixed algebra")
         if char == char_zero(self.action.d):
             if m.rows != m.cols or m != PolyMatrix.identity(self.action.twist, m.rows):
                 raise ValueError("witness family must send the trivial character to 1")
-        self._cache[char] = m
-        return m
 
 
 # ---------------------------------------------------------------------------
@@ -395,9 +375,9 @@ class PartialIsometryFamily:
 class FactorSystem:
     """Character-indexed (dim, gamma, omega) data over a torus action.
 
-    gamma and omega are lazily computed and cached; overridden entries
-    (used to inject defects for verifier testing) shadow the generating
-    rule.  Instances are immutable; overrides produce copies.
+    gamma and omega are lazily computed and cached; overridden omega
+    entries (used to inject defects for verifier testing) shadow the
+    generating rule.  Instances are immutable; overrides produce copies.
     """
 
     def __init__(
@@ -415,7 +395,6 @@ class FactorSystem:
         self.isometries = isometries
         self._gamma_cache: dict = {}
         self._omega_cache: dict = {}
-        self._gamma_overrides: dict = {}
         self._omega_overrides: dict = {}
 
     def dim(self, char: Character) -> int:
@@ -423,8 +402,6 @@ class FactorSystem:
 
     def gamma(self, char: Character) -> MatrixMorphism:
         char = tuple(char)
-        if char in self._gamma_overrides:
-            return self._gamma_overrides[char]
         cached = self._gamma_cache.get(char)
         if cached is None:
             cached = self._gamma_fn(char)
@@ -447,18 +424,12 @@ class FactorSystem:
         )
         fs._gamma_cache = self._gamma_cache
         fs._omega_cache = self._omega_cache
-        fs._gamma_overrides = dict(self._gamma_overrides)
         fs._omega_overrides = dict(self._omega_overrides)
         return fs
 
     def with_omega_override(self, sigma, pi_, value: PolyMatrix) -> "FactorSystem":
         fs = self._copy()
         fs._omega_overrides[(tuple(sigma), tuple(pi_))] = value
-        return fs
-
-    def with_gamma_override(self, sigma, morphism: MatrixMorphism) -> "FactorSystem":
-        fs = self._copy()
-        fs._gamma_overrides[tuple(sigma)] = morphism
         return fs
 
 
@@ -517,6 +488,22 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
         return phi.apply_matrix(fs.omega(sigma, pi_))
 
     return FactorSystem(action, fs.dim, gamma_fn, omega_fn, isometries=None)
+
+
+def twisted_product(
+    fs: FactorSystem, sigma: Character, x: PolyMatrix, pi_: Character, y: PolyMatrix
+) -> PolyMatrix:
+    """(x ox 1_{y.rows}) gamma_sigma(y) omega(sigma, pi).
+
+    The product of isotypic data of weights sigma and pi: rows over B0
+    for :func:`isotypic_mul`, witness or gauge values for the conjugacy
+    and intertwining laws.
+    """
+    return (
+        x.kron(PolyMatrix.identity(fs.action.twist, y.rows))
+        * fs.gamma(sigma).apply_to_matrix(y)
+        * fs.omega(sigma, pi_)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -624,7 +611,6 @@ def verify_conjugacy(
         = omega'(sigma,pi) v(sigma+pi).
     """
     action = fs.action
-    tw = action.twist
     chars = resolve_chars(action, char_range)
     monomials = base_monomials(action, gen_degree)
     rb = ReportBuilder("factor-system-conjugacy")
@@ -649,15 +635,8 @@ def verify_conjugacy(
             )
 
     for sigma in chars:
-        vs = v(sigma)
-        g = fs.gamma(sigma)
         for pi_ in chars:
-            vp = v(pi_)
-            lhs = (
-                vs.kron(PolyMatrix.identity(tw, vp.rows))
-                * g.apply_to_matrix(vp)
-                * fs.omega(sigma, pi_)
-            )
+            lhs = twisted_product(fs, sigma, v(sigma), pi_, v(pi_))
             rhs = fs2.omega(sigma, pi_) * v(char_add(sigma, pi_))
             rb.expect(
                 "witness intertwines cocycles",
@@ -704,7 +683,6 @@ def verify_gauge_unitary(
     (u(sigma) ox 1) gamma_sigma(u(pi)) omega = omega u(sigma+pi).
     """
     action = fs.action
-    tw = action.twist
     chars = resolve_chars(action, char_range)
     monomials = base_monomials(action, gen_degree)
     rb = ReportBuilder("gauge-unitary")
@@ -726,13 +704,9 @@ def verify_gauge_unitary(
             )
 
     for sigma in chars:
-        us = u(sigma)
-        g = fs.gamma(sigma)
         for pi_ in chars:
-            up = u(pi_)
-            om = fs.omega(sigma, pi_)
-            lhs = us.kron(PolyMatrix.identity(tw, up.rows)) * g.apply_to_matrix(up) * om
-            rhs = om * u(char_add(sigma, pi_))
+            lhs = twisted_product(fs, sigma, u(sigma), pi_, u(pi_))
+            rhs = fs.omega(sigma, pi_) * u(char_add(sigma, pi_))
             rb.expect("gauge intertwining", {"sigma": sigma, "pi": pi_}, lhs, rhs)
 
     return rb.finish()
@@ -753,14 +727,12 @@ def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
     sigma, y_sigma = left
     pi_, y_pi = right
     sigma, pi_ = tuple(sigma), tuple(pi_)
-    tw = fs.action.twist
     if isinstance(y_sigma, TwistedPoly):
         y_sigma = PolyMatrix.from_scalar(y_sigma)
     if isinstance(y_pi, TwistedPoly):
         y_pi = PolyMatrix.from_scalar(y_pi)
 
-    g = fs.gamma(sigma)
-    y = y_sigma.kron(PolyMatrix.identity(tw, y_pi.rows)) * g.apply_to_matrix(y_pi) * fs.omega(sigma, pi_)
+    y = twisted_product(fs, sigma, y_sigma, pi_, y_pi)
 
     if check:
         if fs.isometries is None:

@@ -243,17 +243,16 @@ class TestCrossedHom:
     def test_gauge_circle_generator(self, q3_system, h_gauge):
         assert is_crossed_hom(q3_system, h_gauge, 2)
 
-    def test_scalar_view_rejects_matrix_values(self, q3_action, q3_twist):
-        from nctorus.derivations import CrossedHom
+    def test_scalar_view_rejects_matrix_values(self, q3_system, q3_action, q3_twist):
         from nctorus.algebra import PolyMatrix
 
-        good = CrossedHom.from_scalars(
+        good = HFamily.from_scalars(
             q3_action, lambda char: two_pi_i(q3_twist).scale(QQi(char[0]))
         )
-        assert good.scalar_value((2,)) == two_pi_i(q3_twist).scale(QQi(2))
-        wide = CrossedHom(q3_action, lambda char: PolyMatrix.zeros(q3_twist, 2, 2))
+        assert good((2,)).as_scalar() == two_pi_i(q3_twist).scale(QQi(2))
+        wide = HFamily(q3_action, lambda char: PolyMatrix.zeros(q3_twist, 2, 2))
         with pytest.raises(ValueError):
-            wide.value((1,))
+            crossed_hom_report(q3_system, wide, 1)
 
     def test_quadratic_family_fails_additivity(self, q3_system, q3_action, q3_twist):
         tpi = two_pi_i(q3_twist)

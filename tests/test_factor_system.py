@@ -140,7 +140,7 @@ class TestVerifyConjugacy:
                 cleft_generator(q3_action, char).scale(phase**k)
             )
 
-        s2 = IsometryFamily(q3_action, sprime, cleft=True)
+        s2 = IsometryFamily(q3_action, sprime)
         fs2 = from_cleft(q3_action, s2)
 
         def witness(char):

@@ -20,6 +20,37 @@ CASES = [
         ["check-factor-system", "--json", "--config", str(GOLDEN / "rank2_corrupted.config.json")],
         1,
     ),
+    # automorphism with a central witness family that lifts, seeded re-check sample
+    (
+        "lift_witness",
+        ["lift", "--json", "--seed", "5", "--config", str(GOLDEN / "lift_witness.config.json")],
+        0,
+    ),
+    # synthetic rank-2 cocycle with an antisymmetric class
+    (
+        "lift_antisymmetric",
+        ["lift", "--json", "--config", str(GOLDEN / "lift_antisymmetric.config.json")],
+        1,
+    ),
+    # scaling derivation with a non-zero gauge family, seeded Leibniz sample
+    (
+        "lift_derivation",
+        ["lift-derivation", "--json", "--seed", "3",
+         "--config", str(GOLDEN / "lift_derivation.config.json")],
+        0,
+    ),
+    # constant non-zero family: the cocycle derivative fails off the diagonal
+    (
+        "lift_derivation_not_additive",
+        ["lift-derivation", "--json",
+         "--config", str(GOLDEN / "lift_derivation_not_additive.config.json")],
+        1,
+    ),
+    (
+        "curvature",
+        ["curvature", "--json", "--config", str(GOLDEN / "curvature.config.json")],
+        0,
+    ),
 ]
 
 
