@@ -6,9 +6,13 @@ obstruction calculus for lifting automorphisms, derivation lifts with
 their gauge Lie algebra, and frame connections with curvature on
 associated modules.  Everything is exact.  Ring values (phases,
 polynomials, matrices) are immutable.  Morphisms, factor systems and
-character-indexed families fill memo caches in place on first use; the
-cached values are pure functions of their keys, so a cache only ever
-gains entries that any caller would compute identically.
+character-indexed families fill memo caches in place on first use
+(gamma and omega, generator powers, the monomial images of each
+morphism, family values); the cached values are pure functions of their
+keys, so a cache only ever gains entries that any caller would compute
+identically.  A morphism's monomial cache is bounded by the distinct
+monomials it is applied to: in the verifiers, the character box times
+the degree.
 """
 
 from .algebra import (

@@ -433,16 +433,16 @@ class PolyMatrix:
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
-        z = TwistedPoly.zero(self.twist)
+        # a 0-column self has a 0x0 other, so no entry reads row[0]
         out = []
-        for i in range(self.rows):
-            row = []
+        for row in self.entries:
+            out_row = []
             for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    acc = acc + self.entries[i][k] * other.entries[k][j]
-                row.append(acc)
-            out.append(row)
+                acc = row[0] * other.entries[0][j]
+                for k in range(1, self.cols):
+                    acc = acc + row[k] * other.entries[k][j]
+                out_row.append(acc)
+            out.append(out_row)
         return PolyMatrix(self.twist, out)
 
     def adjoint(self) -> "PolyMatrix":

@@ -248,7 +248,12 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
     return HFamily.from_scalars(action, fn)
 
 
-def parse_v_family(action: TorusAction, cfg) -> PartialIsometryFamily:
+def parse_v_family(action: TorusAction, cfg, char_range) -> PartialIsometryFamily:
+    """Witness table; the lift reads it at sums of three characters of the box.
+
+    ``verify_cocycle`` reads u(sigma, pi + rho), which reads
+    v(sigma + pi + rho), so a box of radius r needs values out to 3r.
+    """
     if cfg is None:
         return PartialIsometryFamily.constant_one(action)
     if not isinstance(cfg, dict):
@@ -261,7 +266,15 @@ def parse_v_family(action: TorusAction, cfg) -> PartialIsometryFamily:
 
     def fn(char):
         if char not in table:
-            raise ConfigError(f"v_family has no value at character {char}")
+            if isinstance(char_range, int):
+                reach = f"out to {-3 * char_range}..{3 * char_range} in every coordinate"
+            else:
+                reach = "at every sum of three of its characters"
+            raise ConfigError(
+                f"v_family has no value at character {char}: lift with char_range "
+                f"{char_range} reads the witness at sums of three characters "
+                f"(sigma+pi+rho in the cocycle checks), so it needs v_family {reach}"
+            )
         return PolyMatrix.from_scalar(table[char])
 
     return PartialIsometryFamily(action, fn)
@@ -428,7 +441,7 @@ def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
         if "automorphism" not in cfg:
             raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
         beta = parse_automorphism(action, cfg["automorphism"])
-        v = parse_v_family(action, cfg.get("v_family"))
+        v = parse_v_family(action, cfg.get("v_family"), rng_range)
         outcome = lift_via_cohomology(fs, beta, v, rng_range, degree)
         obstruction = outcome.obstruction
         details = {"source": "automorphism", "cocycle_valid": outcome.cocycle_report.passed}

@@ -20,6 +20,12 @@ are :class:`CharacterFamily` instances: a value is computed on first
 use, validated by the family's ``_check`` and only then cached, so a
 value that fails its check is never stored.
 
+Each :class:`MatrixMorphism` caches, in place, its generator powers and
+the monomial images gamma(u^a) of every fixed-algebra monomial it is
+applied to; ``apply`` scales the cached images by the phase
+coefficients.  The cache is bounded by the distinct monomials applied:
+in the verifiers, the character box times the degree.
+
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
 set of fixed-algebra monomials; that suffices because every law is
@@ -230,9 +236,15 @@ class Automorphism:
 
 
 class MatrixMorphism:
-    """Morphism B0 -> Mat_d(B0) given by matrix images of the generators."""
+    """Morphism B0 -> Mat_d(B0) given by matrix images of the generators.
 
-    __slots__ = ("action", "dim", "images", "inv_images", "_powers")
+    The image of each normal-ordered monomial u^a is computed once, as
+    the unit times the generator powers in base order, and cached per
+    instance; ``apply`` scales the cached images by the phase
+    coefficients, since the morphism is linear over the phase ring.
+    """
+
+    __slots__ = ("action", "dim", "images", "inv_images", "_powers", "_monomials")
 
     def __init__(self, action: TorusAction, dim: int, images: dict, inv_images: dict):
         self.action = action
@@ -240,6 +252,7 @@ class MatrixMorphism:
         self.images = dict(images)
         self.inv_images = dict(inv_images)
         self._powers: dict = {}
+        self._monomials: dict = {}
 
     def _power(self, k: int, m: int) -> PolyMatrix:
         cached = self._powers.get((k, m))
@@ -252,20 +265,33 @@ class MatrixMorphism:
         self._powers[(k, m)] = out
         return out
 
-    def apply(self, x: TwistedPoly) -> PolyMatrix:
-        tw = self.action.twist
-        total = PolyMatrix.zeros(tw, self.dim, self.dim)
-        for a, phase in x.terms.items():
-            for j in self.action.coords:
-                if a[j] != 0:
-                    raise ScopeError("morphism applied outside the fixed algebra")
-            term = PolyMatrix.identity(tw, self.dim).scale_left(
-                TwistedPoly.scalar(tw, phase)
-            )
+    def _monomial(self, a: tuple) -> PolyMatrix:
+        """The image of u^a; an exponent off the fixed algebra is never cached."""
+        cached = self._monomials.get(a)
+        if cached is not None:
+            return cached
+        for j in self.action.coords:
+            if a[j] != 0:
+                raise ScopeError("morphism applied outside the fixed algebra")
+        if any(a):
+            out = self.unit()
             for k in self.action.base:
                 if a[k]:
-                    term = term * self._power(k, a[k])
-            total = total + term
+                    out = out * self._power(k, a[k])
+        else:
+            out = PolyMatrix.identity(self.action.twist, self.dim)
+        self._monomials[a] = out
+        return out
+
+    def apply(self, x: TwistedPoly) -> PolyMatrix:
+        total = None
+        for a, phase in x.terms.items():
+            term = self._monomial(a)
+            if not phase.is_one():
+                term = term.map(lambda e: e.scale(phase))
+            total = term if total is None else total + term
+        if total is None:
+            return PolyMatrix.zeros(self.action.twist, self.dim, self.dim)
         return total
 
     def apply_to_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -286,7 +312,7 @@ class MatrixMorphism:
         return PolyMatrix(self.action.twist, rows)
 
     def unit(self) -> PolyMatrix:
-        return self.apply(TwistedPoly.one(self.action.twist))
+        return self._monomial((0,) * self.action.twist.n)
 
 
 # ---------------------------------------------------------------------------

@@ -135,6 +135,23 @@ class TestLift:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["passed"] is True
 
+    def test_witness_family_short_of_three_times_the_range_names_the_reach(self, tmp_path):
+        cfg = dict(Q3_CONFIG)
+        cfg["automorphism"] = {
+            "images": {
+                "1": [{"exponents": [1, 0, 0]}],
+                "2": [{"exponents": [0, 1, 0]}],
+            }
+        }
+        # covers -4..4, but char_range 2 reads the witness out to -6..6
+        cfg["v_family"] = {str(k): [{"exponents": [0, 0, 0]}] for k in range(-4, 5)}
+        proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        error = json.loads(proc.stdout)["error"]
+        assert "v_family has no value at character" in error
+        assert "char_range 2" in error and "-6..6" in error
+        assert "Traceback" not in proc.stderr
+
     def test_invalid_witness_family_is_a_math_failure(self, tmp_path):
         cfg = dict(Q3_CONFIG)
         cfg["automorphism"] = {

@@ -1,0 +1,167 @@
+"""Reference checks for the cached ``MatrixMorphism.apply`` and ``PolyMatrix`` product.
+
+A morphism caches the image of each normal-ordered monomial u^a and
+scales it by the phase coefficient.  Every result here is compared with
+the explicit construction that cache replaces: ``identity * phase`` times
+the generator images in base order, one factor per unit of exponent,
+summed over the terms into a zero matrix.
+"""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
+from nctorus.dynamics import TorusAction
+from nctorus.factor_system import MatrixMorphism, ScopeError, from_cleft
+from nctorus.phases import Phase, QQi
+
+TWIST = TwistMatrix(
+    [
+        [0, Fraction(1, 4), Fraction(-1, 3), Fraction(2, 5)],
+        [Fraction(-1, 4), 0, Fraction(-1, 6), Fraction(1, 7)],
+        [Fraction(1, 3), Fraction(1, 6), 0, Fraction(-3, 8)],
+        [Fraction(-2, 5), Fraction(-1, 7), Fraction(3, 8), 0],
+    ]
+)
+# u2 is acted on; u1, u3 and u4 span the fixed algebra
+ACTION = TorusAction(TWIST, (1,))
+SYSTEM = from_cleft(ACTION)
+
+
+def ref_apply(m: MatrixMorphism, x: TwistedPoly) -> PolyMatrix:
+    tw = m.action.twist
+    total = PolyMatrix.zeros(tw, m.dim, m.dim)
+    for a, phase in x.terms.items():
+        term = PolyMatrix.identity(tw, m.dim).scale_left(TwistedPoly.scalar(tw, phase))
+        for k in m.action.base:
+            image = m.images[k] if a[k] > 0 else m.inv_images[k]
+            for _ in range(abs(a[k])):
+                term = term * image
+        total = total + term
+    return total
+
+
+def fresh(m: MatrixMorphism) -> MatrixMorphism:
+    """A copy of ``m`` with empty caches."""
+    return MatrixMorphism(m.action, m.dim, m.images, m.inv_images)
+
+
+def diagonal_morphism() -> MatrixMorphism:
+    """u_k -> diag(c_k u_k, q^e_k u_k) with unimodular c_k and formal q^e_k."""
+    tw = TWIST
+    z = TwistedPoly.zero(tw)
+    images, inv_images = {}, {}
+    for n, k in enumerate(ACTION.base):
+        e = [0] * tw.nslots
+        e[n] = n + 1
+        c = (QQi(0, 1), QQi(-1), QQi(Fraction(3, 5), Fraction(4, 5)))[n]
+        w1 = Phase.coeff(tw.nslots, c)
+        w2 = Phase(tw.nslots, {(tuple(e), 0): QQi(1)})
+        gen = TwistedPoly.generator(tw, k)
+        geninv = TwistedPoly.generator(tw, k, -1)
+        images[k] = PolyMatrix(tw, [[gen.scale(w1), z], [z, gen.scale(w2)]])
+        inv_images[k] = PolyMatrix(
+            tw, [[geninv.scale(w1.invert()), z], [z, geninv.scale(w2.invert())]]
+        )
+    return MatrixMorphism(ACTION, 2, images, inv_images)
+
+
+exponent = st.integers(-3, 3)
+base_terms = st.lists(
+    st.tuples(
+        st.tuples(exponent, exponent, exponent),
+        st.fractions(-2, 2, max_denominator=3),
+        st.fractions(-2, 2, max_denominator=3),
+        st.tuples(*[st.integers(-1, 1)] * TWIST.nslots),
+    ),
+    min_size=1,
+    max_size=5,
+)
+
+
+def base_poly(terms) -> TwistedPoly:
+    """Sum of c * q^e * u^a over base exponents a (acting exponent 0)."""
+    total = TwistedPoly.zero(TWIST)
+    for (a1, a3, a4), re, im, qexp in terms:
+        phase = Phase(TWIST.nslots, {(qexp, 0): QQi(re, im)})
+        total = total + TwistedPoly(TWIST, {(a1, 0, a3, a4): phase})
+    return total
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_terms, st.integers(-2, 2))
+def test_cleft_apply_matches_reference_fresh_and_warm(terms, sigma):
+    x = base_poly(terms)
+    m = fresh(SYSTEM.gamma((sigma,)))
+    want = ref_apply(m, x)
+    assert m.apply(x) == want
+    assert m.apply(x) == want  # second call reads the cached images
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_terms)
+def test_diagonal_2x2_apply_matches_reference(terms):
+    x = base_poly(terms)
+    m = diagonal_morphism()
+    want = ref_apply(m, x)
+    got = m.apply(x)
+    assert (got.rows, got.cols) == (2, 2)
+    assert got == want
+    assert m.apply(x) == want
+
+
+@pytest.mark.parametrize("make", [lambda: fresh(SYSTEM.gamma((1,))), diagonal_morphism])
+def test_zero_polynomial_maps_to_zero_matrix(make):
+    m = make()
+    got = m.apply(TwistedPoly.zero(TWIST))
+    assert got == PolyMatrix.zeros(TWIST, m.dim, m.dim)
+
+
+def test_unit_is_the_identity():
+    m = diagonal_morphism()
+    assert m.unit() == PolyMatrix.identity(TWIST, 2)
+    assert m.apply(TwistedPoly.one(TWIST)) == m.unit()
+
+
+def test_acting_coordinate_raises_every_call_and_is_never_cached():
+    m = diagonal_morphism()
+    bad = (1, 1, 0, 0)
+    x = TwistedPoly.generator(TWIST, 0) + TwistedPoly.monomial(TWIST, bad, QQi(2))
+    for _ in range(2):
+        with pytest.raises(ScopeError):
+            m.apply(x)
+        assert bad not in m._monomials
+    # the in-scope term still maps as before
+    u1 = TwistedPoly.generator(TWIST, 0)
+    assert m.apply(u1) == ref_apply(m, u1)
+
+
+# ---------------------------------------------------------------------------
+# PolyMatrix product, entry by entry
+# ---------------------------------------------------------------------------
+
+entries = st.lists(base_terms.map(base_poly), min_size=1, max_size=4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(entries, st.data())
+def test_row_times_column_is_the_sum_of_products(row, data):
+    col = data.draw(st.lists(base_terms.map(base_poly), min_size=len(row), max_size=len(row)))
+    got = PolyMatrix(TWIST, [row]) * PolyMatrix(TWIST, [[c] for c in col])
+    want = TwistedPoly.zero(TWIST)
+    for r, c in zip(row, col):
+        want = want + r * c
+    assert (got.rows, got.cols) == (1, 1)
+    assert got.entry(0, 0) == want
+
+
+def test_zero_column_operand_gives_a_zero_matrix():
+    empty_rows = PolyMatrix(TWIST, [[], []])
+    got = empty_rows * PolyMatrix(TWIST, [])
+    assert (got.rows, got.cols) == (2, 0)
+    assert got.is_zero()
+    got = PolyMatrix(TWIST, []) * PolyMatrix(TWIST, [])
+    assert (got.rows, got.cols) == (0, 0)
