@@ -12,7 +12,9 @@ morphism, family values); the cached values are pure functions of their
 keys, so a cache only ever gains entries that any caller would compute
 identically.  A morphism's monomial cache is bounded by the distinct
 monomials it is applied to: in the verifiers, the character box times
-the degree.
+the degree.  There is one morphism class, ``MatrixMorphism`` (B0 ->
+Mat_d(B0), the coactions gamma_sigma); ``AlgebraMorphism``, a morphism
+of B0 itself, is its d = 1 case.
 """
 
 from .algebra import (

@@ -270,10 +270,6 @@ class TwistedPoly:
         zero = (0,) * self.twist.n
         return all(a == zero for a in self.terms)
 
-    def constant_phase(self) -> Phase:
-        """The coefficient at exponent 0 (the whole value for scalars)."""
-        return self.terms.get((0,) * self.twist.n, Phase.zero(self.twist.nslots))
-
     def support(self):
         return sorted(self.terms)
 

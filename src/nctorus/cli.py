@@ -86,6 +86,33 @@ def _int(x, where: str) -> int:
     return x
 
 
+def _object(x, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise ConfigError(f"{where}: expected an object, got {type(x).__name__}")
+    return x
+
+
+def _character(x, d: int, where: str) -> tuple:
+    if not isinstance(x, list) or len(x) != d:
+        raise ConfigError(f"{where} must be a character of rank {d}")
+    return tuple(_int(c, where) for c in x)
+
+
+def _box(cfg: dict, args, char_range: int) -> tuple[int, int]:
+    """Box radius and monomial degree; ``--range``/``--degree`` override the config."""
+    out = []
+    for key, flag, override, default in (
+        ("char_range", "--range", args.range, char_range),
+        ("gen_degree", "--degree", args.degree, 2),
+    ):
+        value = cfg.get(key, default) if override is None else override
+        if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+            where = key if override is None else flag
+            raise ConfigError(f"{where} must be a non-negative integer, got {value!r}")
+        out.append(value)
+    return out[0], out[1]
+
+
 def parse_twist(cfg: dict) -> TwistMatrix:
     n = _int(cfg.get("n"), "n")
     theta = cfg.get("theta")
@@ -131,7 +158,7 @@ def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
         if not isinstance(exps, list) or len(exps) != tw.n:
             raise ConfigError(f"{loc}: exponents must have length {tw.n}")
         exps = tuple(_int(e, f"{loc}.exponents") for e in exps)
-        coeff = term.get("coeff", {"re": "1", "im": "0"})
+        coeff = _object(term.get("coeff", {"re": "1", "im": "0"}), f"{loc}.coeff")
         c = QQi(_fraction(coeff.get("re", 0), f"{loc}.coeff.re"),
                 _fraction(coeff.get("im", 0), f"{loc}.coeff.im"))
         qexp = term.get("phase_exponents", [0] * tw.nslots)
@@ -145,7 +172,7 @@ def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
 
 
 def _gen_key(k, n: int, where: str) -> int:
-    k = _int(int(k) if isinstance(k, str) else k, where)
+    k = _int(int(k) if isinstance(k, str) and k.lstrip("-").isdecimal() else k, where)
     if not 1 <= k <= n:
         raise ConfigError(f"{where}: generator index {k} out of range")
     return k - 1
@@ -153,7 +180,7 @@ def _gen_key(k, n: int, where: str) -> int:
 
 def parse_automorphism(action: TorusAction, cfg: dict) -> Automorphism:
     tw = action.twist
-    images_cfg = cfg.get("images")
+    images_cfg = _object(cfg, "automorphism").get("images")
     if not isinstance(images_cfg, dict):
         raise ConfigError("automorphism.images must map generator indices to terms")
     images = {}
@@ -181,7 +208,7 @@ def parse_automorphism(action: TorusAction, cfg: dict) -> Automorphism:
             _gen_key(k, tw.n, "automorphism.inverse_images"): parse_poly(
                 tw, terms, f"automorphism.inverse_images[{k}]"
             )
-            for k, terms in inv_cfg.items()
+            for k, terms in _object(inv_cfg, "automorphism.inverse_images").items()
         }
     inv = AlgebraMorphism(action, inv_images)
     try:
@@ -192,7 +219,7 @@ def parse_automorphism(action: TorusAction, cfg: dict) -> Automorphism:
 
 def parse_derivation(action: TorusAction, cfg: dict, where: str = "derivation") -> Derivation:
     tw = action.twist
-    images_cfg = cfg.get("images")
+    images_cfg = _object(cfg, where).get("images")
     if not isinstance(images_cfg, dict):
         raise ConfigError(f"{where}.images must map generator indices to terms")
     images = {k: TwistedPoly.zero(tw) for k in action.base}
@@ -218,9 +245,11 @@ def _parse_char(key: str, d: int, where: str):
 
 def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
     tw = action.twist
-    if "linear_scalar" in cfg:
+    if "linear_scalar" in _object(cfg, "h_family"):
         slopes_cfg = cfg["linear_scalar"]
-        if isinstance(slopes_cfg, list) and slopes_cfg and isinstance(slopes_cfg[0], dict):
+        if not isinstance(slopes_cfg, list):
+            raise ConfigError("h_family.linear_scalar must be a list of terms or of term lists")
+        if slopes_cfg and isinstance(slopes_cfg[0], dict):
             slopes = [parse_poly(tw, slopes_cfg, "h_family.linear_scalar")]
         else:
             slopes = [
@@ -248,7 +277,7 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
     return HFamily.from_scalars(action, fn)
 
 
-def parse_v_family(action: TorusAction, cfg, char_range) -> PartialIsometryFamily:
+def parse_v_family(action: TorusAction, cfg, char_range: int) -> PartialIsometryFamily:
     """Witness table; the lift reads it at sums of three characters of the box.
 
     ``verify_cocycle`` reads u(sigma, pi + rho), which reads
@@ -266,14 +295,11 @@ def parse_v_family(action: TorusAction, cfg, char_range) -> PartialIsometryFamil
 
     def fn(char):
         if char not in table:
-            if isinstance(char_range, int):
-                reach = f"out to {-3 * char_range}..{3 * char_range} in every coordinate"
-            else:
-                reach = "at every sum of three of its characters"
             raise ConfigError(
                 f"v_family has no value at character {char}: lift with char_range "
                 f"{char_range} reads the witness at sums of three characters "
-                f"(sigma+pi+rho in the cocycle checks), so it needs v_family {reach}"
+                f"(sigma+pi+rho in the cocycle checks), so it needs v_family out to "
+                f"{-3 * char_range}..{3 * char_range} in every coordinate"
             )
         return PolyMatrix.from_scalar(table[char])
 
@@ -282,7 +308,7 @@ def parse_v_family(action: TorusAction, cfg, char_range) -> PartialIsometryFamil
 
 def parse_synthetic_cocycle(action: TorusAction, cfg: dict) -> TwoCocycle:
     tw = action.twist
-    slot_pair = cfg.get("slot")
+    slot_pair = _object(cfg, "cocycle").get("slot")
     if not isinstance(slot_pair, list) or len(slot_pair) != 2:
         raise ConfigError("cocycle.slot must be a pair of 1-based generator indices")
     k = _gen_key(slot_pair[0], tw.n, "cocycle.slot")
@@ -353,11 +379,11 @@ def _build_system(cfg: dict):
     if not isinstance(overrides, list):
         raise ConfigError("omega_overrides must be a list")
     for idx, ov in enumerate(overrides):
-        sigma = tuple(_int(x, "omega_overrides.sigma") for x in ov.get("sigma", []))
-        pi_ = tuple(_int(x, "omega_overrides.pi") for x in ov.get("pi", []))
-        if len(sigma) != action.d or len(pi_) != action.d:
-            raise ConfigError(f"omega_overrides[{idx}]: characters must have rank {action.d}")
-        value = parse_poly(action.twist, ov.get("value"), f"omega_overrides[{idx}].value")
+        where = f"omega_overrides[{idx}]"
+        ov = _object(ov, where)
+        sigma = _character(ov.get("sigma"), action.d, f"{where}.sigma")
+        pi_ = _character(ov.get("pi"), action.d, f"{where}.pi")
+        value = parse_poly(action.twist, ov.get("value"), f"{where}.value")
         fs = fs.with_omega_override(sigma, pi_, PolyMatrix.from_scalar(value))
     return action, fs
 
@@ -401,8 +427,7 @@ def _curvature_sweep(name: str, fs, d1, d2, cases: dict, degree: int):
 
 def cmd_check_factor_system(cfg: dict, args) -> tuple[dict, int]:
     action, fs = _build_system(cfg)
-    rng_range = args.range if args.range is not None else cfg.get("char_range", 3)
-    degree = args.degree if args.degree is not None else cfg.get("gen_degree", 2)
+    rng_range, degree = _box(cfg, args, 3)
     start = time.perf_counter()
     rep = verify_axioms(fs, rng_range, degree)
     elapsed = time.perf_counter() - start
@@ -424,8 +449,7 @@ def cmd_check_factor_system(cfg: dict, args) -> tuple[dict, int]:
 
 def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
     action, fs = _build_system(cfg)
-    rng_range = args.range if args.range is not None else cfg.get("char_range", 2)
-    degree = args.degree if args.degree is not None else cfg.get("gen_degree", 2)
+    rng_range, degree = _box(cfg, args, 2)
     start = time.perf_counter()
     notes = []
 
@@ -481,8 +505,7 @@ def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
 
 def cmd_lift_derivation(cfg: dict, args) -> tuple[dict, int]:
     action, fs = _build_system(cfg)
-    rng_range = args.range if args.range is not None else cfg.get("char_range", 2)
-    degree = args.degree if args.degree is not None else cfg.get("gen_degree", 2)
+    rng_range, degree = _box(cfg, args, 2)
     start = time.perf_counter()
     if "derivation" in cfg:
         delta = parse_derivation(action, cfg["derivation"])
@@ -520,11 +543,8 @@ def cmd_lift_derivation(cfg: dict, args) -> tuple[dict, int]:
 
 def cmd_curvature(cfg: dict, args) -> tuple[dict, int]:
     action, fs = _build_system(cfg)
-    degree = args.degree if args.degree is not None else cfg.get("gen_degree", 2)
-    sigma = cfg.get("sigma")
-    if not isinstance(sigma, list) or len(sigma) != action.d:
-        raise ConfigError(f"sigma must be a character of rank {action.d}")
-    sigma = tuple(_int(x, "sigma") for x in sigma)
+    _, degree = _box(cfg, args, 0)
+    sigma = _character(cfg.get("sigma"), action.d, "sigma")
     d1 = parse_derivation(action, cfg["derivation_1"], "derivation_1") if "derivation_1" in cfg \
         else base_scaling_derivation(action, action.base[0])
     d2 = parse_derivation(action, cfg["derivation_2"], "derivation_2") if "derivation_2" in cfg \
@@ -556,8 +576,7 @@ def cmd_demo_q3torus(args) -> tuple[dict, int]:
         angles = [str(t12), str(t13), str(t23)]
     action = TorusAction(tw, (2,))
     fs = from_cleft(action)
-    rng_range = args.range if args.range is not None else 3
-    degree = args.degree if args.degree is not None else 2
+    rng_range, degree = _box({}, args, 3)
 
     u1 = TwistedPoly.generator(tw, 0)
     u2 = TwistedPoly.generator(tw, 1)

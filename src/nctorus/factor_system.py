@@ -20,11 +20,14 @@ are :class:`CharacterFamily` instances: a value is computed on first
 use, validated by the family's ``_check`` and only then cached, so a
 value that fails its check is never stored.
 
-Each :class:`MatrixMorphism` caches, in place, its generator powers and
-the monomial images gamma(u^a) of every fixed-algebra monomial it is
-applied to; ``apply`` scales the cached images by the phase
-coefficients.  The cache is bounded by the distinct monomials applied:
-in the verifiers, the character box times the degree.
+:class:`MatrixMorphism` is the one morphism class: a unital morphism
+B0 -> Mat_d(B0) given by generator images, with the relation and
+*-checks written once for d x d images.  :class:`AlgebraMorphism`, a
+morphism of B0 itself, is its d = 1 case.  Each morphism caches, in
+place, its generator powers and the monomial images gamma(u^a) of every
+fixed-algebra monomial it is applied to; ``apply`` scales the cached
+images by the phase coefficients.  The cache is bounded by the distinct
+monomials applied: in the verifiers, the character box times the degree.
 
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
@@ -61,187 +64,16 @@ class ScopeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class AlgebraMorphism:
-    """Unital *-algebra morphism of B0 given by generator images.
+class MatrixMorphism:
+    """Unital morphism B0 -> Mat_d(B0) given by matrix images of the generators.
 
-    ``images[k]`` is the image of u_k and ``inv_images[k]`` the image of
+    ``images[k]`` is the d x d image of u_k and ``inv_images[k]`` that of
     u_k^-1 for every non-acting generator k; the map extends to all of
     B0 multiplicatively and linearly (formal phase coefficients are
-    fixed pointwise).
-    """
-
-    __slots__ = ("action", "images", "inv_images", "_powers")
-
-    def __init__(self, action: TorusAction, images: dict, inv_images: dict | None = None):
-        self.action = action
-        self.images = dict(images)
-        if inv_images is None:
-            inv_images = {k: img.inverse_monomial() for k, img in self.images.items()}
-        self.inv_images = dict(inv_images)
-        missing = set(action.base) - set(self.images)
-        if missing:
-            raise ValueError(f"missing generator images for indices {sorted(missing)}")
-        for k in action.base:
-            if not in_base_algebra(action, self.images[k]):
-                raise ScopeError(f"image of {action.twist.gen_name(k)} leaves the fixed algebra")
-            if not in_base_algebra(action, self.inv_images[k]):
-                raise ScopeError(
-                    f"image of {action.twist.gen_name(k)}^-1 leaves the fixed algebra"
-                )
-        self._powers: dict = {}
-
-    @classmethod
-    def identity(cls, action: TorusAction) -> "AlgebraMorphism":
-        tw = action.twist
-        return cls(
-            action,
-            {k: TwistedPoly.generator(tw, k) for k in action.base},
-            {k: TwistedPoly.generator(tw, k, -1) for k in action.base},
-        )
-
-    def _power(self, k: int, m: int) -> TwistedPoly:
-        cached = self._powers.get((k, m))
-        if cached is not None:
-            return cached
-        base = self.images[k] if m > 0 else self.inv_images[k]
-        out = base
-        for _ in range(abs(m) - 1):
-            out = out * base
-        self._powers[(k, m)] = out
-        return out
-
-    def apply(self, x: TwistedPoly) -> TwistedPoly:
-        total = TwistedPoly.zero(self.action.twist)
-        for a, phase in x.terms.items():
-            for j in self.action.coords:
-                if a[j] != 0:
-                    raise ScopeError("morphism applied outside the fixed algebra")
-            term = TwistedPoly.scalar(self.action.twist, phase)
-            for k in self.action.base:
-                if a[k]:
-                    term = term * self._power(k, a[k])
-            total = total + term
-        return total
-
-    def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
-        """self after other."""
-        return AlgebraMorphism(
-            self.action,
-            {k: self.apply(other.images[k]) for k in self.action.base},
-            {k: self.apply(other.inv_images[k]) for k in self.action.base},
-        )
-
-    def respects_relations(self) -> bool:
-        tw = self.action.twist
-        for i, k in enumerate(self.action.base):
-            for l in self.action.base[i + 1 :]:
-                lam = TwistedPoly.scalar(tw, exchange_phase(tw, k, l))
-                lhs = self.images[k] * self.images[l]
-                rhs = lam * (self.images[l] * self.images[k])
-                if lhs != rhs:
-                    return False
-            if self.images[k] * self.inv_images[k] != TwistedPoly.one(tw):
-                return False
-        return True
-
-    def is_star_morphism(self) -> bool:
-        return all(
-            self.inv_images[k] == self.images[k].star() for k in self.action.base
-        )
-
-    def equals_on_generators(self, other: "AlgebraMorphism") -> bool:
-        return all(self.images[k] == other.images[k] for k in self.action.base)
-
-
-class Automorphism:
-    """Invertible *-morphism of B0: a forward and a verified inverse leg."""
-
-    __slots__ = ("fwd", "inv")
-
-    def __init__(self, fwd: AlgebraMorphism, inv: AlgebraMorphism, check: bool = True):
-        self.fwd = fwd
-        self.inv = inv
-        if check:
-            ident = AlgebraMorphism.identity(fwd.action)
-            if not fwd.compose(inv).equals_on_generators(ident):
-                raise ValueError("inverse images do not invert the morphism")
-            if not inv.compose(fwd).equals_on_generators(ident):
-                raise ValueError("inverse images do not invert the morphism")
-            if not fwd.respects_relations():
-                raise ValueError("automorphism violates the defining relations")
-
-    @property
-    def action(self) -> TorusAction:
-        return self.fwd.action
-
-    @classmethod
-    def identity(cls, action: TorusAction) -> "Automorphism":
-        ident = AlgebraMorphism.identity(action)
-        return cls(ident, ident, check=False)
-
-    @classmethod
-    def diagonal(cls, action: TorusAction, weights: dict) -> "Automorphism":
-        """Gauge automorphism u_k -> w_k u_k for unimodular phases w_k."""
-        tw = action.twist
-        images, inv_images, rimages, rinv = {}, {}, {}, {}
-        for k in action.base:
-            w = weights.get(k)
-            gen = TwistedPoly.generator(tw, k)
-            geninv = TwistedPoly.generator(tw, k, -1)
-            if w is None:
-                images[k], inv_images[k] = gen, geninv
-                rimages[k], rinv[k] = gen, geninv
-            else:
-                images[k] = gen.scale(w)
-                inv_images[k] = geninv.scale(w.invert())
-                rimages[k] = gen.scale(w.invert())
-                rinv[k] = geninv.scale(w)
-        return cls(
-            AlgebraMorphism(action, images, inv_images),
-            AlgebraMorphism(action, rimages, rinv),
-        )
-
-    @classmethod
-    def inner(cls, action: TorusAction, a: TwistedPoly) -> "Automorphism":
-        """Conjugation by an invertible monomial a of the fixed algebra."""
-        if not in_base_algebra(action, a):
-            raise ScopeError("conjugating element must lie in the fixed algebra")
-        a_inv = a.inverse_monomial()
-        tw = action.twist
-
-        def leg(u, u_inv):
-            images = {
-                k: u * TwistedPoly.generator(tw, k) * u_inv for k in action.base
-            }
-            inv_images = {
-                k: u * TwistedPoly.generator(tw, k, -1) * u_inv for k in action.base
-            }
-            return AlgebraMorphism(action, images, inv_images)
-
-        return cls(leg(a, a_inv), leg(a_inv, a))
-
-    def apply(self, x: TwistedPoly) -> TwistedPoly:
-        return self.fwd.apply(x)
-
-    def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
-        return m.map(self.fwd.apply)
-
-    def inverse(self) -> "Automorphism":
-        return Automorphism(self.inv, self.fwd, check=False)
-
-    def compose(self, other: "Automorphism") -> "Automorphism":
-        return Automorphism(
-            self.fwd.compose(other.fwd), other.inv.compose(self.inv), check=False
-        )
-
-
-class MatrixMorphism:
-    """Morphism B0 -> Mat_d(B0) given by matrix images of the generators.
-
-    The image of each normal-ordered monomial u^a is computed once, as
-    the unit times the generator powers in base order, and cached per
-    instance; ``apply`` scales the cached images by the phase
-    coefficients, since the morphism is linear over the phase ring.
+    fixed pointwise).  The image of each normal-ordered monomial u^a is
+    computed once, as the unit times the generator powers in base order,
+    and cached per instance; ``apply`` scales the cached images by the
+    phase coefficients.  :class:`AlgebraMorphism` is the d = 1 case.
     """
 
     __slots__ = ("action", "dim", "images", "inv_images", "_powers", "_monomials")
@@ -300,19 +132,174 @@ class MatrixMorphism:
         Result[(s1*m.rows + r), (s2*m.cols + c)] = apply(m[r, c])[s1, s2].
         """
         d = self.dim
-        blocks = [[self.apply(m.entries[r][c]) for c in range(m.cols)] for r in range(m.rows)]
-        rows = []
-        for s1 in range(d):
-            for r in range(m.rows):
-                row = []
-                for s2 in range(d):
-                    for c in range(m.cols):
-                        row.append(blocks[r][c].entries[s1][s2])
-                rows.append(row)
+        blocks = [
+            [MatrixMorphism.apply(self, m.entries[r][c]) for c in range(m.cols)]
+            for r in range(m.rows)
+        ]
+        rows = [
+            [blocks[r][c].entries[s1][s2] for s2 in range(d) for c in range(m.cols)]
+            for s1 in range(d)
+            for r in range(m.rows)
+        ]
         return PolyMatrix(self.action.twist, rows)
 
     def unit(self) -> PolyMatrix:
         return self._monomial((0,) * self.action.twist.n)
+
+    def respects_relations(self) -> bool:
+        """Generator images satisfy the exchange relations and invert to the unit."""
+        tw = self.action.twist
+        unit = self.unit()
+        for i, k in enumerate(self.action.base):
+            for l in self.action.base[i + 1 :]:
+                lam = exchange_phase(tw, k, l)
+                lhs = self.images[k] * self.images[l]
+                rhs = (self.images[l] * self.images[k]).map(lambda e: e.scale(lam))
+                if lhs != rhs:
+                    return False
+            if self.images[k] * self.inv_images[k] != unit:
+                return False
+        return True
+
+    def is_star_morphism(self) -> bool:
+        return all(self.inv_images[k] == self.images[k].adjoint() for k in self.action.base)
+
+    def equals_on_generators(self, other: "MatrixMorphism") -> bool:
+        return all(self.images[k] == other.images[k] for k in self.action.base)
+
+
+class AlgebraMorphism(MatrixMorphism):
+    """Unital *-algebra morphism of B0: the d = 1 case of :class:`MatrixMorphism`.
+
+    Takes the generator images as polynomials (``inv_images`` defaults
+    to the monomial inverses) and stores them as 1 x 1 matrices;
+    ``apply`` returns polynomials.
+    """
+
+    __slots__ = ()
+
+    def __init__(self, action: TorusAction, images: dict, inv_images: dict | None = None):
+        if inv_images is None:
+            inv_images = {k: img.inverse_monomial() for k, img in images.items()}
+        missing = set(action.base) - set(images)
+        if missing:
+            raise ValueError(f"missing generator images for indices {sorted(missing)}")
+        for k in action.base:
+            if not in_base_algebra(action, images[k]):
+                raise ScopeError(f"image of {action.twist.gen_name(k)} leaves the fixed algebra")
+            if not in_base_algebra(action, inv_images[k]):
+                raise ScopeError(
+                    f"image of {action.twist.gen_name(k)}^-1 leaves the fixed algebra"
+                )
+        super().__init__(
+            action,
+            1,
+            {k: PolyMatrix.from_scalar(v) for k, v in images.items()},
+            {k: PolyMatrix.from_scalar(v) for k, v in inv_images.items()},
+        )
+
+    @classmethod
+    def identity(cls, action: TorusAction) -> "AlgebraMorphism":
+        tw = action.twist
+        return cls(
+            action,
+            {k: TwistedPoly.generator(tw, k) for k in action.base},
+            {k: TwistedPoly.generator(tw, k, -1) for k in action.base},
+        )
+
+    def apply(self, x: TwistedPoly) -> TwistedPoly:
+        return MatrixMorphism.apply(self, x).as_scalar()
+
+    def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
+        """self after other."""
+        return AlgebraMorphism(
+            self.action,
+            {k: self.apply(other.images[k].as_scalar()) for k in self.action.base},
+            {k: self.apply(other.inv_images[k].as_scalar()) for k in self.action.base},
+        )
+
+
+class Automorphism:
+    """Invertible *-morphism of B0: a forward and a verified inverse leg."""
+
+    __slots__ = ("fwd", "inv")
+
+    def __init__(self, fwd: AlgebraMorphism, inv: AlgebraMorphism, check: bool = True):
+        self.fwd = fwd
+        self.inv = inv
+        if check:
+            ident = AlgebraMorphism.identity(fwd.action)
+            for a, b in ((fwd, inv), (inv, fwd)):
+                if not a.compose(b).equals_on_generators(ident):
+                    raise ValueError("inverse images do not invert the morphism")
+            if not fwd.respects_relations():
+                raise ValueError("automorphism violates the defining relations")
+            if not fwd.is_star_morphism():
+                raise ValueError("automorphism is not a *-morphism")
+
+    @property
+    def action(self) -> TorusAction:
+        return self.fwd.action
+
+    @classmethod
+    def identity(cls, action: TorusAction) -> "Automorphism":
+        ident = AlgebraMorphism.identity(action)
+        return cls(ident, ident, check=False)
+
+    @classmethod
+    def diagonal(cls, action: TorusAction, weights: dict) -> "Automorphism":
+        """Gauge automorphism u_k -> w_k u_k for unimodular phases w_k."""
+        tw = action.twist
+        images, inv_images, rimages, rinv = {}, {}, {}, {}
+        for k in action.base:
+            w = weights.get(k)
+            gen = TwistedPoly.generator(tw, k)
+            geninv = TwistedPoly.generator(tw, k, -1)
+            if w is None:
+                images[k], inv_images[k] = gen, geninv
+                rimages[k], rinv[k] = gen, geninv
+            else:
+                images[k] = gen.scale(w)
+                inv_images[k] = geninv.scale(w.invert())
+                rimages[k] = gen.scale(w.invert())
+                rinv[k] = geninv.scale(w)
+        return cls(
+            AlgebraMorphism(action, images, inv_images),
+            AlgebraMorphism(action, rimages, rinv),
+        )
+
+    @classmethod
+    def inner(cls, action: TorusAction, a: TwistedPoly) -> "Automorphism":
+        """Conjugation by an invertible monomial a of the fixed algebra."""
+        if not in_base_algebra(action, a):
+            raise ScopeError("conjugating element must lie in the fixed algebra")
+        a_inv = a.inverse_monomial()
+        tw = action.twist
+
+        def leg(u, u_inv):
+            images = {
+                k: u * TwistedPoly.generator(tw, k) * u_inv for k in action.base
+            }
+            inv_images = {
+                k: u * TwistedPoly.generator(tw, k, -1) * u_inv for k in action.base
+            }
+            return AlgebraMorphism(action, images, inv_images)
+
+        return cls(leg(a, a_inv), leg(a_inv, a))
+
+    def apply(self, x: TwistedPoly) -> TwistedPoly:
+        return self.fwd.apply(x)
+
+    def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
+        return self.fwd.apply_to_matrix(m)
+
+    def inverse(self) -> "Automorphism":
+        return Automorphism(self.inv, self.fwd, check=False)
+
+    def compose(self, other: "Automorphism") -> "Automorphism":
+        return Automorphism(
+            self.fwd.compose(other.fwd), other.inv.compose(self.inv), check=False
+        )
 
 
 # ---------------------------------------------------------------------------

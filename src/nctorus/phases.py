@@ -40,10 +40,6 @@ class QQi:
     def i(cls) -> "QQi":
         return _QQI_I
 
-    @classmethod
-    def from_strings(cls, re: str, im: str = "0") -> "QQi":
-        return cls(Fraction(re), Fraction(im))
-
     def __add__(self, other: "QQi") -> "QQi":
         return QQi(self.re + other.re, self.im + other.im)
 

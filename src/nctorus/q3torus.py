@@ -15,7 +15,6 @@ from fractions import Fraction
 from .algebra import TwistMatrix, TwistedPoly
 from .derivations import HFamily, scaling_derivation, two_pi_i
 from .dynamics import TorusAction
-from .factor_system import FactorSystem, from_cleft
 
 
 def standard_angles() -> tuple[Fraction, Fraction, Fraction]:
@@ -39,10 +38,6 @@ def restricted_gauge_action(twist: TwistMatrix | None = None) -> TorusAction:
     if twist.n != 3:
         raise ValueError("the restricted gauge circle lives on three generators")
     return TorusAction(twist, (2,))
-
-
-def standard_system(twist: TwistMatrix | None = None) -> FactorSystem:
-    return from_cleft(restricted_gauge_action(twist))
 
 
 def base_scaling_derivation(action: TorusAction, k: int):

@@ -197,6 +197,86 @@ class TestLift:
         assert proc.returncode == 2
 
 
+    def test_non_star_automorphism_is_an_input_error(self, tmp_path):
+        # u1 -> 2 u1 is invertible and respects the relations, but is not unitary
+        cfg = dict(Q3_CONFIG)
+        cfg["automorphism"] = {
+            "images": {
+                "1": [{"exponents": [1, 0, 0], "coeff": {"re": "2", "im": "0"}}],
+                "2": [{"exponents": [0, 1, 0]}],
+            }
+        }
+        proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        assert "automorphism is not a *-morphism" in json.loads(proc.stdout)["error"]
+        assert "Traceback" not in proc.stderr
+
+
+IDENTITY_AUTOMORPHISM = {
+    "images": {"1": [{"exponents": [1, 0, 0]}], "2": [{"exponents": [0, 1, 0]}]}
+}
+
+
+@pytest.mark.parametrize(
+    "command, extra, flags, named",
+    [
+        ("check-factor-system", {"char_range": 1.5}, [], "char_range"),
+        ("check-factor-system", {"gen_degree": "x"}, [], "gen_degree"),
+        ("check-factor-system", {"char_range": "2"}, [], "char_range"),
+        ("check-factor-system", {"char_range": True}, [], "char_range"),
+        ("check-factor-system", {"char_range": [[1]]}, [], "char_range"),
+        ("lift", {"gen_degree": -1, "automorphism": IDENTITY_AUTOMORPHISM}, [], "gen_degree"),
+        ("lift-derivation", {"char_range": 1.5}, [], "char_range"),
+        ("curvature", {"gen_degree": 2.0, "sigma": [1]}, [], "gen_degree"),
+        # the flags override the config, and are checked the same way
+        ("check-factor-system", {"char_range": 1.5}, ["--range", "1", "--degree", "-2"], "--degree"),
+    ],
+)
+def test_box_parameters_must_be_non_negative_integers(tmp_path, command, extra, flags, named):
+    cfg = {**Q3_CONFIG, **extra}
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg), *flags, "--json")
+    assert proc.returncode == 2
+    error = json.loads(proc.stdout)["error"]
+    assert error.startswith(f"{named} must be a non-negative integer")
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "command, extra, path",
+    [
+        ("check-factor-system", {"omega_overrides": [5]}, "omega_overrides[0]"),
+        (
+            "check-factor-system",
+            {"omega_overrides": [{"sigma": [1], "pi": [1], "value": [
+                {"exponents": [1, 0, 0], "coeff": "i"}]}]},
+            "omega_overrides[0].value[0].coeff",
+        ),
+        (
+            "check-factor-system",
+            {"omega_overrides": [{"sigma": 1, "pi": [1], "value": []}]},
+            "omega_overrides[0].sigma",
+        ),
+        ("curvature", {"sigma": [1], "derivation_1": 5}, "derivation_1"),
+        ("lift", {"automorphism": 5}, "automorphism"),
+        (
+            "lift",
+            {"automorphism": {**IDENTITY_AUTOMORPHISM, "inverse_images": [1]}},
+            "automorphism.inverse_images",
+        ),
+        ("lift", {"automorphism": {"images": {"one": []}}}, "automorphism.images"),
+        ("lift", {"cocycle": "slot"}, "cocycle"),
+        ("lift-derivation", {"h_family": 5}, "h_family"),
+        ("lift-derivation", {"h_family": {"linear_scalar": 5}}, "h_family.linear_scalar"),
+    ],
+)
+def test_non_object_config_values_name_their_path(tmp_path, command, extra, path):
+    cfg = {**Q3_CONFIG, **extra}
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].startswith(path)
+    assert "Traceback" not in proc.stderr
+
+
 class TestLiftDerivation:
     def test_gauge_family_passes(self, tmp_path):
         cfg = dict(Q3_CONFIG)

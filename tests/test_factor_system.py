@@ -269,3 +269,14 @@ class TestMorphismValidation:
         )
         with pytest.raises(ValueError):
             Automorphism(fwd, shifted)
+
+    def test_non_star_morphism_is_rejected(self, q3_action, q3_gens):
+        # u1 -> 2 u1 respects the relations and is invertible, but is not unitary
+        u1, u2, _ = q3_gens
+        fwd = AlgebraMorphism(q3_action, {0: u1.scale(QQi(2)), 1: u2})
+        inv = AlgebraMorphism(q3_action, {0: u1.scale(QQi(Fraction(1, 2))), 1: u2})
+        assert fwd.respects_relations()
+        assert not fwd.is_star_morphism()
+        with pytest.raises(ValueError, match=r"automorphism is not a \*-morphism"):
+            Automorphism(fwd, inv)
+        Automorphism(fwd, inv, check=False)  # unchecked construction stays possible

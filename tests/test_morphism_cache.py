@@ -1,10 +1,14 @@
-"""Reference checks for the cached ``MatrixMorphism.apply`` and ``PolyMatrix`` product.
+"""Reference checks for the one morphism class and the ``PolyMatrix`` product.
 
 A morphism caches the image of each normal-ordered monomial u^a and
 scales it by the phase coefficient.  Every result here is compared with
 the explicit construction that cache replaces: ``identity * phase`` times
 the generator images in base order, one factor per unit of exponent,
-summed over the terms into a zero matrix.
+summed over the terms into a zero matrix.  ``AlgebraMorphism`` is the
+d = 1 case of ``MatrixMorphism`` and is compared with the scalar
+construction it had before: ``scalar(phase)`` times the polynomial
+generator images in base order, summed.  The relation and *-checks,
+written once for d x d images, are run on cleft and 2 x 2 morphisms.
 """
 
 from fractions import Fraction
@@ -15,7 +19,14 @@ from hypothesis import strategies as st
 
 from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
 from nctorus.dynamics import TorusAction
-from nctorus.factor_system import MatrixMorphism, ScopeError, from_cleft
+from nctorus.factor_system import (
+    AlgebraMorphism,
+    Automorphism,
+    MatrixMorphism,
+    ScopeError,
+    frohlich_morphism,
+    from_cleft,
+)
 from nctorus.phases import Phase, QQi
 
 TWIST = TwistMatrix(
@@ -137,6 +148,124 @@ def test_acting_coordinate_raises_every_call_and_is_never_cached():
     # the in-scope term still maps as before
     u1 = TwistedPoly.generator(TWIST, 0)
     assert m.apply(u1) == ref_apply(m, u1)
+
+
+# ---------------------------------------------------------------------------
+# AlgebraMorphism: the d = 1 case, against the scalar construction
+# ---------------------------------------------------------------------------
+
+
+def ref_scalar_apply(m: AlgebraMorphism, x: TwistedPoly) -> TwistedPoly:
+    tw = m.action.twist
+    total = TwistedPoly.zero(tw)
+    for a, phase in x.terms.items():
+        term = TwistedPoly.scalar(tw, phase)
+        for k in m.action.base:
+            image = (m.images[k] if a[k] > 0 else m.inv_images[k]).as_scalar()
+            for _ in range(abs(a[k])):
+                term = term * image
+        total = total + term
+    return total
+
+
+def gen(k: int, power: int = 1) -> TwistedPoly:
+    return TwistedPoly.generator(TWIST, k, power)
+
+
+def multi_term_morphism() -> AlgebraMorphism:
+    """Multi-term images with Gaussian-rational and formal phases.
+
+    Not a homomorphism, but ``apply`` is defined by the same formula, so
+    it still pins the product order and the phase scaling.
+    """
+    half_i = QQi(Fraction(1, 2), 1)
+    q = Phase.unit(TWIST.nslots, TWIST.slot(0, 3))
+    images = {0: gen(0) + gen(2).scale(half_i), 2: gen(2) * gen(3), 3: gen(3).scale(q) - gen(0)}
+    inv_images = {0: gen(0, -1), 2: gen(3, -1) + gen(2, -1), 3: gen(3, -1).scale(half_i)}
+    return AlgebraMorphism(ACTION, images, inv_images)
+
+
+SCALAR_MORPHISMS = {
+    "frohlich": lambda: frohlich_morphism(SYSTEM, (2,)),
+    "inner": lambda: Automorphism.inner(ACTION, gen(0) * gen(3, -1)).fwd,
+    "multi-term": multi_term_morphism,
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(base_terms, st.sampled_from(sorted(SCALAR_MORPHISMS)))
+def test_scalar_apply_matches_reference_fresh_and_warm(terms, name):
+    x = base_poly(terms)
+    m = SCALAR_MORPHISMS[name]()
+    want = ref_scalar_apply(m, x)
+    got = m.apply(x)
+    assert isinstance(got, TwistedPoly)
+    assert got == want
+    assert m.apply(x) == want  # second call reads the cached images
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_MORPHISMS))
+def test_scalar_zero_maps_to_zero(name):
+    m = SCALAR_MORPHISMS[name]()
+    assert m.apply(TwistedPoly.zero(TWIST)) == TwistedPoly.zero(TWIST)
+
+
+def test_scalar_acting_coordinate_raises_every_call_and_is_never_cached():
+    m = multi_term_morphism()
+    bad = (0, -2, 1, 0)
+    x = gen(3) + TwistedPoly.monomial(TWIST, bad, QQi(0, 1))
+    for _ in range(2):
+        with pytest.raises(ScopeError):
+            m.apply(x)
+        assert bad not in m._monomials
+    assert m.apply(gen(3)) == ref_scalar_apply(m, gen(3))
+
+
+# ---------------------------------------------------------------------------
+# relation and *-checks on d x d images
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("sigma", range(-3, 4))
+def test_cleft_coactions_pass_both_checks(sigma):
+    g = fresh(SYSTEM.gamma((sigma,)))
+    assert g.respects_relations()
+    assert g.is_star_morphism()
+
+
+def test_diagonal_2x2_passes_both_checks():
+    m = diagonal_morphism()
+    assert m.respects_relations()
+    assert m.is_star_morphism()
+
+
+def test_swapped_2x2_images_break_the_relations():
+    m = diagonal_morphism()
+    images = dict(m.images)
+    images[0], images[2] = images[2], images[0]
+    assert not MatrixMorphism(ACTION, 2, images, m.inv_images).respects_relations()
+
+
+def test_non_adjoint_2x2_inverse_is_not_a_star_morphism():
+    # 2D and D^-1 / 2 still invert each other and satisfy the exchange
+    # relations, but the inverse image is not the adjoint
+    m = diagonal_morphism()
+    scaled = MatrixMorphism(
+        ACTION,
+        2,
+        {k: v.map(lambda e: e.scale(QQi(2))) for k, v in m.images.items()},
+        {k: v.map(lambda e: e.scale(QQi(Fraction(1, 2)))) for k, v in m.inv_images.items()},
+    )
+    assert scaled.respects_relations()
+    assert not scaled.is_star_morphism()
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.lists(base_terms.map(base_poly), min_size=4, max_size=4))
+def test_automorphism_apply_matrix_is_entrywise(polys):
+    beta = Automorphism.inner(ACTION, gen(0) * gen(2, 2))
+    m = PolyMatrix(TWIST, [polys[:2], polys[2:]])
+    assert beta.apply_matrix(m) == m.map(beta.apply)
 
 
 # ---------------------------------------------------------------------------
