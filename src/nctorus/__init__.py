@@ -35,6 +35,7 @@ from .cohomology import (
     lift_via_cohomology,
     pointwise_ratio,
     solve_coboundary,
+    trivialize,
     updated_witness,
     verify_cocycle,
 )

@@ -4,9 +4,10 @@ Symbolic numbers in configs are exact rational strings ("p/q"); floats
 are rejected so nothing is silently coerced.  Every command prints a
 single JSON object on stdout (sorted keys) and exits with 0 when all
 checks pass, 1 when a mathematical check failed (the counterexample is
-in the report), and 2 on input errors.  Reports are byte-identical for
-identical inputs and seeds; wall-clock timing is only included when
-requested with --timing.
+in the report), 2 on input errors, and 3 on an internal error (a bug,
+never a verdict; the traceback goes to stderr).  Reports are
+byte-identical for identical inputs and seeds; wall-clock timing is only
+included when requested with --timing.
 """
 
 from __future__ import annotations
@@ -16,17 +17,11 @@ import json
 import random
 import sys
 import time
+import traceback
 from fractions import Fraction
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMatrix
-from .cohomology import (
-    Obstruction,
-    TwoCocycle,
-    WitnessError,
-    lift_via_cohomology,
-    solve_coboundary,
-    verify_cocycle,
-)
+from .cohomology import TwoCocycle, WitnessError, lift_via_cohomology, trivialize
 from .derivations import (
     Derivation,
     HFamily,
@@ -36,7 +31,7 @@ from .derivations import (
     atiyah_check,
     verify_lift_conditions,
 )
-from .dynamics import TorusAction, char_box, char_neg
+from .dynamics import TorusAction, char_box, char_neg, char_zero
 from .factor_system import (
     AlgebraMorphism,
     Automorphism,
@@ -77,6 +72,8 @@ def _fraction(x, where: str) -> Fraction:
             return Fraction(x)
         except ValueError as exc:
             raise ConfigError(f"{where}: bad rational {x!r}") from exc
+        except ZeroDivisionError as exc:
+            raise ConfigError(f"{where}: zero denominator in {x!r}") from exc
     raise ConfigError(f"{where}: expected rational string, got {type(x).__name__}")
 
 
@@ -228,9 +225,12 @@ def parse_derivation(action: TorusAction, cfg: dict, where: str = "derivation") 
             tw, terms, f"{where}.images[{k}]"
         )
     try:
-        return Derivation(tw, action.base, images, check=True)
+        delta = Derivation(tw, action.base, images, check=True)
     except ValueError as exc:
         raise ConfigError(f"{where}: {exc}") from exc
+    if not delta.is_star_derivation():
+        raise ConfigError(f"{where}: images do not define a *-derivation")
+    return delta
 
 
 def _parse_char(key: str, d: int, where: str):
@@ -268,6 +268,8 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
         )
         for k, terms in per.items()
     }
+    # H(0) = 0 is forced, so the trivial character may be left out
+    table.setdefault(char_zero(action.d), TwistedPoly.zero(tw))
 
     def fn(char):
         if char not in table:
@@ -454,38 +456,34 @@ def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
     notes = []
 
     if "cocycle" in cfg:
-        u = parse_synthetic_cocycle(action, cfg["cocycle"])
-        rep = verify_cocycle(u, rng_range)
-        outcome = solve_coboundary(u, rng_range) if rep.passed else None
-        obstruction = outcome if isinstance(outcome, Obstruction) else None
-        details = {"source": "synthetic-cocycle", "cocycle_valid": rep.passed}
-        reports = [rep]
-        passed = rep.passed and obstruction is None
-    else:
-        if "automorphism" not in cfg:
-            raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
+        source = "synthetic-cocycle"
+        outcome = trivialize(parse_synthetic_cocycle(action, cfg["cocycle"]), rng_range)
+    elif "automorphism" in cfg:
+        source = "automorphism"
         beta = parse_automorphism(action, cfg["automorphism"])
         v = parse_v_family(action, cfg.get("v_family"), rng_range)
         outcome = lift_via_cohomology(fs, beta, v, rng_range, degree)
-        obstruction = outcome.obstruction
-        details = {"source": "automorphism", "cocycle_valid": outcome.cocycle_report.passed}
-        reports = [outcome.cocycle_report]
-        passed = outcome.lifts
-        if outcome.lifts:
-            # re-verify multiplicativity and involution on a seeded sample
-            sample = _seeded_sample(action, rng_range, args.seed)
-            rb = ReportBuilder("lift-sample")
-            lift = outcome.lifted
-            for x in sample:
-                for y in sample[:3]:
-                    rb.expect("multiplicativity", {"x": x, "y": y},
-                              lift.apply(x * y), lift.apply(x) * lift.apply(y))
-                rb.expect("involution", {"x": x}, lift.apply(x.star()), lift.apply(x).star())
-            sample_rep = rb.finish()
-            reports.append(sample_rep)
-            passed = passed and sample_rep.passed
-            notes.append("materialized lift re-verified on a seeded sample")
+    else:
+        raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
+    details = {"source": source, "cocycle_valid": outcome.cocycle_report.passed}
+    reports = [outcome.cocycle_report]
+    passed = outcome.solved is not None
+    if outcome.lifted is not None:
+        # re-verify multiplicativity and involution on a seeded sample
+        sample = _seeded_sample(action, rng_range, args.seed)
+        rb = ReportBuilder("lift-sample")
+        lift = outcome.lifted
+        for x in sample:
+            for y in sample[:3]:
+                rb.expect("multiplicativity", {"x": x, "y": y},
+                          lift.apply(x * y), lift.apply(x) * lift.apply(y))
+            rb.expect("involution", {"x": x}, lift.apply(x.star()), lift.apply(x).star())
+        sample_rep = rb.finish()
+        reports.append(sample_rep)
+        passed = passed and sample_rep.passed
+        notes.append("materialized lift re-verified on a seeded sample")
 
+    obstruction = outcome.obstruction
     if obstruction is not None:
         details["obstruction"] = {
             "witness": [list(c) for c in obstruction.witness],
@@ -569,9 +567,10 @@ def cmd_demo_q3torus(args) -> tuple[dict, int]:
         tw = random_rational_twist(rng, 3, 12)
         angles = [str(tw.theta[0][1]), str(tw.theta[0][2]), str(tw.theta[1][2])]
     else:
-        t12 = Fraction(args.theta12) if args.theta12 else standard_angles()[0]
-        t13 = Fraction(args.theta13) if args.theta13 else standard_angles()[1]
-        t23 = Fraction(args.theta23) if args.theta23 else standard_angles()[2]
+        default = standard_angles()
+        t12 = _fraction(args.theta12, "--theta12") if args.theta12 else default[0]
+        t13 = _fraction(args.theta13, "--theta13") if args.theta13 else default[1]
+        t23 = _fraction(args.theta23, "--theta23") if args.theta23 else default[2]
         tw = twist3(t12, t13, t23)
         angles = [str(t12), str(t13), str(t23)]
     action = TorusAction(tw, (2,))
@@ -710,6 +709,12 @@ def main(argv=None) -> int:
     except OSError as exc:
         _emit({"command": args.command, "passed": False, "error": str(exc)}, args.json)
         return 2
+    except Exception as exc:
+        # a bug, not a counterexample: exit 1 would read as a failed check
+        traceback.print_exc()
+        error = f"internal error: {type(exc).__name__}: {exc}"
+        _emit({"command": args.command, "passed": False, "error": error}, args.json)
+        return 3
     _emit(report, args.json)
     return code
 

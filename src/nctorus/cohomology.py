@@ -67,7 +67,9 @@ class TwoCocycle:
 
     ``delta`` assigns to each character the morphism of B0 that twists
     the cocycle identity; values are computed lazily and each computed
-    value is checked to be central and unitary.
+    value is checked to be central and unitary.  The values, the twisting
+    morphisms and the :func:`verify_cocycle` report of each character box
+    (keyed by the exact box) are remembered, so a box is swept once.
     """
 
     def __init__(
@@ -81,6 +83,7 @@ class TwoCocycle:
         self._delta_fn = delta_fn
         self._values: dict = {}
         self._deltas: dict = {}
+        self._reports: dict = {}
 
     def value(self, sigma: Character, pi_: Character) -> TwistedPoly:
         key = (tuple(sigma), tuple(pi_))
@@ -198,11 +201,15 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
 
     The identity u(sigma+pi, rho) u(sigma, pi) =
     u(sigma, pi+rho) Delta_sigma(u(pi, rho)) is checked on all triples
-    from the box.
+    from the box.  The report is remembered on ``u`` for this exact box,
+    so verifying the same box again returns it without a second sweep.
     """
     action = u.action
     tw = action.twist
     chars = resolve_chars(action, char_range)
+    key = tuple(chars)
+    if key in u._reports:
+        return u._reports[key]
     rb = ReportBuilder("two-cocycle-laws")
     one = TwistedPoly.one(tw)
 
@@ -238,7 +245,8 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
                     "cocycle identity", {"sigma": sigma, "pi": pi_, "rho": rho}, lhs, rhs
                 )
 
-    return rb.finish()
+    report = u._reports[key] = rb.finish()
+    return report
 
 
 def solve_coboundary(u: TwoCocycle, char_range=2):
@@ -254,16 +262,18 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     Over Z the verified recursion always succeeds for a valid cocycle;
     over Z^d with d >= 2 the normalization is a heuristic and a failure
     is a certificate, not merely a missed search.
+
+    The precondition is :func:`verify_cocycle` on the same box; a
+    non-cocycle raises ``ValueError``.  When the caller has already
+    verified that box, the precondition reads the remembered report.
     """
     action = u.action
     pre = verify_cocycle(u, char_range)
     if not pre.passed:
         raise ValueError(f"input is not a 2-cocycle: {pre.failures[0]}")
 
-    if isinstance(char_range, int):
-        radius = char_range
-    else:
-        radius = max((max(abs(x) for x in c) for c in char_range if any(c)), default=0)
+    chars = resolve_chars(action, char_range)
+    radius = max((max(abs(x) for x in c) for c in chars if any(c)), default=0)
     d = action.d
     one = TwistedPoly.one(action.twist)
 
@@ -405,11 +415,20 @@ class LiftOutcome:
     cocycle_report: CheckReport
     solved: OneCochain | None
     obstruction: Obstruction | None
-    lifted: LiftedAutomorphism | None
+    lifted: LiftedAutomorphism | None = None
 
     @property
     def lifts(self) -> bool:
         return self.lifted is not None
+
+
+def trivialize(u: TwoCocycle, char_range=2) -> LiftOutcome:
+    """Verify u on the box, then solve it; the cocycle sweep runs once."""
+    rep = verify_cocycle(u, char_range)
+    solved = solve_coboundary(u, char_range) if rep.passed else None
+    if isinstance(solved, Obstruction):
+        return LiftOutcome(u, rep, None, solved)
+    return LiftOutcome(u, rep, solved, None)
 
 
 def lift_via_cohomology(
@@ -419,14 +438,9 @@ def lift_via_cohomology(
     char_range=2,
     gen_degree: int = 2,
 ) -> LiftOutcome:
-    """Extract the obstruction cocycle, solve it, and materialize the lift."""
-    u = extract_cocycle(fs, beta, v, char_range)
-    rep = verify_cocycle(u, char_range)
-    if not rep.passed:
-        return LiftOutcome(u, rep, None, None, None)
-    outcome = solve_coboundary(u, char_range)
-    if isinstance(outcome, Obstruction):
-        return LiftOutcome(u, rep, None, outcome, None)
-    v2 = updated_witness(fs, beta, v, outcome)
-    lifted = LiftedAutomorphism(fs, beta, v2, char_range, gen_degree)
-    return LiftOutcome(u, rep, outcome, None, lifted)
+    """Extract the obstruction cocycle, trivialize it, and materialize the lift."""
+    outcome = trivialize(extract_cocycle(fs, beta, v, char_range), char_range)
+    if outcome.solved is not None:
+        v2 = updated_witness(fs, beta, v, outcome.solved)
+        outcome.lifted = LiftedAutomorphism(fs, beta, v2, char_range, gen_degree)
+    return outcome

@@ -312,6 +312,41 @@ class TestLiftDerivation:
         proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
         assert proc.returncode == 1
 
+    @pytest.mark.parametrize(
+        "command, key, extra",
+        [
+            ("lift-derivation", "derivation", {}),
+            ("curvature", "derivation_1", {"sigma": [1]}),
+            ("curvature", "derivation_2", {"sigma": [1]}),
+        ],
+    )
+    def test_non_star_derivation_is_an_input_error(self, tmp_path, command, key, extra):
+        # u1 -> u1 respects the exchange relations but not the involution
+        cfg = {**Q3_CONFIG, **extra, key: {"images": {"1": [{"exponents": [1, 0, 0]}]}}}
+        proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == f"{key}: images do not define a *-derivation"
+        assert "Traceback" not in proc.stderr
+
+    def test_per_char_family_may_leave_out_the_trivial_character(self, tmp_path):
+        # H(k) = k * (i/2) * 2*pi, tabulated without "0", reads as the linear family
+        slope = {"exponents": [0, 0, 0], "coeff": {"re": "0", "im": "1/2"}, "tau": 1}
+        cfg = dict(Q3_CONFIG)
+        cfg["h_family"] = {"linear_scalar": [slope]}
+        linear = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        cfg["h_family"] = {"per_char": {
+            str(k): [{**slope, "coeff": {"re": "0", "im": f"{k}/2"}}]
+            for k in range(-9, 10) if k != 0
+        }}
+        table = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert linear.returncode == table.returncode == 0
+        assert table.stdout == linear.stdout
+
+        cfg["h_family"]["per_char"]["0"] = [{"exponents": [0, 0, 0]}]
+        proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        assert "family must vanish at the trivial character" in json.loads(proc.stdout)["error"]
+
 
 class TestCurvature:
     def test_sweep_vanishes(self, tmp_path):
@@ -372,3 +407,39 @@ class TestDemo:
         proc = run_cli("demo", "q3torus", "--json", "--timing")
         assert proc.returncode == 0
         assert "elapsed_ms" in json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize(
+    "args, named",
+    [
+        (["check-factor-system"], "theta[0][1]: zero denominator in '1/0'"),
+        (["demo", "q3torus", "--theta12", "1/0"], "--theta12: zero denominator in '1/0'"),
+        (["demo", "q3torus", "--theta23", "2/0"], "--theta23: zero denominator in '2/0'"),
+    ],
+)
+def test_zero_denominators_are_input_errors(tmp_path, args, named):
+    cfg = {**Q3_CONFIG, "theta": [["0", "1/0", "0"], ["0", "0", "0"], ["0", "0", "0"]]}
+    if args[0] != "demo":
+        args = [*args, "--config", write_config(tmp_path, cfg)]
+    proc = run_cli(*args, "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == named
+    assert "Traceback" not in proc.stderr
+
+
+def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+    from nctorus import cli
+
+    def crash(args):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr(cli, "cmd_demo_q3torus", crash)
+    assert cli.main(["demo", "q3torus", "--json"]) == 3
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report == {
+        "command": "demo",
+        "passed": False,
+        "error": "internal error: RuntimeError: boom",
+    }
+    assert "RuntimeError: boom" in captured.err
