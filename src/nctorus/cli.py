@@ -6,8 +6,14 @@ single JSON object on stdout (sorted keys) and exits with 0 when all
 checks pass, 1 when a mathematical check failed (the counterexample is
 in the report), 2 on input errors, and 3 on an internal error (a bug,
 never a verdict; the traceback goes to stderr).  Reports are
-byte-identical for identical inputs and seeds; wall-clock timing is only
-included when requested with --timing.
+byte-identical for identical inputs and seeds; --timing adds
+``elapsed_ms``, the wall-clock time of the whole command from loading
+the config to the verdict.  Automorphism images must be single terms
+(the units of a quantum torus are its monomials).
+
+Each ``cmd_*`` builds its report with ``_report`` and returns it;
+``main`` times the command, emits the report and maps the verdict or
+the exception to the exit code.
 """
 
 from __future__ import annotations
@@ -87,6 +93,14 @@ def _object(x, where: str) -> dict:
     if not isinstance(x, dict):
         raise ConfigError(f"{where}: expected an object, got {type(x).__name__}")
     return x
+
+
+def _at(where: str, build, *args):
+    """``build(*args)``, re-raising a ValueError as a ConfigError that names ``where``."""
+    try:
+        return build(*args)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
 def _character(x, d: int, where: str) -> tuple:
@@ -175,72 +189,67 @@ def _gen_key(k, n: int, where: str) -> int:
     return k - 1
 
 
+def _gen_images(tw: TwistMatrix, cfg, where: str) -> dict:
+    """Generator index (0-based) -> polynomial, from 1-based keys to term lists."""
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"{where} must map generator indices to terms")
+    return {_gen_key(k, tw.n, where): parse_poly(tw, terms, f"{where}[{k}]")
+            for k, terms in cfg.items()}
+
+
 def parse_automorphism(action: TorusAction, cfg: dict) -> Automorphism:
     tw = action.twist
-    images_cfg = _object(cfg, "automorphism").get("images")
-    if not isinstance(images_cfg, dict):
-        raise ConfigError("automorphism.images must map generator indices to terms")
-    images = {}
-    for k, terms in images_cfg.items():
-        images[_gen_key(k, tw.n, "automorphism.images")] = parse_poly(
-            tw, terms, f"automorphism.images[{k}]"
-        )
+    where = "automorphism.images"
+    images = _gen_images(tw, _object(cfg, "automorphism").get("images"), where)
+    for k, img in images.items():
+        _at(f"{where}[{k + 1}]", img.inverse_monomial)
+    fwd = _at(where, AlgebraMorphism, action, images)
+    inv_where = "automorphism.inverse_images"
     inv_cfg = cfg.get("inverse_images")
-    fwd = AlgebraMorphism(action, images)
     if inv_cfg is None:
         # without explicit data the inverse is only derivable for diagonal
         # images w_k * u_k (then the inverse morphism scales by w_k^-1)
         inv_images = {}
         for k, img in images.items():
-            if len(img.terms) != 1 or next(iter(img.terms)) != tuple(
-                1 if j == k else 0 for j in range(tw.n)
-            ):
-                raise ConfigError(
-                    "automorphism.inverse_images is required for non-diagonal images"
-                )
-            phase = next(iter(img.terms.values()))
+            (exps, phase), = img.terms.items()
+            if exps != tuple(1 if j == k else 0 for j in range(tw.n)):
+                raise ConfigError(f"{inv_where} is required for non-diagonal images")
             inv_images[k] = TwistedPoly.generator(tw, k).scale(phase.invert())
     else:
-        inv_images = {
-            _gen_key(k, tw.n, "automorphism.inverse_images"): parse_poly(
-                tw, terms, f"automorphism.inverse_images[{k}]"
-            )
-            for k, terms in _object(inv_cfg, "automorphism.inverse_images").items()
-        }
-    inv = AlgebraMorphism(action, inv_images)
-    try:
-        return Automorphism(fwd, inv)
-    except ValueError as exc:
-        raise ConfigError(f"automorphism: {exc}") from exc
+        inv_images = _gen_images(tw, _object(inv_cfg, inv_where), inv_where)
+    inv = _at(inv_where, AlgebraMorphism, action, inv_images)
+    return _at("automorphism", Automorphism, fwd, inv)
 
 
 def parse_derivation(action: TorusAction, cfg: dict, where: str = "derivation") -> Derivation:
     tw = action.twist
-    images_cfg = _object(cfg, where).get("images")
-    if not isinstance(images_cfg, dict):
-        raise ConfigError(f"{where}.images must map generator indices to terms")
     images = {k: TwistedPoly.zero(tw) for k in action.base}
-    for k, terms in images_cfg.items():
-        images[_gen_key(k, tw.n, f"{where}.images")] = parse_poly(
-            tw, terms, f"{where}.images[{k}]"
-        )
-    try:
-        delta = Derivation(tw, action.base, images, check=True)
-    except ValueError as exc:
-        raise ConfigError(f"{where}: {exc}") from exc
+    images.update(_gen_images(tw, _object(cfg, where).get("images"), f"{where}.images"))
+    delta = _at(where, Derivation, tw, action.base, images)
     if not delta.is_star_derivation():
         raise ConfigError(f"{where}: images do not define a *-derivation")
     return delta
 
 
-def _parse_char(key: str, d: int, where: str):
-    try:
-        parts = tuple(int(x) for x in str(key).split(","))
-    except ValueError as exc:
-        raise ConfigError(f"{where}: bad character key {key!r}") from exc
-    if len(parts) != d:
-        raise ConfigError(f"{where}: character {key!r} has wrong rank")
-    return parts
+def _char_table(action: TorusAction, cfg: dict, where: str) -> dict:
+    """Character -> polynomial, from "k1,k2,..." keys to term lists."""
+    table = {}
+    for key, terms in cfg.items():
+        try:
+            char = tuple(int(x) for x in str(key).split(","))
+        except ValueError as exc:
+            raise ConfigError(f"{where}: bad character key {key!r}") from exc
+        if len(char) != action.d:
+            raise ConfigError(f"{where}: character {key!r} has wrong rank")
+        table[char] = parse_poly(action.twist, terms, f"{where}[{key}]")
+    return table
+
+
+def _tabulated(family, table: dict, where: str):
+    """``family`` once its value at every tabulated character is checked."""
+    for char in table:
+        _at(f"{where}[{','.join(map(str, char))}]", family, char)
+    return family
 
 
 def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
@@ -258,16 +267,15 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
             ]
         if len(slopes) == 1 and action.d > 1:
             slopes = slopes * action.d
-        return HFamily.linear_scalar(action, slopes)
+        h = _at("h_family.linear_scalar", HFamily.linear_scalar, action, slopes)
+        for j in range(action.d):
+            # the value at the j-th unit character is slope j
+            _at("h_family.linear_scalar", h, tuple(int(i == j) for i in range(action.d)))
+        return h
     per = cfg.get("per_char")
     if not isinstance(per, dict):
         raise ConfigError("h_family needs per_char or linear_scalar")
-    table = {
-        _parse_char(k, action.d, "h_family.per_char"): parse_poly(
-            tw, terms, f"h_family.per_char[{k}]"
-        )
-        for k, terms in per.items()
-    }
+    table = _char_table(action, per, "h_family.per_char")
     # H(0) = 0 is forced, so the trivial character may be left out
     table.setdefault(char_zero(action.d), TwistedPoly.zero(tw))
 
@@ -276,7 +284,7 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
             raise ConfigError(f"h_family has no value at character {char}")
         return table[char]
 
-    return HFamily.from_scalars(action, fn)
+    return _tabulated(HFamily.from_scalars(action, fn), table, "h_family.per_char")
 
 
 def parse_v_family(action: TorusAction, cfg, char_range: int) -> PartialIsometryFamily:
@@ -289,11 +297,7 @@ def parse_v_family(action: TorusAction, cfg, char_range: int) -> PartialIsometry
         return PartialIsometryFamily.constant_one(action)
     if not isinstance(cfg, dict):
         raise ConfigError("v_family must map character keys to terms")
-    tw = action.twist
-    table = {
-        _parse_char(k, action.d, "v_family"): parse_poly(tw, terms, f"v_family[{k}]")
-        for k, terms in cfg.items()
-    }
+    table = _char_table(action, cfg, "v_family")
 
     def fn(char):
         if char not in table:
@@ -305,7 +309,7 @@ def parse_v_family(action: TorusAction, cfg, char_range: int) -> PartialIsometry
             )
         return PolyMatrix.from_scalar(table[char])
 
-    return PartialIsometryFamily(action, fn)
+    return _tabulated(PartialIsometryFamily(action, fn), table, "v_family")
 
 
 def parse_synthetic_cocycle(action: TorusAction, cfg: dict) -> TwoCocycle:
@@ -352,8 +356,8 @@ def load_config(path: str) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _report(command: str, passed: bool, details: dict, reports=(), notes=(), elapsed=None) -> dict:
-    out = {
+def _report(command: str, passed: bool, details: dict, reports=(), notes=()) -> dict:
+    return {
         "command": command,
         "passed": bool(passed),
         "checks": sum(r.checks for r in reports),
@@ -361,9 +365,6 @@ def _report(command: str, passed: bool, details: dict, reports=(), notes=(), ela
         "notes": [n for r in reports for n in r.notes] + list(notes),
         "details": details,
     }
-    if elapsed is not None:
-        out["elapsed_ms"] = round(elapsed * 1000.0, 3)
-    return out
 
 
 def _emit(report: dict, as_json: bool) -> None:
@@ -427,32 +428,22 @@ def _curvature_sweep(name: str, fs, d1, d2, cases: dict, degree: int):
 # ---------------------------------------------------------------------------
 
 
-def cmd_check_factor_system(cfg: dict, args) -> tuple[dict, int]:
+def cmd_check_factor_system(cfg: dict, args) -> dict:
     action, fs = _build_system(cfg)
     rng_range, degree = _box(cfg, args, 3)
-    start = time.perf_counter()
     rep = verify_axioms(fs, rng_range, degree)
-    elapsed = time.perf_counter() - start
     details = {
         "n": action.twist.n,
         "acting_coords": [c + 1 for c in action.coords],
         "char_range": rng_range,
         "gen_degree": degree,
     }
-    report = _report(
-        "check-factor-system",
-        rep.passed,
-        details,
-        reports=[rep],
-        elapsed=elapsed if args.timing else None,
-    )
-    return report, 0 if rep.passed else 1
+    return _report("check-factor-system", rep.passed, details, [rep])
 
 
-def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
+def cmd_lift(cfg: dict, args) -> dict:
     action, fs = _build_system(cfg)
     rng_range, degree = _box(cfg, args, 2)
-    start = time.perf_counter()
     notes = []
 
     if "cocycle" in cfg:
@@ -490,21 +481,12 @@ def cmd_lift(cfg: dict, args) -> tuple[dict, int]:
             "residual": repr(obstruction.residual),
             "kind": obstruction.kind,
         }
-    report = _report(
-        "lift",
-        passed,
-        details,
-        reports=reports,
-        notes=notes,
-        elapsed=(time.perf_counter() - start) if args.timing else None,
-    )
-    return report, 0 if passed else 1
+    return _report("lift", passed, details, reports, notes)
 
 
-def cmd_lift_derivation(cfg: dict, args) -> tuple[dict, int]:
+def cmd_lift_derivation(cfg: dict, args) -> dict:
     action, fs = _build_system(cfg)
     rng_range, degree = _box(cfg, args, 2)
-    start = time.perf_counter()
     if "derivation" in cfg:
         delta = parse_derivation(action, cfg["derivation"])
     else:
@@ -529,39 +511,30 @@ def cmd_lift_derivation(cfg: dict, args) -> tuple[dict, int]:
         sample_rep = rb.finish()
         reports.append(sample_rep)
         passed = passed and sample_rep.passed
-    report = _report(
-        "lift-derivation",
-        passed,
-        {"char_range": rng_range, "gen_degree": degree},
-        reports=reports,
-        elapsed=(time.perf_counter() - start) if args.timing else None,
-    )
-    return report, 0 if passed else 1
+    details = {"char_range": rng_range, "gen_degree": degree}
+    return _report("lift-derivation", passed, details, reports)
 
 
-def cmd_curvature(cfg: dict, args) -> tuple[dict, int]:
+def cmd_curvature(cfg: dict, args) -> dict:
     action, fs = _build_system(cfg)
     _, degree = _box(cfg, args, 0)
     sigma = _character(cfg.get("sigma"), action.d, "sigma")
-    d1 = parse_derivation(action, cfg["derivation_1"], "derivation_1") if "derivation_1" in cfg \
-        else base_scaling_derivation(action, action.base[0])
-    d2 = parse_derivation(action, cfg["derivation_2"], "derivation_2") if "derivation_2" in cfg \
-        else base_scaling_derivation(action, action.base[-1])
-    start = time.perf_counter()
+    derivations = []
+    # each derivation defaults to scaling the first / last fixed generator
+    for key, k in (("derivation_1", 0), ("derivation_2", -1)):
+        if key in cfg:
+            derivations.append(parse_derivation(action, cfg[key], key))
+        elif action.base:
+            derivations.append(base_scaling_derivation(action, action.base[k]))
+        else:
+            raise ConfigError(f"{key} is required: the action fixes no generator to scale")
+    d1, d2 = derivations
     rep, all_zero = _curvature_sweep("curvature", fs, d1, d2, {sigma: {}}, degree)
     details = {"sigma": list(sigma), "curvature_vanishes": all_zero}
-    report = _report(
-        "curvature",
-        rep.passed,
-        details,
-        reports=[rep],
-        elapsed=(time.perf_counter() - start) if args.timing else None,
-    )
-    return report, 0 if rep.passed else 1
+    return _report("curvature", rep.passed, details, [rep])
 
 
-def cmd_demo_q3torus(args) -> tuple[dict, int]:
-    start = time.perf_counter()
+def cmd_demo_q3torus(args) -> dict:
     if args.random_theta:
         rng = random.Random(args.seed)
         tw = random_rational_twist(rng, 3, 12)
@@ -623,14 +596,7 @@ def cmd_demo_q3torus(args) -> tuple[dict, int]:
         "atiyah_split": split.passed,
         "curvature_vanishes": flat,
     }
-    report = _report(
-        "demo-q3torus",
-        passed,
-        details,
-        reports=[axioms, split, sweep],
-        elapsed=(time.perf_counter() - start) if args.timing else None,
-    )
-    return report, 0 if passed else 1
+    return _report("demo-q3torus", passed, details, [axioms, split, sweep])
 
 
 # ---------------------------------------------------------------------------
@@ -648,24 +614,23 @@ def _add_common(parser):
                         help="include elapsed_ms (breaks byte-for-byte determinism)")
 
 
+# name -> (help, command) of the commands that read a --config
+COMMANDS = {
+    "check-factor-system": ("verify the factor-system laws", cmd_check_factor_system),
+    "lift": ("cohomological lifting pipeline for an automorphism", cmd_lift),
+    "lift-derivation": ("verify derivation lift conditions", cmd_lift_derivation),
+    "curvature": ("curvature sweep on an associated module", cmd_curvature),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="nctorus",
         description="exact verification toolkit for torus actions on quantum tori",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check-factor-system", help="verify the factor-system laws")
-    _add_common(p)
-
-    p = sub.add_parser("lift", help="cohomological lifting pipeline for an automorphism")
-    _add_common(p)
-
-    p = sub.add_parser("lift-derivation", help="verify derivation lift conditions")
-    _add_common(p)
-
-    p = sub.add_parser("curvature", help="curvature sweep on an associated module")
-    _add_common(p)
+    for name, (help_text, _) in COMMANDS.items():
+        _add_common(sub.add_parser(name, help=help_text))
 
     p = sub.add_parser("demo", help="worked examples")
     demo_sub = p.add_subparsers(dest="demo_target", required=True)
@@ -680,41 +645,35 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_NEEDS_CONFIG = {
-    "check-factor-system": cmd_check_factor_system,
-    "lift": cmd_lift,
-    "lift-derivation": cmd_lift_derivation,
-    "curvature": cmd_curvature,
-}
+def _failure(exc: Exception) -> tuple[int, str]:
+    """Exit code and error text for an exception that ended a command."""
+    if isinstance(exc, WitnessError):
+        # the inputs parsed but the supplied witness fails its equation
+        return 1, str(exc)
+    if isinstance(exc, (ValueError, OSError)):
+        return 2, str(exc)
+    # a bug, not a counterexample: exit 1 would read as a failed check
+    traceback.print_exception(exc)
+    return 3, f"internal error: {type(exc).__name__}: {exc}"
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    clock = time.perf_counter
+    start = clock()
     try:
         if args.command == "demo":
-            report, code = cmd_demo_q3torus(args)
+            report = cmd_demo_q3torus(args)
+        elif args.config is None:
+            raise ConfigError("--config is required")
         else:
-            if args.config is None:
-                raise ConfigError("--config is required")
-            cfg = load_config(args.config)
-            report, code = _NEEDS_CONFIG[args.command](cfg, args)
-    except WitnessError as exc:
-        # the inputs parsed but the supplied witness fails its equation
-        _emit({"command": args.command, "passed": False, "error": str(exc)}, args.json)
-        return 1
-    except (ConfigError, ValueError) as exc:
-        _emit({"command": args.command, "passed": False, "error": str(exc)}, args.json)
-        return 2
-    except OSError as exc:
-        _emit({"command": args.command, "passed": False, "error": str(exc)}, args.json)
-        return 2
+            report = COMMANDS[args.command][1](load_config(args.config), args)
+        if args.timing:
+            report["elapsed_ms"] = round((clock() - start) * 1000.0, 3)
+        code = 0 if report["passed"] else 1
     except Exception as exc:
-        # a bug, not a counterexample: exit 1 would read as a failed check
-        traceback.print_exc()
-        error = f"internal error: {type(exc).__name__}: {exc}"
-        _emit({"command": args.command, "passed": False, "error": error}, args.json)
-        return 3
+        code, error = _failure(exc)
+        report = {"command": args.command, "passed": False, "error": error}
     _emit(report, args.json)
     return code
 

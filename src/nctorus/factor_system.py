@@ -183,7 +183,8 @@ class AlgebraMorphism(MatrixMorphism):
             inv_images = {k: img.inverse_monomial() for k, img in images.items()}
         missing = set(action.base) - set(images)
         if missing:
-            raise ValueError(f"missing generator images for indices {sorted(missing)}")
+            names = ", ".join(action.twist.gen_name(k) for k in sorted(missing))
+            raise ValueError(f"missing generator images for {names}")
         for k in action.base:
             if not in_base_algebra(action, images[k]):
                 raise ScopeError(f"image of {action.twist.gen_name(k)} leaves the fixed algebra")

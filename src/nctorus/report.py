@@ -49,40 +49,32 @@ class CheckReport:
         return "\n".join(lines)
 
 
+# counterexamples kept per report; later failures still count as checks
+MAX_FAILURES = 5
+
+
 class ReportBuilder:
     """Accumulates exact-equality checks into a CheckReport."""
 
-    def __init__(self, name: str, max_failures: int = 5):
+    def __init__(self, name: str):
         self.name = name
-        self.max_failures = max_failures
         self.checks = 0
         self.failures: list[Counterexample] = []
         self.notes: list[str] = []
 
     def expect(self, law: str, where: dict, lhs, rhs) -> bool:
-        self.checks += 1
-        if lhs == rhs:
-            return True
-        if len(self.failures) < self.max_failures:
-            self.failures.append(
-                Counterexample(
-                    law,
-                    {k: str(v) for k, v in where.items()},
-                    str(lhs),
-                    str(rhs),
-                )
-            )
-        return False
+        return self._record(lhs == rhs, law, where, lhs, rhs)
 
     def expect_true(self, law: str, where: dict, ok: bool, detail: str = "") -> bool:
+        return self._record(ok, law, where, detail or "false", "true")
+
+    def _record(self, ok: bool, law: str, where: dict, lhs, rhs) -> bool:
         self.checks += 1
         if ok:
             return True
-        if len(self.failures) < self.max_failures:
+        if len(self.failures) < MAX_FAILURES:
             self.failures.append(
-                Counterexample(
-                    law, {k: str(v) for k, v in where.items()}, detail or "false", "true"
-                )
+                Counterexample(law, {k: str(v) for k, v in where.items()}, str(lhs), str(rhs))
             )
         return False
 

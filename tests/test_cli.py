@@ -277,6 +277,55 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command, extra, message",
+    [
+        (
+            "lift",
+            {"automorphism": {"images": {"1": [{"exponents": [1, 0, 0]}]}}},
+            "automorphism.images: missing generator images for u2",
+        ),
+        (
+            "lift",
+            {"automorphism": {
+                "images": {"1": [{"exponents": [1, 0, 0]}],
+                           "2": [{"exponents": [0, 1, 0]}, {"exponents": [1, 0, 0]}]},
+                "inverse_images": {"1": [{"exponents": [-1, 0, 0]}],
+                                   "2": [{"exponents": [0, -1, 0]}]},
+            }},
+            "automorphism.images[2]: only monomials are invertible",
+        ),
+        (
+            "lift-derivation",
+            {"h_family": {"linear_scalar": []}},
+            "h_family.linear_scalar: one slope per acting coordinate required",
+        ),
+        (
+            "lift-derivation",
+            {"h_family": {"per_char": {"1": [{"exponents": [0, 0, 1]}]}}},
+            "h_family.per_char[1]: family value at (1,) leaves the fixed algebra",
+        ),
+        (
+            "lift",
+            {"automorphism": IDENTITY_AUTOMORPHISM,
+             "v_family": {"0": [{"exponents": [0, 0, 0], "coeff": {"re": "2", "im": "0"}}]}},
+            "v_family[0]: witness family must send the trivial character to 1",
+        ),
+        (
+            "lift-derivation",
+            {"h_family": {"linear_scalar": [{"exponents": [0, 0, 1]}]}},
+            "h_family.linear_scalar: family value at (1,) leaves the fixed algebra",
+        ),
+    ],
+)
+def test_invalid_values_name_their_path(tmp_path, command, extra, message):
+    cfg = {**Q3_CONFIG, **extra}
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == message
+    assert "Traceback" not in proc.stderr
+
+
 class TestLiftDerivation:
     def test_gauge_family_passes(self, tmp_path):
         cfg = dict(Q3_CONFIG)
@@ -349,6 +398,10 @@ class TestLiftDerivation:
 
 
 class TestCurvature:
+    # n = 2 with both generators acted on: no fixed generator to scale
+    FREE_ACTION = {"n": 2, "theta": [["0", "1/4"], ["-1/4", "0"]],
+                   "acting_coords": [1, 2], "sigma": [0, 0]}
+
     def test_sweep_vanishes(self, tmp_path):
         cfg = dict(Q3_CONFIG)
         cfg["sigma"] = [2]
@@ -356,6 +409,22 @@ class TestCurvature:
         assert proc.returncode == 0
         report = json.loads(proc.stdout)
         assert report["details"]["curvature_vanishes"] is True
+
+    @pytest.mark.parametrize(
+        "given, named", [((), "derivation_1"), (("derivation_1",), "derivation_2")]
+    )
+    def test_default_derivations_need_a_fixed_generator(self, tmp_path, given, named):
+        cfg = {**self.FREE_ACTION, **{key: {"images": {}} for key in given}}
+        proc = run_cli("curvature", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"].startswith(f"{named} is required")
+        assert "Traceback" not in proc.stderr
+
+    def test_given_derivations_need_no_fixed_generator(self, tmp_path):
+        cfg = {**self.FREE_ACTION, "derivation_1": {"images": {}}, "derivation_2": {"images": {}}}
+        proc = run_cli("curvature", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["details"]["curvature_vanishes"] is True
 
 
 class TestDemo:
