@@ -8,8 +8,10 @@ in the report), 2 on input errors, and 3 on an internal error (a bug,
 never a verdict; the traceback goes to stderr).  Reports are
 byte-identical for identical inputs and seeds; --timing adds
 ``elapsed_ms``, the wall-clock time of the whole command from loading
-the config to the verdict.  Automorphism images must be single terms
-(the units of a quantum torus are its monomials).
+the config to the verdict.  A reader that closes stdout early
+(``| head``) leaves the exit code of the verdict unchanged.  Automorphism
+images must be single terms (the units of a quantum torus are its
+monomials).
 
 Each ``cmd_*`` builds its report with ``_report`` and returns it;
 ``main`` times the command, emits the report and maps the verdict or
@@ -20,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 import time
@@ -252,7 +255,12 @@ def _tabulated(family, table: dict, where: str):
     return family
 
 
-def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
+def parse_h_family(action: TorusAction, cfg: dict, char_range: int) -> HFamily:
+    """Derivation lift family; the lift reads it at sums of two characters.
+
+    ``verify_lift_conditions`` reads H(sigma + pi) in the cocycle
+    derivative, so a box of radius r needs values out to 2r.
+    """
     tw = action.twist
     if "linear_scalar" in _object(cfg, "h_family"):
         slopes_cfg = cfg["linear_scalar"]
@@ -281,7 +289,12 @@ def parse_h_family(action: TorusAction, cfg: dict) -> HFamily:
 
     def fn(char):
         if char not in table:
-            raise ConfigError(f"h_family has no value at character {char}")
+            raise ConfigError(
+                f"h_family.per_char has no value at character {char}: lift-derivation "
+                f"with char_range {char_range} reads H at sums of two characters "
+                f"(sigma+pi in the cocycle derivative), so it needs h_family.per_char "
+                f"out to {-2 * char_range}..{2 * char_range} in every coordinate"
+            )
         return table[char]
 
     return _tabulated(HFamily.from_scalars(action, fn), table, "h_family.per_char")
@@ -369,7 +382,8 @@ def _report(command: str, passed: bool, details: dict, reports=(), notes=()) -> 
 
 def _emit(report: dict, as_json: bool) -> None:
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    # flushed here, so a closed pipe raises inside main, not at interpreter exit
+    print(text, flush=True)
     if not as_json:
         status = "PASS" if report.get("passed") else "FAIL"
         print(f"# {report.get('command')}: {status}", file=sys.stderr)
@@ -492,7 +506,7 @@ def cmd_lift_derivation(cfg: dict, args) -> dict:
     else:
         delta = Derivation.zero(action.twist, action.base)
     if "h_family" in cfg:
-        h = parse_h_family(action, cfg["h_family"])
+        h = parse_h_family(action, cfg["h_family"], rng_range)
     else:
         h = HFamily.zero(action)
     rep = verify_lift_conditions(fs, delta, h, rng_range, degree)
@@ -674,7 +688,14 @@ def main(argv=None) -> int:
     except Exception as exc:
         code, error = _failure(exc)
         report = {"command": args.command, "passed": False, "error": error}
-    _emit(report, args.json)
+    try:
+        _emit(report, args.json)
+    except BrokenPipeError:
+        # the reader closed stdout: send what is still buffered, and the
+        # flush at interpreter exit, to devnull; the verdict stands
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
     return code
 
 

@@ -11,22 +11,50 @@ A :class:`Phase` is a finite sum of terms ``c * q^e * tau^t`` stored as
 a mapping ``(e, t) -> c`` with zero coefficients removed.  Conjugation
 negates the q-exponents (the q units are unimodular) and fixes the tau
 exponent (tau is real).
+
+Coefficients are :class:`QQi` values ``(a + b*i)/d`` kept as three ints
+in lowest terms, so every ring operation is integer arithmetic with at
+most one gcd; ``evaluate`` stays the only numeric boundary.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 from operator import add
 
 
 class QQi:
-    """Gaussian rational ``re + im*i`` with exact Fraction components."""
+    """Gaussian rational ``(a + b*i)/d`` stored as three ints.
 
-    __slots__ = ("re", "im")
+    The form is canonical: ``d > 0`` and ``gcd(a, b, d) == 1``, so zero is
+    ``(0, 0, 1)`` and ``==``/``hash`` compare the ``(a, b, d)`` tuple.  A
+    product is four integer products, ``d*d'`` and one gcd; a sum over a
+    shared denominator needs no product at all.
+
+    ``QQi(re, im)`` takes the real and imaginary parts as ints, Fractions or
+    rational strings; the read-only ``re`` and ``im`` give them back as
+    Fractions.
+    """
+
+    __slots__ = ("a", "b", "d")
 
     def __init__(self, re=0, im=0):
-        self.re = re if isinstance(re, Fraction) else Fraction(re)
-        self.im = im if isinstance(im, Fraction) else Fraction(im)
+        re = re if isinstance(re, Fraction) else Fraction(re)
+        im = im if isinstance(im, Fraction) else Fraction(im)
+        # both parts are in lowest terms, so over the lcm gcd(a, b, d) = 1
+        d = lcm(re.denominator, im.denominator)
+        self.a = re.numerator * (d // re.denominator)
+        self.b = im.numerator * (d // im.denominator)
+        self.d = d
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.a, self.d)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.b, self.d)
 
     @classmethod
     def zero(cls) -> "QQi":
@@ -41,24 +69,20 @@ class QQi:
         return _QQI_I
 
     def __add__(self, other: "QQi") -> "QQi":
-        return QQi(self.re + other.re, self.im + other.im)
+        d, e = self.d, other.d
+        if d == e:
+            return _reduced(self.a + other.a, self.b + other.b, d)
+        return _reduced(self.a * e + other.a * d, self.b * e + other.b * d, d * e)
 
     def __sub__(self, other: "QQi") -> "QQi":
-        return QQi(self.re - other.re, self.im - other.im)
+        return self + -other
 
     def __neg__(self) -> "QQi":
-        return QQi(-self.re, -self.im)
+        return _qqi(-self.a, -self.b, self.d)
 
     def __mul__(self, other: "QQi") -> "QQi":
-        out = _times_unit(self, other)
-        if out is None:
-            out = _times_unit(other, self)
-        if out is None:
-            out = QQi(
-                self.re * other.re - self.im * other.im,
-                self.re * other.im + self.im * other.re,
-            )
-        return out
+        a, b, c, e = self.a, self.b, other.a, other.b
+        return _reduced(a * c - b * e, a * e + b * c, self.d * other.d)
 
     def __pow__(self, k: int) -> "QQi":
         if k < 0:
@@ -69,16 +93,18 @@ class QQi:
         return out
 
     def conjugate(self) -> "QQi":
-        return QQi(self.re, -self.im)
+        return _qqi(self.a, -self.b, self.d)
 
     def inverse(self) -> "QQi":
-        n = self.re * self.re + self.im * self.im
+        # d/(a + b*i) = (a*d - b*d*i)/(a^2 + b^2), and the norm is positive
+        a, b, d = self.a, self.b, self.d
+        n = a * a + b * b
         if n == 0:
             raise ZeroDivisionError("inverse of zero Gaussian rational")
-        return QQi(self.re / n, -self.im / n)
+        return _reduced(a * d, -b * d, n)
 
     def is_zero(self) -> bool:
-        return self.re == 0 and self.im == 0
+        return not self.a and not self.b
 
     def __bool__(self) -> bool:
         return not self.is_zero()
@@ -86,13 +112,13 @@ class QQi:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QQi):
             return NotImplemented
-        return self.re == other.re and self.im == other.im
+        return self.a == other.a and self.b == other.b and self.d == other.d
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        return hash((self.a, self.b, self.d))
 
     def evaluate(self) -> complex:
-        return complex(self.re) + 1j * complex(self.im)
+        return complex(self.a / self.d, self.b / self.d)
 
     def __repr__(self) -> str:
         def imag(mag: Fraction) -> str:
@@ -102,37 +128,35 @@ class QQi:
                 return f"{mag}i"
             return f"({mag})i"
 
-        if self.im == 0:
-            return str(self.re)
-        if self.re == 0:
-            return ("-" if self.im < 0 else "") + imag(abs(self.im))
-        sign = "+" if self.im > 0 else "-"
-        return f"({self.re}{sign}{imag(abs(self.im))})"
+        re, im = self.re, self.im
+        if im == 0:
+            return str(re)
+        if re == 0:
+            return ("-" if im < 0 else "") + imag(abs(im))
+        sign = "+" if im > 0 else "-"
+        return f"({re}{sign}{imag(abs(im))})"
 
 
-def _times_unit(z: QQi, u: QQi) -> QQi | None:
-    """``z * u`` when ``u`` is 1, -1, i or -i, else None.
-
-    Multiplying by a unit only swaps and negates the components of ``z``,
-    so no Fraction product is needed.
-    """
-    re, im = u.re, u.im
-    if not im:
-        if re == 1:
-            return z
-        if re == -1:
-            return QQi(-z.re, -z.im)
-    elif not re:
-        if im == 1:
-            return QQi(-z.im, z.re)
-        if im == -1:
-            return QQi(z.im, -z.re)
-    return None
+def _qqi(a: int, b: int, d: int) -> QQi:
+    """Wrap ``(a + b*i)/d`` that is already canonical."""
+    z = object.__new__(QQi)
+    z.a, z.b, z.d = a, b, d
+    return z
 
 
-_QQI_ZERO = QQi(0, 0)
-_QQI_ONE = QQi(1, 0)
-_QQI_I = QQi(0, 1)
+def _reduced(a: int, b: int, d: int) -> QQi:
+    """The canonical form of ``(a + b*i)/d`` for ``d > 0``."""
+    g = gcd(a, b, d)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    z = object.__new__(QQi)  # _qqi inlined: this is the hot path
+    z.a, z.b, z.d = a, b, d
+    return z
+
+
+_QQI_ZERO = _qqi(0, 0, 1)
+_QQI_ONE = _qqi(1, 0, 1)
+_QQI_I = _qqi(0, 1, 1)
 
 
 def _clean(terms: dict) -> dict:

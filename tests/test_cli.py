@@ -1,4 +1,6 @@
+import io
 import json
+import os
 import subprocess
 import sys
 
@@ -377,6 +379,23 @@ class TestLiftDerivation:
         assert json.loads(proc.stdout)["error"] == f"{key}: images do not define a *-derivation"
         assert "Traceback" not in proc.stderr
 
+    def test_per_char_family_short_of_the_box_states_its_reach(self, tmp_path):
+        # char_range 1 reads H(sigma + pi) out to -2..2; the table stops at -1..1
+        cfg = {**Q3_CONFIG, "char_range": 1}
+        cfg["h_family"] = {"per_char": {str(k): [] for k in range(-1, 2)}}
+        proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == (
+            "h_family.per_char has no value at character (-2,): lift-derivation with "
+            "char_range 1 reads H at sums of two characters (sigma+pi in the cocycle "
+            "derivative), so it needs h_family.per_char out to -2..2 in every coordinate"
+        )
+        assert "Traceback" not in proc.stderr
+
+        cfg["h_family"] = {"per_char": {str(k): [] for k in range(-2, 3)}}
+        proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 0
+
     def test_per_char_family_may_leave_out_the_trivial_character(self, tmp_path):
         # H(k) = k * (i/2) * 2*pi, tabulated without "0", reads as the linear family
         slope = {"exponents": [0, 0, 0], "coeff": {"re": "0", "im": "1/2"}, "tau": 1}
@@ -512,3 +531,43 @@ def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
         "error": "internal error: RuntimeError: boom",
     }
     assert "RuntimeError: boom" in captured.err
+
+
+class _ClosedPipe(io.TextIOBase):
+    """A stdout whose reader has gone away, backed by a file descriptor."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def fileno(self) -> int:
+        return self._fd
+
+
+@pytest.mark.parametrize("passed, code", [(True, 0), (False, 1)])
+def test_closed_stdout_keeps_the_verdict_exit_code(monkeypatch, capsys, tmp_path, passed, code):
+    from nctorus import cli
+
+    monkeypatch.setattr(cli, "cmd_demo_q3torus", lambda args: {"command": "demo", "passed": passed})
+    fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+    try:
+        monkeypatch.setattr(sys, "stdout", _ClosedPipe(fd))
+        assert cli.main(["demo", "q3torus", "--json"]) == code
+        # the descriptor behind stdout now writes to devnull
+        assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+    finally:
+        os.close(fd)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def test_reader_closing_the_pipe_early_prints_no_traceback():
+    # the read end is closed before the command writes: `... --json | head -0`
+    proc = subprocess.Popen(
+        CLI + ["demo", "q3torus", "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 0
+    assert stderr == ""

@@ -1,14 +1,17 @@
 """Exact reference checks for the monomial core of the ring.
 
 The product, star and monomial inverse fold the reordering phase straight
-into the phase keys, and ``QQi``/``Phase`` multiplication take shortcuts
-for unit and single-term operands.  Here every result is compared with the
-explicit construction those shortcuts replace: the reordering phase built
-as a ``Phase`` with coefficient ``QQi(1)`` and multiplied in, with all
-scalar products done by the component formula.
+into the phase keys, and ``Phase`` multiplication takes a shortcut for
+single-term operands.  Here every result is compared with the explicit
+construction those shortcuts replace: the reordering phase built as a
+``Phase`` with coefficient ``QQi(1)`` and multiplied in, with all scalar
+products done by the component formula.  ``QQi`` itself, stored as three
+integers ``(a + b*i)/d``, is compared with the ``Fraction`` component
+formulas for every operation.
 """
 
 from fractions import Fraction
+from math import gcd
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -207,3 +210,99 @@ def test_every_unit_on_either_side():
         assert z * u == ref_qqi_mul(z, u)
         for v in _UNITS + [QQi(0)]:
             assert u * v == ref_qqi_mul(u, v)
+
+
+# ---------------------------------------------------------------------------
+# QQi as (a + b*i)/d against the Fraction component formulas
+# ---------------------------------------------------------------------------
+
+_wide_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36))
+# (re, im) pairs; the sampled ones put zero and negative components first
+_parts = st.one_of(
+    st.sampled_from([
+        (Fraction(0), Fraction(0)),
+        (Fraction(-2), Fraction(0)),
+        (Fraction(0), Fraction(-3)),
+        (Fraction(0), Fraction(-1, 2)),
+        (Fraction(-3, 4), Fraction(-5, 6)),
+        (Fraction(6, 4), Fraction(-9, 6)),
+    ]),
+    st.tuples(_fractions, _fractions),
+    st.tuples(_wide_fractions, _wide_fractions),
+)
+_nonzero_parts = _parts.filter(lambda p: p != (0, 0))
+
+
+def assert_is(z: QQi, re: Fraction, im: Fraction):
+    """``z`` is the canonical ``(a, b, d)`` of ``re + im*i``."""
+    assert all(type(x) is int for x in (z.a, z.b, z.d))
+    assert z.d > 0 and gcd(z.a, z.b, z.d) == 1
+    assert (Fraction(z.a, z.d), Fraction(z.b, z.d)) == (re, im)
+    assert (z.re, z.im) == (re, im)
+    if re == im == 0:
+        assert (z.a, z.b, z.d) == (0, 0, 1)
+
+
+def ref_repr(re: Fraction, im: Fraction) -> str:
+    """The rendering golden reports embed, written on the Fraction parts."""
+    mag = abs(im)
+    imag = "i" if mag == 1 else f"{mag}i" if mag.denominator == 1 else f"({mag})i"
+    if im == 0:
+        return str(re)
+    if re == 0:
+        return ("-" if im < 0 else "") + imag
+    return f"({re}{'+' if im > 0 else '-'}{imag})"
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parts, _parts)
+def test_qqi_ring_operations_match_component_formulas(x, y):
+    (r, i), (s, j) = x, y
+    z, w = QQi(r, i), QQi(s, j)
+    assert_is(z, r, i)
+    assert_is(z + w, r + s, i + j)
+    assert_is(z - w, r - s, i - j)
+    assert_is(z * w, r * s - i * j, r * j + i * s)
+    assert_is(-z, -r, -i)
+    assert_is(z.conjugate(), r, -i)
+    assert_is(z**2, r * r - i * i, 2 * r * i)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_nonzero_parts)
+def test_qqi_inverse_matches_component_formula(x):
+    r, i = x
+    n = r * r + i * i
+    z = QQi(r, i)
+    assert_is(z.inverse(), r / n, -i / n)
+    assert_is(z**-1, r / n, -i / n)
+    assert z * z.inverse() == QQi.one()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parts, _parts)
+def test_qqi_equality_and_hash_follow_the_components(x, y):
+    z, w = QQi(*x), QQi(*y)
+    assert (z == w) == (x == y)
+    # the same value reached by another route is equal and hashes equal
+    back = z + w - w
+    assert back == z and hash(back) == hash(z)
+    assert z != x  # no equality with a non-QQi
+
+
+@settings(max_examples=300, deadline=None)
+@given(_parts)
+def test_qqi_repr_matches_fraction_rendering(x):
+    assert repr(QQi(*x)) == ref_repr(*x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(-60, 60), st.integers(1, 36), st.integers(-60, 60))
+def test_qqi_constructor_forms_agree(p, q, k):
+    f = Fraction(p, q)
+    z = QQi(f, k)
+    assert z == QQi(f"{p}/{q}", str(k)) == QQi(str(f), Fraction(k))
+    assert hash(z) == hash(QQi(f"{p}/{q}", k))
+    assert_is(z, f, Fraction(k))
+    assert QQi(k) == QQi(Fraction(k)) == QQi(str(k)) == QQi(f"{k * q}/{q}")
+    assert_is(QQi(k), Fraction(k), Fraction(0))
