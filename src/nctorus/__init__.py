@@ -5,16 +5,17 @@ grading, factor systems and their verifiers, the group-cohomological
 obstruction calculus for lifting automorphisms, derivation lifts with
 their gauge Lie algebra, and frame connections with curvature on
 associated modules.  Everything is exact.  Ring values (phases,
-polynomials, matrices) are immutable.  Morphisms, factor systems and
-character-indexed families fill memo caches in place on first use
-(gamma and omega, generator powers, the monomial images of each
-morphism, family values); the cached values are pure functions of their
-keys, so a cache only ever gains entries that any caller would compute
-identically.  A morphism's monomial cache is bounded by the distinct
-monomials it is applied to: in the verifiers, the character box times
-the degree.  There is one morphism class, ``MatrixMorphism`` (B0 ->
-Mat_d(B0), the coactions gamma_sigma); ``AlgebraMorphism``, a morphism
-of B0 itself, is its d = 1 case.
+polynomials, matrices) are immutable.  Every character-indexed value
+(gamma, omega, isometries, witnesses, H families, and the cocycle values
+u and twistings Delta) lives in a ``CharacterFamily``, the one memo for
+them, and each morphism caches its generator powers and monomial
+images; all fill in place on first use.  The cached values are pure
+functions of their keys, so a cache only ever gains entries that any
+caller would compute identically.  A morphism's monomial cache is
+bounded by the distinct monomials it is applied to: in the verifiers,
+the character box times the degree.  There is one morphism class,
+``MatrixMorphism`` (B0 -> Mat_d(B0), the coactions gamma_sigma);
+``AlgebraMorphism``, a morphism of B0 itself, is its d = 1 case.
 """
 
 from .algebra import (

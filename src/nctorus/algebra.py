@@ -76,9 +76,6 @@ class TwistMatrix:
     def gen_name(self, k: int) -> str:
         return f"u{k + 1}"
 
-    def theta_float(self):
-        return [[float(x) for x in row] for row in self.theta]
-
     def unit_values(self, theta_numeric) -> list[complex]:
         """Numeric value exp(2*pi*i*theta[k][l]) for each slot."""
         check_skew_numeric(theta_numeric, self.n)
@@ -285,7 +282,7 @@ class TwistedPoly:
 
     # -- numeric boundary ----------------------------------------------
 
-    def evaluate(self, theta_numeric, torus_point, tau_value: float = 2 * cmath.pi) -> complex:
+    def evaluate(self, theta_numeric, torus_point) -> complex:
         """Substitute numeric phases and evaluate generators at a torus point.
 
         q_{kl} goes to exp(2*pi*i*theta_numeric[k][l]), u^a to the
@@ -294,7 +291,7 @@ class TwistedPoly:
         units = self.twist.unit_values(theta_numeric)
         total = 0j
         for a, p in self.terms.items():
-            val = p.evaluate(units, tau_value)
+            val = p.evaluate(units, cmath.tau)
             for k, e in enumerate(a):
                 if e:
                     val *= torus_point[k] ** e
@@ -330,9 +327,7 @@ class TwistedPoly:
         return out
 
 
-def numeric_product(
-    x: TwistedPoly, y: TwistedPoly, theta_numeric, torus_point, tau_value: float = 2 * cmath.pi
-) -> complex:
+def numeric_product(x: TwistedPoly, y: TwistedPoly, theta_numeric, torus_point) -> complex:
     """Floating-point oracle for evaluate(x * y).
 
     Computes the twisted product directly with complex exponentials,
@@ -343,9 +338,9 @@ def numeric_product(
     units = x.twist.unit_values(theta_numeric)
     total = 0j
     for a, pa in x.terms.items():
-        va = pa.evaluate(units, tau_value)
+        va = pa.evaluate(units, cmath.tau)
         for b, pb in y.terms.items():
-            vb = pb.evaluate(units, tau_value)
+            vb = pb.evaluate(units, cmath.tau)
             swap = 1.0 + 0j
             for i in range(x.twist.n):
                 for j in range(i):

@@ -36,6 +36,7 @@ from .dynamics import (
 from .factor_system import (
     AlgebraMorphism,
     Automorphism,
+    CharacterFamily,
     FactorSystem,
     PartialIsometryFamily,
     apply_automorphism,
@@ -46,7 +47,11 @@ from .report import CheckReport, ReportBuilder
 
 
 class WitnessError(ValueError):
-    """A supplied conjugacy witness fails its defining equation."""
+    """A supplied conjugacy witness fails its defining equation.
+
+    A cocycle value that is not central and unitary raises it too: the
+    witness then fails its equation on a character the value reads.
+    """
 
     def __init__(self, message, char=None, generator=None):
         super().__init__(message)
@@ -62,14 +67,27 @@ def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
     return True
 
 
+class CocycleValues(CharacterFamily):
+    """Values u(sigma, pi) of a 2-cocycle, each checked central and unitary."""
+
+    __slots__ = ()
+
+    def _check(self, key, val: TwistedPoly) -> None:
+        if not _is_central(self.action, val):
+            raise WitnessError(f"cocycle value at {key} is not central")
+        if val.star() * val != TwistedPoly.one(self.action.twist):
+            raise WitnessError(f"cocycle value at {key} is not unitary")
+
+
 class TwoCocycle:
     """Central unitary 2-cocycle on the dual group, with its twisting.
 
     ``delta`` assigns to each character the morphism of B0 that twists
-    the cocycle identity; values are computed lazily and each computed
-    value is checked to be central and unitary.  The values, the twisting
-    morphisms and the :func:`verify_cocycle` report of each character box
-    (keyed by the exact box) are remembered, so a box is swept once.
+    the cocycle identity; without ``delta_fn`` every character shares
+    one identity morphism.  The values (a :class:`CocycleValues`) and the
+    twisting morphisms are character families, computed lazily and
+    cached; the :func:`verify_cocycle` report of each character box
+    (keyed by the exact box) is remembered too, so a box is swept once.
     """
 
     def __init__(
@@ -78,36 +96,22 @@ class TwoCocycle:
         value_fn: Callable[[Character, Character], TwistedPoly],
         delta_fn: Callable[[Character], AlgebraMorphism] | None = None,
     ):
+        if delta_fn is None:
+            ident = AlgebraMorphism.identity(action)
+
+            def delta_fn(char: Character) -> AlgebraMorphism:
+                return ident
+
         self.action = action
-        self._value_fn = value_fn
-        self._delta_fn = delta_fn
-        self._values: dict = {}
-        self._deltas: dict = {}
+        self._u = CocycleValues(action, value_fn)
+        self._delta = CharacterFamily(action, delta_fn)
         self._reports: dict = {}
 
     def value(self, sigma: Character, pi_: Character) -> TwistedPoly:
-        key = (tuple(sigma), tuple(pi_))
-        cached = self._values.get(key)
-        if cached is not None:
-            return cached
-        val = self._value_fn(*key)
-        if not _is_central(self.action, val):
-            raise ValueError(f"cocycle value at {key} is not central")
-        if val.star() * val != TwistedPoly.one(self.action.twist):
-            raise ValueError(f"cocycle value at {key} is not unitary")
-        self._values[key] = val
-        return val
+        return self._u(sigma, pi_)
 
     def delta(self, char: Character) -> AlgebraMorphism:
-        char = tuple(char)
-        cached = self._deltas.get(char)
-        if cached is None:
-            if self._delta_fn is None:
-                cached = AlgebraMorphism.identity(self.action)
-            else:
-                cached = self._delta_fn(char)
-            self._deltas[char] = cached
-        return cached
+        return self._delta(char)
 
     def has_trivial_twist(self, chars) -> bool:
         ident = AlgebraMorphism.identity(self.action)

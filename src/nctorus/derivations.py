@@ -501,12 +501,15 @@ class ConnectionSection:
         return total
 
 
+# coefficient pairs of the linear combinations the section must respect
+SECTION_COMBOS = ((QQi(2), QQi(-3)), (QQi(Fraction(1, 2)), QQi(1)))
+
+
 def atiyah_check(
     fs: FactorSystem,
     section: ConnectionSection,
     char_range=2,
     gen_degree: int = 2,
-    combo_coeffs=((QQi(2), QQi(-3)), (QQi(Fraction(1, 2)), QQi(1))),
 ) -> CheckReport:
     """Verify a candidate section of the derivation sequence.
 
@@ -549,7 +552,7 @@ def atiyah_check(
         )
 
     if len(section.entries) >= 2:
-        for coeffs in combo_coeffs:
+        for coeffs in SECTION_COMBOS:
             combined = section.combine(coeffs)
             for x in corpus:
                 expected = TwistedPoly.zero(tw)

@@ -14,11 +14,12 @@ system as :func:`twisted_product`,
 
     (x ox 1) gamma_sigma(y) omega(sigma, pi),
 
-the one place that product is spelled out.  The character-indexed lift
-data (isometries s, conjugacy witnesses v, derivation-lift families H)
-are :class:`CharacterFamily` instances: a value is computed on first
-use, validated by the family's ``_check`` and only then cached, so a
-value that fails its check is never stored.
+the one place that product is spelled out.  Every character-indexed
+value (gamma, omega, isometries s, witnesses v, derivation-lift families
+H, and the cocycle values u and twistings Delta of the cohomology
+module) lives in a :class:`CharacterFamily`: computed on first use,
+validated by the family's ``_check`` and only then cached, so a value
+that fails its check is never stored.
 
 :class:`MatrixMorphism` is the one morphism class: a unital morphism
 B0 -> Mat_d(B0) given by generator images, with the relation and
@@ -309,16 +310,18 @@ class Automorphism:
 
 
 class CharacterFamily:
-    """Lazily computed, validated and cached family of matrices per character.
+    """Lazily computed, validated and cached values keyed by characters.
 
-    ``family(char)`` computes the value once, runs ``_check`` on it and
-    only then caches it.  Subclasses supply ``_check`` and their own
-    constructors.
+    A key is a character, ``family(char)``, or a pair of characters,
+    ``family(sigma, pi)``; the generating function takes the same
+    arguments.  A value is computed once, passed to ``_check`` (the base
+    accepts every value) and only then cached, so a failing value is
+    never stored and fails again on the next call.
     """
 
     __slots__ = ("action", "_fn", "_cache")
 
-    def __init__(self, action: TorusAction, fn: Callable[[Character], PolyMatrix]):
+    def __init__(self, action: TorusAction, fn: Callable):
         self.action = action
         self._fn = fn
         self._cache: dict = {}
@@ -327,19 +330,18 @@ class CharacterFamily:
     def from_scalars(cls, action: TorusAction, fn: Callable[[Character], TwistedPoly]):
         return cls(action, lambda char: PolyMatrix.from_scalar(fn(char)))
 
-    def _check(self, char: Character, m: PolyMatrix) -> None:
-        """Raise if ``m`` is not a valid value at ``char``."""
-        raise NotImplementedError
+    def _check(self, key, value) -> None:
+        """Raise if ``value`` is not a valid value at ``key``."""
 
-    def __call__(self, char: Character) -> PolyMatrix:
-        char = tuple(char)
-        cached = self._cache.get(char)
+    def __call__(self, char: Character, pi_: Character | None = None):
+        key = tuple(char) if pi_ is None else (tuple(char), tuple(pi_))
+        cached = self._cache.get(key)
         if cached is not None:
             return cached
-        m = self._fn(char)
-        self._check(char, m)
-        self._cache[char] = m
-        return m
+        value = self._fn(key) if pi_ is None else self._fn(*key)
+        self._check(key, value)
+        self._cache[key] = value
+        return value
 
 
 class IsometryFamily(CharacterFamily):
@@ -387,64 +389,42 @@ class PartialIsometryFamily(CharacterFamily):
 
 
 class FactorSystem:
-    """Character-indexed (dim, gamma, omega) data over a torus action.
+    """Character-indexed (gamma, omega) data over a torus action.
 
-    gamma and omega are lazily computed and cached; overridden omega
-    entries (used to inject defects for verifier testing) shadow the
-    generating rule.  Instances are immutable; overrides produce copies.
+    gamma and omega are :class:`CharacterFamily` values; d_sigma is the
+    size of gamma_sigma.  Instances are immutable: an omega override (a
+    defect injected for verifier testing) derives a system that reads
+    every other value, and every gamma_sigma, from its parent.
     """
 
     def __init__(
         self,
         action: TorusAction,
-        dim_fn: Callable[[Character], int],
         gamma_fn: Callable[[Character], MatrixMorphism],
         omega_fn: Callable[[Character, Character], PolyMatrix],
         isometries: IsometryFamily | None = None,
     ):
         self.action = action
-        self._dim_fn = dim_fn
-        self._gamma_fn = gamma_fn
-        self._omega_fn = omega_fn
         self.isometries = isometries
-        self._gamma_cache: dict = {}
-        self._omega_cache: dict = {}
-        self._omega_overrides: dict = {}
+        self._gamma = CharacterFamily(action, gamma_fn)
+        self._omega = CharacterFamily(action, omega_fn)
 
     def dim(self, char: Character) -> int:
-        return self._dim_fn(tuple(char))
+        return self.gamma(char).dim
 
     def gamma(self, char: Character) -> MatrixMorphism:
-        char = tuple(char)
-        cached = self._gamma_cache.get(char)
-        if cached is None:
-            cached = self._gamma_fn(char)
-            self._gamma_cache[char] = cached
-        return cached
+        return self._gamma(char)
 
     def omega(self, sigma: Character, pi_: Character) -> PolyMatrix:
-        key = (tuple(sigma), tuple(pi_))
-        if key in self._omega_overrides:
-            return self._omega_overrides[key]
-        cached = self._omega_cache.get(key)
-        if cached is None:
-            cached = self._omega_fn(*key)
-            self._omega_cache[key] = cached
-        return cached
-
-    def _copy(self) -> "FactorSystem":
-        fs = FactorSystem(
-            self.action, self._dim_fn, self._gamma_fn, self._omega_fn, self.isometries
-        )
-        fs._gamma_cache = self._gamma_cache
-        fs._omega_cache = self._omega_cache
-        fs._omega_overrides = dict(self._omega_overrides)
-        return fs
+        return self._omega(sigma, pi_)
 
     def with_omega_override(self, sigma, pi_, value: PolyMatrix) -> "FactorSystem":
-        fs = self._copy()
-        fs._omega_overrides[(tuple(sigma), tuple(pi_))] = value
-        return fs
+        key = (tuple(sigma), tuple(pi_))
+
+        def omega_fn(s: Character, p: Character) -> PolyMatrix:
+            return value if (s, p) == key else self.omega(s, p)
+
+        return FactorSystem(self.action, self.gamma, omega_fn, self.isometries)
 
 
 def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSystem:
@@ -452,9 +432,6 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
     if s is None:
         s = IsometryFamily.from_cleft_generators(action)
     tw = action.twist
-
-    def dim_fn(char: Character) -> int:
-        return s(char).rows
 
     def gamma_fn(char: Character) -> MatrixMorphism:
         sm = s(char)
@@ -477,7 +454,7 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
             raise ScopeError(f"cocycle value at {(sigma, pi_)} leaves the fixed algebra")
         return m
 
-    return FactorSystem(action, dim_fn, gamma_fn, omega_fn, isometries=s)
+    return FactorSystem(action, gamma_fn, omega_fn, isometries=s)
 
 
 def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
@@ -501,7 +478,7 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
         return phi.apply_matrix(fs.omega(sigma, pi_))
 
-    return FactorSystem(action, fs.dim, gamma_fn, omega_fn, isometries=None)
+    return FactorSystem(action, gamma_fn, omega_fn)
 
 
 def twisted_product(

@@ -57,19 +57,6 @@ class AssociatedModule:
                 f"element does not have equivariance weight {self.weight}"
             )
 
-    def frame_completeness(self) -> bool:
-        total = TwistedPoly.zero(self.action.twist)
-        for s_k in self.frame:
-            total = total + left_inner(self, s_k, s_k)
-        return total == TwistedPoly.one(self.action.twist)
-
-    def reproduces(self, x: TwistedPoly) -> bool:
-        self.require(x)
-        total = TwistedPoly.zero(self.action.twist)
-        for s_k in self.frame:
-            total = total + s_k * right_inner(self, s_k, x)
-        return total == x
-
 
 def make_module(source, sigma) -> AssociatedModule:
     """Module of weight sigma with the frame cut from the isometry family.

@@ -63,49 +63,9 @@ def random_rational_twist(rng: random.Random, n: int, max_den: int = 12) -> Twis
     return TwistMatrix(theta)
 
 
-def random_circle_action(rng: random.Random, n_choices=(2, 3, 4), max_den: int = 12) -> TorusAction:
-    """Random twist with a circle acting on one randomly chosen generator."""
-    n = rng.choice(list(n_choices))
-    twist = random_rational_twist(rng, n, max_den)
-    return TorusAction(twist, (rng.randrange(n),))
-
-
-def random_base_poly(
-    rng: random.Random,
-    action: TorusAction,
-    max_terms: int = 3,
-    exp_range: int = 2,
-) -> TwistedPoly:
-    """Random element of the fixed algebra with small integer coefficients."""
-    from .phases import QQi
-
-    terms = {}
-    for _ in range(rng.randint(1, max_terms)):
-        e = [0] * action.twist.n
-        for k in action.base:
-            e[k] = rng.randint(-exp_range, exp_range)
-        c = QQi(rng.randint(-3, 3), rng.randint(-3, 3))
-        if not c.is_zero():
-            poly = TwistedPoly.monomial(action.twist, e, c)
-            terms[tuple(e)] = poly
-    total = TwistedPoly.zero(action.twist)
-    for poly in terms.values():
-        total = total + poly
-    return total
-
-
 def all_weight_monomials(action: TorusAction, char, gen_degree: int):
     """Monomials of a given weight: base monomials times the weight monomial."""
     from .dynamics import base_monomials, cleft_generator
 
     s = cleft_generator(action, char)
     return [b * s for b in base_monomials(action, gen_degree)]
-
-
-def unimodular_phase(rng: random.Random, nslots: int):
-    """Random exact unimodular scalar: fourth root of unity times q units."""
-    from .phases import Phase, QQi
-
-    roots = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1)]
-    e = tuple(rng.randint(-2, 2) for _ in range(nslots))
-    return Phase(nslots, {(e, 0): rng.choice(roots)})

@@ -6,7 +6,9 @@ import pytest
 from nctorus.algebra import TwistedPoly, TwistMatrix
 from nctorus.dynamics import TorusAction
 from nctorus.factor_system import from_cleft
+from nctorus.geometry import left_inner, right_inner
 from nctorus.phases import Phase, QQi
+from nctorus.q3torus import random_rational_twist
 
 
 @pytest.fixture(scope="session")
@@ -87,3 +89,61 @@ def random_skew_scalar(rng: random.Random, twist: TwistMatrix) -> TwistedPoly:
         else:
             phase = Phase(nslots, {key_p: QQi(c), key_m: QQi(-c)})
     return TwistedPoly.scalar(twist, phase)
+
+
+def random_circle_action(rng: random.Random, n_choices=(2, 3, 4), max_den: int = 12) -> TorusAction:
+    """Random twist with a circle acting on one randomly chosen generator."""
+    n = rng.choice(list(n_choices))
+    twist = random_rational_twist(rng, n, max_den)
+    return TorusAction(twist, (rng.randrange(n),))
+
+
+def random_base_poly(
+    rng: random.Random,
+    action: TorusAction,
+    max_terms: int = 3,
+    exp_range: int = 2,
+) -> TwistedPoly:
+    """Random element of the fixed algebra with small integer coefficients."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        e = [0] * action.twist.n
+        for k in action.base:
+            e[k] = rng.randint(-exp_range, exp_range)
+        c = QQi(rng.randint(-3, 3), rng.randint(-3, 3))
+        if not c.is_zero():
+            poly = TwistedPoly.monomial(action.twist, e, c)
+            terms[tuple(e)] = poly
+    total = TwistedPoly.zero(action.twist)
+    for poly in terms.values():
+        total = total + poly
+    return total
+
+
+def unimodular_phase(rng: random.Random, nslots: int) -> Phase:
+    """Random exact unimodular scalar: fourth root of unity times q units."""
+    roots = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1)]
+    e = tuple(rng.randint(-2, 2) for _ in range(nslots))
+    return Phase(nslots, {(e, 0): rng.choice(roots)})
+
+
+def frame_completeness(m) -> bool:
+    """The frame of an associated module satisfies sum_k left(s_k, s_k) = 1."""
+    total = TwistedPoly.zero(m.action.twist)
+    for s_k in m.frame:
+        total = total + left_inner(m, s_k, s_k)
+    return total == TwistedPoly.one(m.action.twist)
+
+
+def reproduces(m, x: TwistedPoly) -> bool:
+    """The frame reproduces x: sum_k s_k right(s_k, x) = x."""
+    m.require(x)
+    total = TwistedPoly.zero(m.action.twist)
+    for s_k in m.frame:
+        total = total + s_k * right_inner(m, s_k, x)
+    return total == x
+
+
+def theta_float(twist: TwistMatrix):
+    """The twist angles as floats, for the numeric boundary."""
+    return [[float(x) for x in row] for row in twist.theta]

@@ -52,16 +52,22 @@ from nctorus.q3torus import (
     all_weight_monomials,
     base_scaling_derivation,
     gauge_h_family,
-    random_base_poly,
-    random_circle_action,
     random_rational_twist,
     restricted_gauge_action,
     standard_angles,
     twist3,
-    unimodular_phase,
 )
 
-from conftest import random_poly, random_skew_scalar
+from conftest import (
+    frame_completeness,
+    random_base_poly,
+    random_circle_action,
+    random_poly,
+    random_skew_scalar,
+    reproduces,
+    theta_float,
+    unimodular_phase,
+)
 
 
 def announce(capsys, number: int, passed: bool, text: str, elapsed: float) -> None:
@@ -349,10 +355,10 @@ def test_criterion_09_module_geometry(capsys, q3):
         modules.append(make_module(from_cleft(act), (random.Random(960 + i).randint(-2, 2),)))
 
     for m in modules:
-        ok &= m.frame_completeness()
+        ok &= frame_completeness(m)
         for _ in range(3):
             x = m.frame[0] * random_base_poly(rng, m.action)
-            ok &= m.reproduces(x)
+            ok &= reproduces(m, x)
 
     d1 = base_scaling_derivation(action, 0)
     d2 = base_scaling_derivation(action, 1)
@@ -406,7 +412,7 @@ def test_criterion_10_engine_soundness(capsys):
                 u = TwistedPoly.generator(tw, k)
                 ok &= u * u.star() == one and u.star() * u == one
             checked_twists.append(tw)
-        theta = tw.theta_float()
+        theta = theta_float(tw)
         point = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(n)]
         got = (x * y).evaluate(theta, point)
         want = numeric_product(x, y, theta, point)

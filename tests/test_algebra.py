@@ -15,7 +15,7 @@ from nctorus.algebra import (
 )
 from nctorus.phases import Phase, QQi
 
-from conftest import random_poly
+from conftest import random_poly, theta_float
 
 
 def unit(tw, k, l, power=1):
@@ -155,7 +155,7 @@ class TestRingOps:
 
 class TestEvaluate:
     def test_constants_and_characters(self, tw):
-        th = tw.theta_float()
+        th = theta_float(tw)
         z = [complex(-1), complex(1), complex(1)]
         assert TwistedPoly.one(tw).evaluate(th, z) == pytest.approx(1.0)
         assert TwistedPoly.generator(tw, 0).evaluate(th, z) == pytest.approx(-1.0)
@@ -167,7 +167,7 @@ class TestEvaluate:
         assert relation.is_zero()
         for _ in range(5):
             z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(3)]
-            assert abs(relation.evaluate(tw.theta_float(), z)) < 1e-9
+            assert abs(relation.evaluate(theta_float(tw), z)) < 1e-9
 
     def test_rejects_non_skew_numeric_theta(self, tw):
         bad = [[0.0, 0.25, 0.1], [-0.25, 0.0, 0.2], [-0.1, -0.2 + 1e-6, 0.0]]
@@ -179,7 +179,7 @@ class TestEvaluate:
         rng = random.Random(9000 + seed)
         x = random_poly(rng, tw, max_terms=5, exp_range=3, with_phases=True)
         y = random_poly(rng, tw, max_terms=5, exp_range=3, with_phases=True)
-        th = tw.theta_float()
+        th = theta_float(tw)
         z = [cmath.exp(2j * cmath.pi * rng.random()) for _ in range(3)]
         got = (x * y).evaluate(th, z)
         want = numeric_product(x, y, th, z)

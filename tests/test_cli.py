@@ -3,10 +3,20 @@ import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import nctorus
+from conftest import theta_float
+
 CLI = [sys.executable, "-m", "nctorus.cli"]
+# the child process imports the same package as these tests, installed or not
+SRC = str(Path(nctorus.__file__).resolve().parents[1])
+ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(filter(None, (SRC, os.environ.get("PYTHONPATH")))),
+}
 
 Q3_CONFIG = {
     "n": 3,
@@ -19,7 +29,7 @@ Q3_CONFIG = {
 
 def run_cli(*args, stdin=None):
     proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, input=stdin, timeout=120
+        CLI + list(args), capture_output=True, text=True, input=stdin, timeout=120, env=ENV
     )
     return proc
 
@@ -172,6 +182,18 @@ class TestLift:
         report = json.loads(proc.stdout)
         assert report["passed"] is False
         assert "witness" in report["error"]
+
+    def test_witness_wrong_only_outside_the_box_is_a_math_failure(self, tmp_path):
+        golden = Path(__file__).parent / "golden" / "lift_witness.config.json"
+        cfg = json.loads(golden.read_text())
+        # conjugacy holds on the box |sigma| <= 2; the cocycle reads v(4)
+        cfg["v_family"]["4"] = [{"exponents": [1, 0, 0]}]
+        proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 1
+        report = json.loads(proc.stdout)
+        assert report["passed"] is False
+        assert report["error"] == "cocycle value at ((2,), (2,)) is not central"
+        assert "Traceback" not in proc.stderr
 
     def test_rank_two_action_automorphism_lifts(self, tmp_path):
         cfg = {
@@ -470,7 +492,7 @@ class TestDemo:
         from nctorus.q3torus import restricted_gauge_action, twist3
 
         fs = from_cleft(restricted_gauge_action(twist3(0, 0, 0)))
-        theta = fs.action.twist.theta_float()
+        theta = theta_float(fs.action.twist)
         z = [1.0, 1.0, 1.0]
         for k in (-2, 1, 3):
             for gen in (0, 1):
@@ -565,7 +587,7 @@ def test_closed_stdout_keeps_the_verdict_exit_code(monkeypatch, capsys, tmp_path
 def test_reader_closing_the_pipe_early_prints_no_traceback():
     # the read end is closed before the command writes: `... --json | head -0`
     proc = subprocess.Popen(
-        CLI + ["demo", "q3torus", "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE
+        CLI + ["demo", "q3torus", "--json"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=ENV
     )
     proc.stdout.close()
     stderr = proc.stderr.read().decode()

@@ -23,9 +23,9 @@ from nctorus.factor_system import (
     from_cleft,
 )
 from nctorus.phases import Phase, QQi
-from nctorus.q3torus import all_weight_monomials, unimodular_phase
+from nctorus.q3torus import all_weight_monomials
 
-from conftest import random_poly
+from conftest import random_base_poly, random_poly, unimodular_phase
 
 
 @pytest.fixture()
@@ -271,8 +271,6 @@ class TestMaterializedLift:
             lifted = out.lifted.apply_graded(g)
             for char, comp in lifted.components.items():
                 assert is_equivariant(q3_action, comp, char)
-        from nctorus.q3torus import random_base_poly
-
         for _ in range(6):
             b = random_base_poly(rng, q3_action)
             assert out.lifted.apply(b) == beta.apply(b)

@@ -24,13 +24,9 @@ from nctorus.derivations import (
 from nctorus.dynamics import grade
 from nctorus.factor_system import ScopeError
 from nctorus.phases import QQi
-from nctorus.q3torus import (
-    base_scaling_derivation,
-    gauge_h_family,
-    random_base_poly,
-)
+from nctorus.q3torus import base_scaling_derivation, gauge_h_family
 
-from conftest import random_poly, random_skew_scalar
+from conftest import random_base_poly, random_poly, random_skew_scalar
 
 
 @pytest.fixture(scope="module")

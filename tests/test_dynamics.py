@@ -15,7 +15,7 @@ from nctorus.dynamics import (
 )
 from nctorus.phases import Phase
 
-from conftest import random_poly
+from conftest import random_base_poly, random_poly
 
 
 @pytest.fixture(scope="module")
@@ -80,8 +80,6 @@ class TestFixedPart:
 
     def test_bimodularity_over_fixed_elements(self, q3_action, q3_twist):
         rng = random.Random(14)
-        from nctorus.q3torus import random_base_poly
-
         for _ in range(8):
             x = random_poly(rng, q3_twist, 4, 2)
             b = random_base_poly(rng, q3_action)

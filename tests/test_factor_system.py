@@ -20,7 +20,8 @@ from nctorus.factor_system import (
     verify_gauge_unitary,
 )
 from nctorus.phases import Phase, QQi
-from nctorus.q3torus import random_circle_action, random_base_poly, unimodular_phase
+
+from conftest import random_base_poly, random_circle_action, unimodular_phase
 
 
 def q13(tw, power=1):

@@ -20,13 +20,15 @@ from nctorus.geometry import (
     section_connection,
     section_metric_report,
 )
-from nctorus.q3torus import (
-    base_scaling_derivation,
+from nctorus.q3torus import base_scaling_derivation
+
+from conftest import (
+    frame_completeness,
     random_base_poly,
     random_circle_action,
+    random_skew_scalar,
+    reproduces,
 )
-
-from conftest import random_skew_scalar
 
 
 @pytest.fixture(scope="module")
@@ -56,7 +58,7 @@ class TestMakeModule:
         for k in (-2, 0, 1, 3):
             m = make_module(q3_system, (k,))
             assert m.frame == [TwistedPoly.generator(q3_twist, 2, -k)]
-            assert m.frame_completeness()
+            assert frame_completeness(m)
             assert right_inner(m, m.frame[0], m.frame[0]) == TwistedPoly.one(q3_twist)
 
     def test_weight_zero_module_is_the_fixed_algebra(self, q3_system, q3_twist):
@@ -69,7 +71,7 @@ class TestMakeModule:
         x = m.frame[0] * q3_gens[0]
         expanded = m.frame[0] * right_inner(m, m.frame[0], x)
         assert expanded == x
-        assert m.reproduces(x)
+        assert reproduces(m, x)
 
     def test_membership_is_enforced(self, module2, q3_gens):
         assert not module2.contains(q3_gens[0])
