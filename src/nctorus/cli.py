@@ -40,10 +40,11 @@ from .derivations import (
     atiyah_check,
     verify_lift_conditions,
 )
-from .dynamics import TorusAction, char_box, char_neg, char_zero
+from .dynamics import TorusAction, char_box, char_neg, char_zero, in_base_algebra
 from .factor_system import (
     AlgebraMorphism,
     Automorphism,
+    FactorSystem,
     PartialIsometryFamily,
     from_cleft,
     frohlich_map,
@@ -300,14 +301,15 @@ def parse_h_family(action: TorusAction, cfg: dict, char_range: int) -> HFamily:
     return _tabulated(HFamily.from_scalars(action, fn), table, "h_family.per_char")
 
 
-def parse_v_family(action: TorusAction, cfg, char_range: int) -> PartialIsometryFamily:
-    """Witness table; the lift reads it at sums of three characters of the box.
+def parse_v_family(fs: FactorSystem, cfg, char_range: int) -> PartialIsometryFamily:
+    """Witness table (gamma_sigma(1) without one), read at sums of three characters.
 
     ``verify_cocycle`` reads u(sigma, pi + rho), which reads
     v(sigma + pi + rho), so a box of radius r needs values out to 3r.
     """
     if cfg is None:
-        return PartialIsometryFamily.constant_one(action)
+        return PartialIsometryFamily.units(fs)
+    action = fs.action
     if not isinstance(cfg, dict):
         raise ConfigError("v_family must map character keys to terms")
     table = _char_table(action, cfg, "v_family")
@@ -401,6 +403,8 @@ def _build_system(cfg: dict):
         sigma = _character(ov.get("sigma"), action.d, f"{where}.sigma")
         pi_ = _character(ov.get("pi"), action.d, f"{where}.pi")
         value = parse_poly(action.twist, ov.get("value"), f"{where}.value")
+        if not in_base_algebra(action, value):
+            raise ConfigError(f"{where}.value: cocycle value leaves the fixed algebra")
         fs = fs.with_omega_override(sigma, pi_, PolyMatrix.from_scalar(value))
     return action, fs
 
@@ -466,7 +470,7 @@ def cmd_lift(cfg: dict, args) -> dict:
     elif "automorphism" in cfg:
         source = "automorphism"
         beta = parse_automorphism(action, cfg["automorphism"])
-        v = parse_v_family(action, cfg.get("v_family"), rng_range)
+        v = parse_v_family(fs, cfg.get("v_family"), rng_range)
         outcome = lift_via_cohomology(fs, beta, v, rng_range, degree)
     else:
         raise ConfigError("lift requires an automorphism (or a synthetic cocycle)")
@@ -508,7 +512,7 @@ def cmd_lift_derivation(cfg: dict, args) -> dict:
     if "h_family" in cfg:
         h = parse_h_family(action, cfg["h_family"], rng_range)
     else:
-        h = HFamily.zero(action)
+        h = HFamily.zero(fs)
     rep = verify_lift_conditions(fs, delta, h, rng_range, degree)
     reports = [rep]
     passed = rep.passed
@@ -587,7 +591,7 @@ def cmd_demo_q3torus(args) -> dict:
 
     d1 = base_scaling_derivation(action, 0)
     d2 = base_scaling_derivation(action, 1)
-    h0 = HFamily.zero(action)
+    h0 = HFamily.zero(fs)
     section = ConnectionSection(
         entries=[
             SectionEntry(d1, LiftedDerivation(fs, d1, h0)),

@@ -6,7 +6,10 @@ defect of the pair (beta, v) against the cocycle data is measured by a
 central unitary 2-cocycle on the dual group:
 
     u(sigma, pi) = s(sigma+pi)* beta^-1( v(sigma+pi) omega(pi,sigma)*
-                   gamma_pi(v(sigma)*) v(pi)* ) s(pi) s(sigma).
+                   gamma_pi(v(sigma)*) v(pi)* ) s(pi) s(sigma),
+
+whose bracket is v(sigma+pi) (twisted product of v(pi), v(sigma))*, as
+gamma_pi = Ad s(pi) is a *-morphism.
 
 beta lifts to an equivariant automorphism of the whole algebra exactly
 when this class is a coboundary; over Z (circle actions) the class
@@ -41,6 +44,7 @@ from .factor_system import (
     PartialIsometryFamily,
     apply_automorphism,
     frohlich_morphism,
+    twisted_product,
     verify_conjugacy,
 )
 from .report import CheckReport, ReportBuilder
@@ -187,13 +191,7 @@ def extract_cocycle(
 
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        d_sigma = fs.dim(sigma)
-        inner = (
-            v(sp)
-            * fs.omega(pi_, sigma).adjoint()
-            * fs.gamma(pi_).apply_to_matrix(v(sigma).adjoint())
-            * v(pi_).adjoint().kron(PolyMatrix.identity(tw, d_sigma))
-        )
+        inner = v(sp) * twisted_product(fs, pi_, v(pi_), sigma, v(sigma)).adjoint()
         inner = binv.apply_matrix(inner)
         return (s(sp).adjoint() * inner * s(pi_).kron(s(sigma))).as_scalar()
 

@@ -214,9 +214,10 @@ class HFamily(CharacterFamily):
     __slots__ = ()
 
     @classmethod
-    def zero(cls, action: TorusAction, dim: int = 1) -> "HFamily":
-        z = PolyMatrix.zeros(action.twist, dim, dim)
-        return cls(action, lambda char: z)
+    def zero(cls, fs: FactorSystem) -> "HFamily":
+        """H(sigma) = the d_sigma x d_sigma zero: the family of a plain lift."""
+        tw = fs.action.twist
+        return cls(fs.action, lambda char: PolyMatrix.zeros(tw, fs.dim(char), fs.dim(char)))
 
     @classmethod
     def linear_scalar(cls, action: TorusAction, slopes) -> "HFamily":
@@ -441,15 +442,20 @@ def is_gauge_element(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int
 def crossed_hom_report(fs: FactorSystem, h: HFamily, char_range=2) -> CheckReport:
     """Exact additivity-with-twist and skewness check for scalar families.
 
-    Requires a cleft system whose cocycle values are central scalars;
-    in that case the condition is equivalent to gauge membership.
+    Requires a cleft system whose cocycle values are central scalars,
+    checked on every pair of the box; in that case the condition is
+    equivalent to gauge membership.
     """
     action = fs.action
     chars = resolve_chars(action, char_range)
-    for sigma in chars[: min(3, len(chars))]:
-        om = fs.omega(sigma, sigma)
-        if (om.rows, om.cols) != (1, 1) or not om.as_scalar().is_scalar():
-            raise ValueError("crossed homomorphisms require scalar cocycle values")
+    for sigma in chars:
+        for pi_ in chars:
+            om = fs.omega(sigma, pi_)
+            if (om.rows, om.cols) != (1, 1) or not om.as_scalar().is_scalar():
+                raise ValueError(
+                    f"crossed homomorphisms require scalar cocycle values, "
+                    f"not at {(sigma, pi_)}"
+                )
     rb = ReportBuilder("crossed-homomorphism")
 
     for sigma in chars:

@@ -22,9 +22,11 @@ validated by the family's ``_check`` and only then cached, so a value
 that fails its check is never stored.
 
 :class:`MatrixMorphism` is the one morphism class: a unital morphism
-B0 -> Mat_d(B0) given by generator images, with the relation and
-*-checks written once for d x d images.  :class:`AlgebraMorphism`, a
-morphism of B0 itself, is its d = 1 case.  Each morphism caches, in
+B0 -> Mat_d(B0) given by its unit, a projection such as gamma_sigma(1) =
+s(sigma) s(sigma)*, and its generator images, all checked by the
+constructor and read off any map by ``from_map``; the relation and
+*-checks are written once for d x d images.  :class:`AlgebraMorphism`,
+a morphism of B0 itself, is its d = 1 case.  Each morphism caches, in
 place, its generator powers and the monomial images gamma(u^a) of every
 fixed-algebra monomial it is applied to; ``apply`` scales the cached
 images by the phase coefficients.  The cache is bounded by the distinct
@@ -65,27 +67,55 @@ class ScopeError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-class MatrixMorphism:
-    """Unital morphism B0 -> Mat_d(B0) given by matrix images of the generators.
+def _on_generators(action: TorusAction, f: Callable) -> tuple[dict, dict]:
+    """``f`` at u_k and at u_k^-1 for every non-acting generator k."""
+    tw = action.twist
+    return (
+        {k: f(TwistedPoly.generator(tw, k)) for k in action.base},
+        {k: f(TwistedPoly.generator(tw, k, -1)) for k in action.base},
+    )
 
-    ``images[k]`` is the d x d image of u_k and ``inv_images[k]`` that of
-    u_k^-1 for every non-acting generator k; the map extends to all of
-    B0 multiplicatively and linearly (formal phase coefficients are
-    fixed pointwise).  The image of each normal-ordered monomial u^a is
-    computed once, as the unit times the generator powers in base order,
-    and cached per instance; ``apply`` scales the cached images by the
-    phase coefficients.  :class:`AlgebraMorphism` is the d = 1 case.
+
+class MatrixMorphism:
+    """Unital morphism B0 -> Mat_d(B0) given by its unit and generator images.
+
+    ``unit`` is the d x d image of 1, a projection that need not be I_d;
+    ``images[k]`` and ``inv_images[k]`` are the images of u_k and u_k^-1
+    for every non-acting generator k.  The map extends to B0
+    multiplicatively and linearly (formal phase coefficients are fixed
+    pointwise): the image of u^a != 1 is the product of the generator
+    powers in base order, as g(1) g(u) = g(u).  Each monomial image is
+    computed once and cached per instance; ``apply`` scales the cached
+    images by the phase coefficients.  :class:`AlgebraMorphism` is the
+    d = 1 case.
     """
 
-    __slots__ = ("action", "dim", "images", "inv_images", "_powers", "_monomials")
+    __slots__ = ("action", "dim", "images", "inv_images", "_unit", "_powers", "_monomials")
 
-    def __init__(self, action: TorusAction, dim: int, images: dict, inv_images: dict):
+    def __init__(self, action: TorusAction, unit: PolyMatrix, images: dict, inv_images: dict):
+        tw = action.twist
+        missing = [k for k in action.base if k not in images or k not in inv_images]
+        if missing:
+            names = ", ".join(tw.gen_name(k) for k in missing)
+            raise ValueError(f"missing generator images for {names}")
+        named = [("1", unit)]
+        for k in action.base:
+            named += [(tw.gen_name(k), images[k]), (f"{tw.gen_name(k)}^-1", inv_images[k])]
+        for name, m in named:
+            if not matrix_in_base_algebra(action, m):
+                raise ScopeError(f"image of {name} leaves the fixed algebra")
         self.action = action
-        self.dim = dim
+        self.dim = unit.rows
         self.images = dict(images)
         self.inv_images = dict(inv_images)
+        self._unit = unit
         self._powers: dict = {}
-        self._monomials: dict = {}
+        self._monomials: dict = {(0,) * tw.n: unit}
+
+    @staticmethod
+    def from_map(action: TorusAction, f: Callable) -> "MatrixMorphism":
+        """The morphism that agrees with ``f`` on 1 and on every u_k^+-1."""
+        return MatrixMorphism(action, f(TwistedPoly.one(action.twist)), *_on_generators(action, f))
 
     def _power(self, k: int, m: int) -> PolyMatrix:
         cached = self._powers.get((k, m))
@@ -106,13 +136,11 @@ class MatrixMorphism:
         for j in self.action.coords:
             if a[j] != 0:
                 raise ScopeError("morphism applied outside the fixed algebra")
-        if any(a):
-            out = self.unit()
-            for k in self.action.base:
-                if a[k]:
-                    out = out * self._power(k, a[k])
-        else:
-            out = PolyMatrix.identity(self.action.twist, self.dim)
+        out = None
+        for k in self.action.base:
+            if a[k]:
+                power = self._power(k, a[k])
+                out = power if out is None else out * power
         self._monomials[a] = out
         return out
 
@@ -145,7 +173,7 @@ class MatrixMorphism:
         return PolyMatrix(self.action.twist, rows)
 
     def unit(self) -> PolyMatrix:
-        return self._monomial((0,) * self.action.twist.n)
+        return self._unit
 
     def respects_relations(self) -> bool:
         """Generator images satisfy the exchange relations and invert to the unit."""
@@ -173,8 +201,8 @@ class AlgebraMorphism(MatrixMorphism):
     """Unital *-algebra morphism of B0: the d = 1 case of :class:`MatrixMorphism`.
 
     Takes the generator images as polynomials (``inv_images`` defaults
-    to the monomial inverses) and stores them as 1 x 1 matrices;
-    ``apply`` returns polynomials.
+    to the monomial inverses) and stores them as 1 x 1 matrices with
+    unit 1; ``apply`` returns polynomials.
     """
 
     __slots__ = ()
@@ -182,32 +210,16 @@ class AlgebraMorphism(MatrixMorphism):
     def __init__(self, action: TorusAction, images: dict, inv_images: dict | None = None):
         if inv_images is None:
             inv_images = {k: img.inverse_monomial() for k, img in images.items()}
-        missing = set(action.base) - set(images)
-        if missing:
-            names = ", ".join(action.twist.gen_name(k) for k in sorted(missing))
-            raise ValueError(f"missing generator images for {names}")
-        for k in action.base:
-            if not in_base_algebra(action, images[k]):
-                raise ScopeError(f"image of {action.twist.gen_name(k)} leaves the fixed algebra")
-            if not in_base_algebra(action, inv_images[k]):
-                raise ScopeError(
-                    f"image of {action.twist.gen_name(k)}^-1 leaves the fixed algebra"
-                )
         super().__init__(
             action,
-            1,
+            PolyMatrix.identity(action.twist, 1),
             {k: PolyMatrix.from_scalar(v) for k, v in images.items()},
             {k: PolyMatrix.from_scalar(v) for k, v in inv_images.items()},
         )
 
     @classmethod
     def identity(cls, action: TorusAction) -> "AlgebraMorphism":
-        tw = action.twist
-        return cls(
-            action,
-            {k: TwistedPoly.generator(tw, k) for k in action.base},
-            {k: TwistedPoly.generator(tw, k, -1) for k in action.base},
-        )
+        return cls(action, *_on_generators(action, lambda x: x))
 
     def apply(self, x: TwistedPoly) -> TwistedPoly:
         return MatrixMorphism.apply(self, x).as_scalar()
@@ -215,9 +227,7 @@ class AlgebraMorphism(MatrixMorphism):
     def compose(self, other: "AlgebraMorphism") -> "AlgebraMorphism":
         """self after other."""
         return AlgebraMorphism(
-            self.action,
-            {k: self.apply(other.images[k].as_scalar()) for k in self.action.base},
-            {k: self.apply(other.inv_images[k].as_scalar()) for k in self.action.base},
+            self.action, *_on_generators(self.action, lambda x: self.apply(other.apply(x)))
         )
 
 
@@ -252,23 +262,12 @@ class Automorphism:
     def diagonal(cls, action: TorusAction, weights: dict) -> "Automorphism":
         """Gauge automorphism u_k -> w_k u_k for unimodular phases w_k."""
         tw = action.twist
-        images, inv_images, rimages, rinv = {}, {}, {}, {}
+        fwd, back = {}, {}
         for k in action.base:
-            w = weights.get(k)
-            gen = TwistedPoly.generator(tw, k)
-            geninv = TwistedPoly.generator(tw, k, -1)
-            if w is None:
-                images[k], inv_images[k] = gen, geninv
-                rimages[k], rinv[k] = gen, geninv
-            else:
-                images[k] = gen.scale(w)
-                inv_images[k] = geninv.scale(w.invert())
-                rimages[k] = gen.scale(w.invert())
-                rinv[k] = geninv.scale(w)
-        return cls(
-            AlgebraMorphism(action, images, inv_images),
-            AlgebraMorphism(action, rimages, rinv),
-        )
+            gen, w = TwistedPoly.generator(tw, k), weights.get(k)
+            fwd[k] = gen if w is None else gen.scale(w)
+            back[k] = gen if w is None else gen.scale(w.invert())
+        return cls(AlgebraMorphism(action, fwd), AlgebraMorphism(action, back))
 
     @classmethod
     def inner(cls, action: TorusAction, a: TwistedPoly) -> "Automorphism":
@@ -276,16 +275,9 @@ class Automorphism:
         if not in_base_algebra(action, a):
             raise ScopeError("conjugating element must lie in the fixed algebra")
         a_inv = a.inverse_monomial()
-        tw = action.twist
 
         def leg(u, u_inv):
-            images = {
-                k: u * TwistedPoly.generator(tw, k) * u_inv for k in action.base
-            }
-            inv_images = {
-                k: u * TwistedPoly.generator(tw, k, -1) * u_inv for k in action.base
-            }
-            return AlgebraMorphism(action, images, inv_images)
+            return AlgebraMorphism(action, *_on_generators(action, lambda x: u * x * u_inv))
 
         return cls(leg(a, a_inv), leg(a_inv, a))
 
@@ -361,7 +353,11 @@ class IsometryFamily(CharacterFamily):
             for e in row:
                 if not is_equivariant(self.action, e, char):
                     raise ValueError(f"isometry entry at {char} is not equivariant")
-        if char == char_zero(self.action.d) and m != PolyMatrix.identity(self.action.twist, 1):
+        one = PolyMatrix.identity(self.action.twist, 1)
+        # s* s = 1 makes Ad s(sigma) a unital *-morphism onto its range projection
+        if m.adjoint() * m != one:
+            raise ValueError(f"isometry column at {char} is not an isometry: s* s != 1")
+        if char == char_zero(self.action.d) and m != one:
             raise ValueError("isometry family must send the trivial character to 1")
 
 
@@ -371,9 +367,9 @@ class PartialIsometryFamily(CharacterFamily):
     __slots__ = ()
 
     @classmethod
-    def constant_one(cls, action: TorusAction) -> "PartialIsometryFamily":
-        one = PolyMatrix.from_scalar(TwistedPoly.one(action.twist))
-        return cls(action, lambda char: one)
+    def units(cls, fs: "FactorSystem") -> "PartialIsometryFamily":
+        """v(sigma) = gamma_sigma(1): the witness of the identity automorphism."""
+        return cls(fs.action, lambda char: fs.gamma(char).unit())
 
     def _check(self, char: Character, m: PolyMatrix) -> None:
         if not matrix_in_base_algebra(self.action, m):
@@ -428,25 +424,19 @@ class FactorSystem:
 
 
 def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSystem:
-    """Factor system of a cleft action from its equivariant unitaries."""
+    """Factor system of a cleft action from its equivariant isometries.
+
+    The isometry family checks s(sigma)* s(sigma) = 1, so every
+    gamma_sigma = Ad s(sigma) is a unital *-morphism with unit
+    s(sigma) s(sigma)*.
+    """
     if s is None:
         s = IsometryFamily.from_cleft_generators(action)
-    tw = action.twist
 
     def gamma_fn(char: Character) -> MatrixMorphism:
         sm = s(char)
         sa = sm.adjoint()
-        images, inv_images = {}, {}
-        for k in action.base:
-            for power, store in ((1, images), (-1, inv_images)):
-                gen = PolyMatrix.from_scalar(TwistedPoly.generator(tw, k, power))
-                img = sm * gen * sa
-                if not matrix_in_base_algebra(action, img):
-                    raise ScopeError(
-                        f"conjugated image of {tw.gen_name(k)} leaves the fixed algebra"
-                    )
-                store[k] = img
-        return MatrixMorphism(action, sm.rows, images, inv_images)
+        return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
         m = s(sigma).kron(s(pi_)) * s(char_add(sigma, pi_)).adjoint()
@@ -464,16 +454,12 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
     phi applied entrywise to omega.
     """
     action = fs.action
-    tw = action.twist
 
     def gamma_fn(char: Character) -> MatrixMorphism:
         g = fs.gamma(char)
-        images, inv_images = {}, {}
-        for k in action.base:
-            for power, store in ((1, images), (-1, inv_images)):
-                pre = phi.inv.apply(TwistedPoly.generator(tw, k, power))
-                store[k] = phi.apply_matrix(g.apply(pre))
-        return MatrixMorphism(action, g.dim, images, inv_images)
+        return MatrixMorphism.from_map(
+            action, lambda x: phi.apply_matrix(g.apply(phi.inv.apply(x)))
+        )
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
         return phi.apply_matrix(fs.omega(sigma, pi_))
@@ -656,12 +642,7 @@ def frohlich_morphism(fs: FactorSystem, char: Character) -> AlgebraMorphism:
     isometries.
     """
     action = fs.action
-    tw = action.twist
-    images = {k: frohlich_map(fs, char, TwistedPoly.generator(tw, k)) for k in action.base}
-    inv_images = {
-        k: frohlich_map(fs, char, TwistedPoly.generator(tw, k, -1)) for k in action.base
-    }
-    return AlgebraMorphism(action, images, inv_images)
+    return AlgebraMorphism(action, *_on_generators(action, lambda b: frohlich_map(fs, char, b)))
 
 
 def verify_gauge_unitary(

@@ -3,9 +3,9 @@ from fractions import Fraction
 
 import pytest
 
-from nctorus.algebra import TwistedPoly, TwistMatrix
+from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
 from nctorus.dynamics import TorusAction
-from nctorus.factor_system import from_cleft
+from nctorus.factor_system import IsometryFamily, from_cleft
 from nctorus.geometry import left_inner, right_inner
 from nctorus.phases import Phase, QQi
 from nctorus.q3torus import random_rational_twist
@@ -35,6 +35,27 @@ def q3_system(q3_action):
 @pytest.fixture(scope="session")
 def q3_gens(q3_twist):
     return tuple(TwistedPoly.generator(q3_twist, k) for k in range(3))
+
+
+def pythagorean_column(action: TorusAction) -> IsometryFamily:
+    """s(sigma) = (3/5 u^sigma, 4/5 u^sigma)^T for sigma != 0, s(0) = 1.
+
+    A circle action's isometry column of height 2: s* s = 1, and
+    gamma_sigma = Ad s(sigma) has d_sigma = 2 and unit the range
+    projection s s*, not I_2.
+    """
+    tw = action.twist
+
+    def fn(char):
+        gen = TwistedPoly.generator(tw, action.coords[0], char[0])
+        if not any(char):
+            return PolyMatrix.from_scalar(gen)
+        return PolyMatrix(
+            tw,
+            [[gen.scale(QQi(Fraction(3, 5)))], [gen.scale(QQi(Fraction(4, 5)))]],
+        )
+
+    return IsometryFamily(action, fn)
 
 
 def random_qqi(rng: random.Random, span: int = 3) -> QQi:

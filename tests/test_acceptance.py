@@ -60,6 +60,7 @@ from nctorus.q3torus import (
 
 from conftest import (
     frame_completeness,
+    pythagorean_column,
     random_base_poly,
     random_circle_action,
     random_poly,
@@ -251,7 +252,7 @@ def test_criterion_06_derivation_lifting(capsys, q3):
     d1 = base_scaling_derivation(action, 0)
     d2 = base_scaling_derivation(action, 1)
     dzero = Derivation.zero(tw, action.base)
-    h0 = HFamily.zero(action)
+    h0 = HFamily.zero(fs)
     hg = gauge_h_family(action)
     b = TwistedPoly.generator(tw, 0) - TwistedPoly.generator(tw, 0).star()
     inner = Derivation.inner(tw, action.base, b)
@@ -287,7 +288,7 @@ def test_criterion_07_split_section(capsys, q3):
     action, fs = q3
     d1 = base_scaling_derivation(action, 0)
     d2 = base_scaling_derivation(action, 1)
-    h0 = HFamily.zero(action)
+    h0 = HFamily.zero(fs)
     section = ConnectionSection(
         entries=[
             SectionEntry(d1, LiftedDerivation(fs, d1, h0)),
@@ -308,7 +309,7 @@ def test_criterion_08_gauge_crossed_hom_equivalence(capsys, q3):
     rng = random.Random(808)
     families = []
     # 50 valid: additive with skew scalar slopes (zero family included)
-    families.append((HFamily.zero(action), True))
+    families.append((HFamily.zero(fs), True))
     for _ in range(49):
         slope = random_skew_scalar(rng, tw)
         families.append((HFamily.linear_scalar(action, slope), True))
@@ -422,3 +423,75 @@ def test_criterion_10_engine_soundness(capsys):
     announce(capsys, 10, ok, "1000 seeded triples: ring laws exact, numerics within 1e-9", elapsed)
     assert ok
     assert elapsed < 60.0
+
+
+# ---------------------------------------------------------------------------
+# matrix-valued factor systems: d_sigma = 2 from a Pythagorean column
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def pythagorean(q3):
+    action, _ = q3
+    s = pythagorean_column(action)
+    return action, s, from_cleft(action, s)
+
+
+def test_criterion_11_d2_axioms(capsys, pythagorean):
+    start = time.perf_counter()
+    _, _, fs = pythagorean
+    rep = verify_axioms(fs, 2, 2)
+    elapsed = time.perf_counter() - start
+    announce(capsys, 11, rep.passed, "d = 2 column system: every factor-system law", elapsed)
+    assert rep.passed, rep.failures
+
+
+def test_criterion_11_d2_unit_is_the_range_projection(capsys, pythagorean):
+    start = time.perf_counter()
+    action, s, fs = pythagorean
+    ok = True
+    for k in range(-3, 4):
+        sk = s((k,))
+        unit = fs.gamma((k,)).unit()
+        ok &= unit == sk * sk.adjoint()
+        ok &= unit.rows == (2 if k else 1)
+        ok &= fs.gamma((k,)).apply(TwistedPoly.one(action.twist)) == unit
+    elapsed = time.perf_counter() - start
+    announce(capsys, 11, ok, "d = 2 column system: gamma_sigma(1) = s(sigma) s(sigma)*", elapsed)
+    assert ok
+
+
+def test_criterion_11_d2_lifts_with_the_default_witness(capsys, pythagorean):
+    start = time.perf_counter()
+    action, _, fs = pythagorean
+    tw = action.twist
+    betas = {
+        "identity": Automorphism.identity(action),
+        "Ad u1": Automorphism.inner(action, TwistedPoly.generator(tw, 0)),
+        "diagonal": Automorphism.diagonal(
+            action, {0: Phase.coeff(tw.nslots, QQi(0, 1)), 1: Phase.coeff(tw.nslots, QQi(-1))}
+        ),
+    }
+    lifted = {
+        name: lift_via_cohomology(fs, beta, PartialIsometryFamily.units(fs), 1, 1).lifts
+        for name, beta in betas.items()
+    }
+    ok = all(lifted.values())
+    elapsed = time.perf_counter() - start
+    announce(capsys, 11, ok, "d = 2 column system: three automorphisms lift with v = gamma(1)",
+             elapsed)
+    assert lifted == dict.fromkeys(betas, True)
+
+
+def test_criterion_11_d2_derivation_lifts(capsys, pythagorean):
+    start = time.perf_counter()
+    action, _, fs = pythagorean
+    reps = [
+        verify_lift_conditions(fs, base_scaling_derivation(action, k), HFamily.zero(fs), 2, 2)
+        for k in action.base
+    ]
+    ok = all(rep.passed for rep in reps)
+    elapsed = time.perf_counter() - start
+    announce(capsys, 11, ok, "d = 2 column system: base scaling derivations lift with H = 0",
+             elapsed)
+    assert ok, [rep.failures for rep in reps]

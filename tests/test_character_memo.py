@@ -7,8 +7,6 @@ systems that share their parent's values, no caching of a failure, and
 d_sigma read off gamma_sigma.
 """
 
-from fractions import Fraction
-
 import pytest
 
 from nctorus.algebra import PolyMatrix, TwistedPoly
@@ -18,11 +16,12 @@ from nctorus.factor_system import (
     Automorphism,
     CharacterFamily,
     FactorSystem,
-    IsometryFamily,
     apply_automorphism,
     from_cleft,
 )
 from nctorus.phases import Phase, QQi
+
+from conftest import pythagorean_column
 
 CHARS = [(k,) for k in range(-2, 3)]
 
@@ -86,27 +85,11 @@ def test_failing_gamma_is_never_cached(q3_action):
     assert len(calls) == 3
 
 
-def _pythagorean_column(action):
-    """s(sigma) = (3/5 u3^sigma, 4/5 u3^sigma)^T for sigma != 0, s(0) = 1."""
-    tw = action.twist
-
-    def fn(char):
-        gen = TwistedPoly.generator(tw, action.coords[0], char[0])
-        if not any(char):
-            return PolyMatrix.from_scalar(gen)
-        return PolyMatrix(
-            tw,
-            [[gen.scale(QQi(Fraction(3, 5)))], [gen.scale(QQi(Fraction(4, 5)))]],
-        )
-
-    return IsometryFamily(action, fn)
-
-
 def test_dim_is_the_size_of_gamma(q3_action):
     cleft = from_cleft(q3_action)
     beta = Automorphism.diagonal(q3_action, {0: Phase.coeff(q3_action.twist.nslots, QQi(0, 1))})
     transported = apply_automorphism(cleft, beta)
-    s = _pythagorean_column(q3_action)
+    s = pythagorean_column(q3_action)
     column = from_cleft(q3_action, s)
     for fs in (cleft, transported, column):
         for sigma in CHARS:

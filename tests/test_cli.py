@@ -340,6 +340,12 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
             {"h_family": {"linear_scalar": [{"exponents": [0, 0, 1]}]}},
             "h_family.linear_scalar: family value at (1,) leaves the fixed algebra",
         ),
+        (
+            "check-factor-system",
+            {"char_range": 1, "omega_overrides": [
+                {"sigma": [1], "pi": [0], "value": [{"exponents": [0, 0, 1]}]}]},
+            "omega_overrides[0].value: cocycle value leaves the fixed algebra",
+        ),
     ],
 )
 def test_invalid_values_name_their_path(tmp_path, command, extra, message):

@@ -33,8 +33,8 @@ def one(q3_twist):
     return TwistedPoly.one(q3_twist)
 
 
-def constant_witness(action):
-    return PartialIsometryFamily.constant_one(action)
+def constant_witness(fs):
+    return PartialIsometryFamily.units(fs)
 
 
 def central_scalar_witness(action, fn):
@@ -58,21 +58,21 @@ def diagonal_beta(action, seed):
 class TestExtraction:
     def test_identity_collapses(self, q3_system, q3_action, one):
         u = extract_cocycle(
-            q3_system, Automorphism.identity(q3_action), constant_witness(q3_action), 2
+            q3_system, Automorphism.identity(q3_action), constant_witness(q3_system), 2
         )
         for s in char_box(1, 2):
             for p in char_box(1, 2):
                 assert u.value(s, p) == one
 
     def test_diagonal_beta_collapses(self, q3_system, q3_action, one):
-        u = extract_cocycle(q3_system, diagonal_beta(q3_action, 5), constant_witness(q3_action), 2)
+        u = extract_cocycle(q3_system, diagonal_beta(q3_action, 5), constant_witness(q3_system), 2)
         assert all(
             u.value(s, p) == one for s in char_box(1, 2) for p in char_box(1, 2)
         )
 
     def test_inner_beta_collapses(self, q3_system, q3_action, q3_gens, one):
         beta = Automorphism.inner(q3_action, q3_gens[0])
-        u = extract_cocycle(q3_system, beta, constant_witness(q3_action), 2)
+        u = extract_cocycle(q3_system, beta, constant_witness(q3_system), 2)
         assert all(
             u.value(s, p) == one for s in char_box(1, 2) for p in char_box(1, 2)
         )
@@ -221,7 +221,7 @@ class TestSolveCoboundary:
 
     def test_two_witnesses_give_cohomologous_cocycles(self, q3_system, q3_action, q3_twist):
         beta = Automorphism.inner(q3_action, TwistedPoly.generator(q3_twist, 0))
-        u_a = extract_cocycle(q3_system, beta, constant_witness(q3_action), 2)
+        u_a = extract_cocycle(q3_system, beta, constant_witness(q3_system), 2)
         v_b = central_scalar_witness(q3_action, lambda char: Phase.unit(q3_twist.nslots, 1, -char[0]))
         u_b = extract_cocycle(q3_system, beta, v_b, 2)
         ratio = pointwise_ratio(u_a, u_b)
@@ -232,7 +232,7 @@ class TestSolveCoboundary:
 class TestMaterializedLift:
     def test_identity_lift(self, q3_system, q3_action, q3_gens):
         lift = LiftedAutomorphism(
-            q3_system, Automorphism.identity(q3_action), constant_witness(q3_action), 2, 2
+            q3_system, Automorphism.identity(q3_action), constant_witness(q3_system), 2, 2
         )
         x = q3_gens[0] * q3_gens[2] + q3_gens[2].star()
         assert lift.apply(x) == x
@@ -240,7 +240,7 @@ class TestMaterializedLift:
     def test_diagonal_lift_values(self, q3_system, q3_action, q3_twist, q3_gens):
         w = {0: Phase.coeff(q3_twist.nslots, QQi(0, 1))}
         beta = Automorphism.diagonal(q3_action, w)
-        lift = LiftedAutomorphism(q3_system, beta, constant_witness(q3_action), 2, 2)
+        lift = LiftedAutomorphism(q3_system, beta, constant_witness(q3_system), 2, 2)
         assert lift.apply(q3_gens[2]) == q3_gens[2]
         assert lift.apply(q3_gens[0]) == q3_gens[0].scale(QQi(0, 1))
 
@@ -262,7 +262,7 @@ class TestMaterializedLift:
 
     def test_lift_is_degree_preserving_and_extends_beta(self, q3_system, q3_action, q3_twist):
         beta = diagonal_beta(q3_action, 77)
-        out = lift_via_cohomology(q3_system, beta, constant_witness(q3_action), 2, 2)
+        out = lift_via_cohomology(q3_system, beta, constant_witness(q3_system), 2, 2)
         assert out.lifts
         rng = random.Random(10)
         for _ in range(6):
@@ -277,7 +277,7 @@ class TestMaterializedLift:
 
     def test_multiplicativity_on_random_graded_pairs(self, q3_system, q3_action, q3_twist):
         beta = Automorphism.inner(q3_action, TwistedPoly.generator(q3_twist, 1))
-        out = lift_via_cohomology(q3_system, beta, constant_witness(q3_action), 2, 2)
+        out = lift_via_cohomology(q3_system, beta, constant_witness(q3_system), 2, 2)
         assert out.lifts
         rng = random.Random(11)
         for _ in range(6):
@@ -294,7 +294,7 @@ class TestMaterializedLift:
         w0 = Phase.unit(q3_twist.nslots, 0, 1, QQi(0, 1))
         w1 = Phase.coeff(q3_twist.nslots, QQi(-1))
         beta = Automorphism.diagonal(q3_action, {0: w0, 1: w1})
-        lift = LiftedAutomorphism(q3_system, beta, constant_witness(q3_action), 2, 2)
+        lift = LiftedAutomorphism(q3_system, beta, constant_witness(q3_system), 2, 2)
 
         def full_diagonal(x):
             out = TwistedPoly.zero(q3_twist)

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from nctorus.algebra import TwistedPoly
+from nctorus.algebra import PolyMatrix, TwistedPoly
 from nctorus.derivations import (
     ConnectionSection,
     Derivation,
@@ -40,8 +40,8 @@ def d2(q3_action):
 
 
 @pytest.fixture(scope="module")
-def h_zero(q3_action):
-    return HFamily.zero(q3_action)
+def h_zero(q3_system):
+    return HFamily.zero(q3_system)
 
 
 @pytest.fixture(scope="module")
@@ -240,8 +240,6 @@ class TestCrossedHom:
         assert is_crossed_hom(q3_system, h_gauge, 2)
 
     def test_scalar_view_rejects_matrix_values(self, q3_system, q3_action, q3_twist):
-        from nctorus.algebra import PolyMatrix
-
         good = HFamily.from_scalars(
             q3_action, lambda char: two_pi_i(q3_twist).scale(QQi(char[0]))
         )
@@ -259,6 +257,14 @@ class TestCrossedHom:
 
     def test_zero_family(self, q3_system, h_zero):
         assert is_crossed_hom(q3_system, h_zero, 2)
+
+    @pytest.mark.parametrize("char", [(1,), (-1,)])
+    def test_non_scalar_cocycle_value_anywhere_in_the_box_is_rejected(
+        self, q3_system, q3_gens, h_zero, char
+    ):
+        fs = q3_system.with_omega_override(char, char, PolyMatrix.from_scalar(q3_gens[0]))
+        with pytest.raises(ValueError, match="require scalar cocycle values"):
+            crossed_hom_report(fs, h_zero, 2)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_equivalent_to_gauge_membership_on_scalars(self, q3_system, q3_action, q3_twist, seed):
@@ -315,7 +321,7 @@ class TestBracket:
             q3_action, lambda char: b - q3_system.gamma(char).apply(b).as_scalar()
         )
         l1 = LiftedDerivation(q3_system, inner, h_inner)
-        l2 = LiftedDerivation(q3_system, base_scaling_derivation(q3_action, 0), HFamily.zero(q3_action))
+        l2 = LiftedDerivation(q3_system, base_scaling_derivation(q3_action, 0), HFamily.zero(q3_system))
         br = bracket(l1, l2)
         for _ in range(8):
             x = random_poly(rng, q3_twist, 3, 2)

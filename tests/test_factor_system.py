@@ -9,7 +9,9 @@ from nctorus.factor_system import (
     AlgebraMorphism,
     Automorphism,
     IsometryFamily,
+    MatrixMorphism,
     PartialIsometryFamily,
+    ScopeError,
     apply_automorphism,
     frohlich_map,
     frohlich_morphism,
@@ -55,6 +57,18 @@ class TestFromCleft:
         assert fs.gamma(()).apply(u1).as_scalar() == u1
         assert fs.omega((), ()).as_scalar() == TwistedPoly.one(tw)
         assert verify_axioms(fs, [()], 2).passed
+
+    def test_non_isometric_column_is_rejected(self, q3_action, q3_twist):
+        # s = (u3, u3)^T is equivariant, but s* s = 2: Ad s would not be unital
+        def fn(char):
+            gen = PolyMatrix.from_scalar(cleft_generator(q3_action, char))
+            return gen if not any(char) else PolyMatrix(q3_twist, gen.entries * 2)
+
+        fs = from_cleft(q3_action, IsometryFamily(q3_action, fn))
+        assert fs.dim((0,)) == 1
+        for _ in range(2):
+            with pytest.raises(ValueError, match=r"at \(1,\) is not an isometry"):
+                fs.gamma((1,))
 
 
 class TestVerifyAxioms:
@@ -129,7 +143,7 @@ class TestApplyAutomorphism:
 
 class TestVerifyConjugacy:
     def test_identity_witness(self, q3_system, q3_action):
-        v = PartialIsometryFamily.constant_one(q3_action)
+        v = PartialIsometryFamily.units(q3_system)
         assert verify_conjugacy(q3_system, q3_system, v, 2, 2).passed
 
     def test_witness_between_two_cleft_choices(self, q3_system, q3_action, q3_twist):
@@ -196,7 +210,7 @@ class TestFrohlich:
 
 class TestGaugeUnitaries:
     def test_identity_family(self, q3_system, q3_action):
-        v = PartialIsometryFamily.constant_one(q3_action)
+        v = PartialIsometryFamily.units(q3_system)
         assert verify_gauge_unitary(q3_system, v, 2, 2).passed
 
     def test_central_phase_powers(self, q3_system, q3_action, q3_twist):
@@ -281,3 +295,26 @@ class TestMorphismValidation:
         with pytest.raises(ValueError, match=r"automorphism is not a \*-morphism"):
             Automorphism(fwd, inv)
         Automorphism(fwd, inv, check=False)  # unchecked construction stays possible
+
+    def test_constructor_rejects_a_missing_generator(self, q3_action, q3_gens):
+        one = PolyMatrix.identity(q3_action.twist, 1)
+        images = {0: PolyMatrix.from_scalar(q3_gens[0])}
+        with pytest.raises(ValueError, match="missing generator images for u2"):
+            MatrixMorphism(q3_action, one, images, images)
+
+    def test_constructor_rejects_images_outside_the_fixed_algebra(self, q3_action, q3_gens):
+        u1, u2, u3 = q3_gens
+        with pytest.raises(ScopeError, match="image of u1 leaves the fixed algebra"):
+            AlgebraMorphism(q3_action, {0: u3, 1: u2})
+        with pytest.raises(ScopeError, match=r"image of u2\^-1 leaves the fixed algebra"):
+            AlgebraMorphism(q3_action, {0: u1, 1: u2}, {0: u1.star(), 1: u3})
+        with pytest.raises(ScopeError, match="image of 1 leaves the fixed algebra"):
+            MatrixMorphism.from_map(q3_action, lambda x: PolyMatrix.from_scalar(x * u3))
+
+    def test_from_map_reads_the_unit_and_the_generators(self, q3_action, q3_twist, q3_gens):
+        half = QQi(Fraction(1, 2))
+        m = MatrixMorphism.from_map(q3_action, lambda x: PolyMatrix.from_scalar(x.scale(half)))
+        assert m.unit() == PolyMatrix.from_scalar(TwistedPoly.one(q3_twist).scale(half))
+        assert m.images[0] == PolyMatrix.from_scalar(q3_gens[0].scale(half))
+        assert m.inv_images[1] == PolyMatrix.from_scalar(q3_gens[1].star().scale(half))
+        assert m.apply(TwistedPoly.one(q3_twist)) == m.unit()

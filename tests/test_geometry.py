@@ -143,13 +143,13 @@ class TestFrameConnection:
 
 class TestSectionConnection:
     def test_agrees_with_frame_connection_for_plain_lifts(self, q3_system, module2, d1, q3_gens):
-        lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_system.action))
+        lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_system))
         assert section_connection(module2, lift, module2.frame[0]).is_zero()
         x = module2.frame[0] * q3_gens[0]
         assert section_connection(module2, lift, x) == frame_connection(module2, d1, x)
 
     def test_leibniz_rule(self, q3_system, module2, d1, q3_action):
-        lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_action))
+        lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_system))
         rng = random.Random(67)
         for _ in range(6):
             (x,) = module_elements(module2, rng, 1)
@@ -176,7 +176,7 @@ class TestSectionConnection:
     def test_metric_report_is_evaluated_not_assumed(self, q3_system, module2, q3_action, q3_twist, d1, q3_gens):
         rng = random.Random(69)
         pairs = [tuple(module_elements(module2, rng, 2)) for _ in range(4)]
-        star_lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_action))
+        star_lift = LiftedDerivation(q3_system, d1, HFamily.zero(q3_system))
         skew_rep, metric_rep = section_metric_report(module2, star_lift, pairs)
         assert metric_rep.passed
         # a non-star section: base shifted by a non-skew inner derivation

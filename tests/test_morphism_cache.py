@@ -57,7 +57,7 @@ def ref_apply(m: MatrixMorphism, x: TwistedPoly) -> PolyMatrix:
 
 def fresh(m: MatrixMorphism) -> MatrixMorphism:
     """A copy of ``m`` with empty caches."""
-    return MatrixMorphism(m.action, m.dim, m.images, m.inv_images)
+    return MatrixMorphism(m.action, m.unit(), m.images, m.inv_images)
 
 
 def diagonal_morphism() -> MatrixMorphism:
@@ -77,7 +77,7 @@ def diagonal_morphism() -> MatrixMorphism:
         inv_images[k] = PolyMatrix(
             tw, [[geninv.scale(w1.invert()), z], [z, geninv.scale(w2.invert())]]
         )
-    return MatrixMorphism(ACTION, 2, images, inv_images)
+    return MatrixMorphism(ACTION, PolyMatrix.identity(tw, 2), images, inv_images)
 
 
 exponent = st.integers(-3, 3)
@@ -243,7 +243,7 @@ def test_swapped_2x2_images_break_the_relations():
     m = diagonal_morphism()
     images = dict(m.images)
     images[0], images[2] = images[2], images[0]
-    assert not MatrixMorphism(ACTION, 2, images, m.inv_images).respects_relations()
+    assert not MatrixMorphism(ACTION, m.unit(), images, m.inv_images).respects_relations()
 
 
 def test_non_adjoint_2x2_inverse_is_not_a_star_morphism():
@@ -252,7 +252,7 @@ def test_non_adjoint_2x2_inverse_is_not_a_star_morphism():
     m = diagonal_morphism()
     scaled = MatrixMorphism(
         ACTION,
-        2,
+        m.unit(),
         {k: v.map(lambda e: e.scale(QQi(2))) for k, v in m.images.items()},
         {k: v.map(lambda e: e.scale(QQi(Fraction(1, 2)))) for k, v in m.inv_images.items()},
     )

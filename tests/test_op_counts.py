@@ -17,11 +17,12 @@ from nctorus.q3torus import standard_angles, twist3
 # and one QQi product per TwistedPoly product.  A morphism caches the image
 # of each monomial, and scaling a cached image by its phase is one
 # Phase.mul with no TwistedPoly product, so the counts no longer match one
-# to one.
+# to one.  A monomial image is the product of its generator powers with no
+# unit factor, and each isometry column costs one product for s* s = 1.
 EXPECTED = {
-    "TwistedPoly.__mul__": 1457,
-    "Phase.mul": 1697,
-    "QQi.__mul__": 1697,
+    "TwistedPoly.__mul__": 1380,
+    "Phase.mul": 1620,
+    "QQi.__mul__": 1620,
 }
 
 
