@@ -20,6 +20,15 @@ numeric boundary.
 Canonical form (merged exponents, no zero coefficients) makes ``==``
 the algebra equality, which all verifiers downstream rely on.  Values
 are immutable after construction and can be shared freely.
+
+Monomial lane: nearly every product the verifiers form is monomial
+times monomial, or 1 x 1 times 1 x 1.  Such products skip the general
+loops and are built directly in canonical form.  This is exact: c u^a
+times c' u^b is the single term c c' q^s(a, b) u^(a+b), which is
+nonzero because the coefficient ring QQ(i)[F] has no zero divisors, so
+there is nothing to merge or filter; and a 1 x 1 product is the one
+entry product, whose twist ``TwistedPoly._check`` has already compared.
+The general loops stay for every other shape.
 """
 
 from __future__ import annotations
@@ -214,6 +223,14 @@ class TwistedPoly:
         if isinstance(other, TwistedPoly):
             self._check(other)
             twist = self.twist
+            if len(self.terms) == 1 and len(other.terms) == 1:
+                # monomial lane: one key, and QQ(i)[F] has no zero divisors
+                (a, pa), = self.terms.items()
+                (b, pb), = other.terms.items()
+                mono = object.__new__(TwistedPoly)
+                mono.twist = twist
+                mono.terms = {tuple(map(add, a, b)): _reordered(twist, pa.mul(pb), a, b)}
+                return mono
             out: dict = {}
             for a, pa in self.terms.items():
                 for b, pb in other.terms.items():
@@ -424,6 +441,13 @@ class PolyMatrix:
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} by "
                 f"{other.rows}x{other.cols}"
             )
+        if self.rows == self.cols == other.cols == 1:
+            # 1 x 1 lane: the entry product checks its twists itself
+            one = object.__new__(PolyMatrix)
+            one.twist = self.twist
+            one.entries = ((self.entries[0][0] * other.entries[0][0],),)
+            one.rows = one.cols = 1
+            return one
         # a 0-column self has a 0x0 other, so no entry reads row[0]
         out = []
         for row in self.entries:
@@ -457,6 +481,10 @@ class PolyMatrix:
                         row.append(self.entries[i1][j1] * other.entries[i2][j2])
                 out.append(row)
         return PolyMatrix(self.twist, out)
+
+    def ampliate(self, d: int) -> "PolyMatrix":
+        """self ox 1_d, with the identity on the fast (inner) tensor leg."""
+        return self if d == 1 else self.kron(PolyMatrix.identity(self.twist, d))
 
     def scale_left(self, poly: TwistedPoly) -> "PolyMatrix":
         return self.map(lambda e: poly * e)

@@ -163,17 +163,18 @@ def extract_cocycle(
 
     Requires the witness equation Ad[v(sigma)] . gamma_sigma =
     gamma_sigma^beta on the requested box; the offending character and
-    generator are reported when it fails.
+    generator are reported when it fails.  Every v(sigma) it reads must
+    be d_sigma x d_sigma, or a ValueError names the character.
     """
     action = fs.action
     tw = action.twist
     chars = resolve_chars(action, char_range)
     transported = apply_automorphism(fs, beta)
     for sigma in chars:
-        vs = v(sigma)
-        vsa = vs.adjoint()
         g = fs.gamma(sigma)
         gb = transported.gamma(sigma)
+        vs = v.sized(sigma, gb.dim, g.dim)
+        vsa = vs.adjoint()
         for k in action.base:
             b = TwistedPoly.generator(tw, k)
             if vs * g.apply(b) * vsa != gb.apply(b):
@@ -189,10 +190,15 @@ def extract_cocycle(
     s = fs.isometries
     binv = beta.inverse()
 
+    def witness(char: Character) -> PolyMatrix:
+        # a value may read characters off the box; s(char) has d_char rows
+        d = s(char).rows
+        return v.sized(char, d, d)
+
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        inner = v(sp) * twisted_product(fs, pi_, v(pi_), sigma, v(sigma)).adjoint()
-        inner = binv.apply_matrix(inner)
+        product = twisted_product(fs, pi_, witness(pi_), sigma, witness(sigma))
+        inner = binv.apply_matrix(witness(sp) * product.adjoint())
         return (s(sp).adjoint() * inner * s(pi_).kron(s(sigma))).as_scalar()
 
     return TwoCocycle(action, value_fn, delta_fn=lambda c: frohlich_morphism(fs, c))

@@ -266,7 +266,7 @@ def _cocycle_derivative(
     """(H(sigma) ox 1) omega + gamma_sigma(H(pi)) omega + omega H(sigma+pi)*."""
     om = fs.omega(sigma, pi_)
     return (
-        h(sigma).kron(PolyMatrix.identity(fs.action.twist, fs.dim(pi_))) * om
+        h(sigma).ampliate(fs.dim(pi_)) * om
         + fs.gamma(sigma).apply_to_matrix(h(pi_)) * om
         + om * h(char_add(sigma, pi_)).adjoint()
     )

@@ -159,7 +159,10 @@ class MatrixMorphism:
         """Entrywise application; the morphism indexes the outer tensor leg.
 
         Result[(s1*m.rows + r), (s2*m.cols + c)] = apply(m[r, c])[s1, s2].
+        A 1 x 1 input is one block, which the assembly gives back unchanged.
         """
+        if m.rows == m.cols == 1:
+            return MatrixMorphism.apply(self, m.entries[0][0])
         d = self.dim
         blocks = [
             [MatrixMorphism.apply(self, m.entries[r][c]) for c in range(m.cols)]
@@ -194,7 +197,11 @@ class MatrixMorphism:
         return all(self.inv_images[k] == self.images[k].adjoint() for k in self.action.base)
 
     def equals_on_generators(self, other: "MatrixMorphism") -> bool:
-        return all(self.images[k] == other.images[k] for k in self.action.base)
+        """Same images of every u_k and of every u_k^-1."""
+        return all(
+            self.images[k] == other.images[k] and self.inv_images[k] == other.inv_images[k]
+            for k in self.action.base
+        )
 
 
 class AlgebraMorphism(MatrixMorphism):
@@ -244,10 +251,11 @@ class Automorphism:
             for a, b in ((fwd, inv), (inv, fwd)):
                 if not a.compose(b).equals_on_generators(ident):
                     raise ValueError("inverse images do not invert the morphism")
-            if not fwd.respects_relations():
-                raise ValueError("automorphism violates the defining relations")
-            if not fwd.is_star_morphism():
-                raise ValueError("automorphism is not a *-morphism")
+            for leg in (fwd, inv):
+                if not leg.respects_relations():
+                    raise ValueError("automorphism violates the defining relations")
+                if not leg.is_star_morphism():
+                    raise ValueError("automorphism is not a *-morphism")
 
     @property
     def action(self) -> TorusAction:
@@ -371,6 +379,16 @@ class PartialIsometryFamily(CharacterFamily):
         """v(sigma) = gamma_sigma(1): the witness of the identity automorphism."""
         return cls(fs.action, lambda char: fs.gamma(char).unit())
 
+    def sized(self, char: Character, rows: int, cols: int) -> PolyMatrix:
+        """v(char), which must be rows x cols: d'_char x d_char between two systems."""
+        m = self(char)
+        if (m.rows, m.cols) != (rows, cols):
+            raise ValueError(
+                f"witness at {tuple(char)} is {m.rows}x{m.cols}, "
+                f"but that character needs {rows}x{cols}"
+            )
+        return m
+
     def _check(self, char: Character, m: PolyMatrix) -> None:
         if not matrix_in_base_algebra(self.action, m):
             raise ScopeError(f"witness at {char} leaves the fixed algebra")
@@ -476,11 +494,7 @@ def twisted_product(
     for :func:`isotypic_mul`, witness or gauge values for the conjugacy
     and intertwining laws.
     """
-    return (
-        x.kron(PolyMatrix.identity(fs.action.twist, y.rows))
-        * fs.gamma(sigma).apply_to_matrix(y)
-        * fs.omega(sigma, pi_)
-    )
+    return x.ampliate(y.rows) * fs.gamma(sigma).apply_to_matrix(y) * fs.omega(sigma, pi_)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +573,7 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
             om_sp = fs.omega(sigma, pi_)
             sp = char_add(sigma, pi_)
             for rho in chars:
-                d_rho = fs.dim(rho)
-                lhs = om_sp.kron(PolyMatrix.identity(tw, d_rho)) * fs.omega(sp, rho)
+                lhs = om_sp.ampliate(fs.dim(rho)) * fs.omega(sp, rho)
                 rhs = gs.apply_to_matrix(fs.omega(pi_, rho)) * fs.omega(
                     sigma, char_add(pi_, rho)
                 )
@@ -586,6 +599,8 @@ def verify_conjugacy(
     Checks Ad[v(sigma)] . gamma = gamma', Ad[v(sigma)*] . gamma' = gamma,
     and (v(sigma) ox 1) gamma_sigma(v(pi)) omega(sigma,pi)
         = omega'(sigma,pi) v(sigma+pi).
+    Every v(sigma) it reads must be d'_sigma x d_sigma, or a ValueError
+    names the character.
     """
     action = fs.action
     chars = resolve_chars(action, char_range)
@@ -593,10 +608,10 @@ def verify_conjugacy(
     rb = ReportBuilder("factor-system-conjugacy")
 
     for sigma in chars:
-        vs = v(sigma)
-        vsa = vs.adjoint()
         g = fs.gamma(sigma)
         g2 = fs2.gamma(sigma)
+        vs = v.sized(sigma, g2.dim, g.dim)
+        vsa = vs.adjoint()
         for b in monomials:
             rb.expect(
                 "witness conjugates coaction forward",
@@ -614,7 +629,9 @@ def verify_conjugacy(
     for sigma in chars:
         for pi_ in chars:
             lhs = twisted_product(fs, sigma, v(sigma), pi_, v(pi_))
-            rhs = fs2.omega(sigma, pi_) * v(char_add(sigma, pi_))
+            om2 = fs2.omega(sigma, pi_)
+            # sigma + pi may leave the box; the cocycles' columns give its size
+            rhs = om2 * v.sized(char_add(sigma, pi_), om2.cols, fs.omega(sigma, pi_).cols)
             rb.expect(
                 "witness intertwines cocycles",
                 {"sigma": sigma, "pi": pi_},

@@ -58,6 +58,11 @@ def pythagorean_column(action: TorusAction) -> IsometryFamily:
     return IsometryFamily(action, fn)
 
 
+def wrong_size(char: str) -> str:
+    """Pattern of the error naming a 1 x 1 witness at a character with d = 2."""
+    return rf"witness at \({char},\) is 1x1, but that character needs 2x2"
+
+
 def random_qqi(rng: random.Random, span: int = 3) -> QQi:
     while True:
         c = QQi(rng.randint(-span, span), rng.randint(-span, span))

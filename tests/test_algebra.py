@@ -13,9 +13,10 @@ from nctorus.algebra import (
     TwistMismatchError,
     numeric_product,
 )
+from nctorus.factor_system import from_cleft
 from nctorus.phases import Phase, QQi
 
-from conftest import random_poly, theta_float
+from conftest import pythagorean_column, random_base_poly, random_poly, theta_float
 
 
 def unit(tw, k, l, power=1):
@@ -100,9 +101,12 @@ class TestMul:
         assert letters_product(tw, letters) == normal_order_oracle(tw, letters)
 
     def test_twist_mismatch_is_an_error(self, tw):
+        # monomials on both sides: the monomial and 1 x 1 lanes check too
         other = TwistMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
-        with pytest.raises(TwistMismatchError):
-            TwistedPoly.generator(tw, 0) * TwistedPoly.generator(other, 0)
+        x, y = TwistedPoly.generator(tw, 0), TwistedPoly.monomial(other, (0, 1), QQi(0, 3))
+        for lhs, rhs in ((x, y), (y, x), (PolyMatrix.from_scalar(x), PolyMatrix.from_scalar(y))):
+            with pytest.raises(TwistMismatchError):
+                lhs * rhs
 
 
 class TestStar:
@@ -287,3 +291,95 @@ def test_generator_unitarity_all_twists():
                 uk, ul = TwistedPoly.generator(tw, k), TwistedPoly.generator(tw, l)
                 lam = unit(tw, min(k, l), max(k, l), 1 if k < l else -1)
                 assert uk * ul - lam * (ul * uk) == TwistedPoly.zero(tw)
+
+
+# the monomial lane: single-term and 1 x 1 products skip the general loops
+# and must return exactly what those loops return
+
+_TW3 = TwistMatrix(
+    [
+        [0, Fraction(1, 4), Fraction(-1, 3)],
+        [Fraction(-1, 4), 0, Fraction(-1, 6)],
+        [Fraction(1, 3), Fraction(1, 6), 0],
+    ]
+)
+_exps = st.tuples(*[st.integers(-3, 3)] * _TW3.n)
+
+
+@st.composite
+def lane_phases(draw):
+    """One- or two-term phases with non-unit coefficients, q units and tau powers."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 2))):
+        qexp = tuple(draw(st.integers(-2, 2)) for _ in range(_TW3.nslots))
+        tau = draw(st.integers(-1, 2))
+        re, im = draw(_coeffs), draw(_coeffs)
+        terms[(qexp, tau)] = QQi(Fraction(re or 1, draw(st.integers(1, 3))), im)
+    return Phase(_TW3.nslots, terms)
+
+
+@st.composite
+def lane_monomials(draw):
+    return TwistedPoly(_TW3, {draw(_exps): draw(lane_phases())})
+
+
+def _far_term(x: TwistedPoly) -> TwistedPoly:
+    """A unit monomial whose exponent no product with x's can collide with."""
+    (a,) = x.terms
+    return TwistedPoly.monomial(_TW3, [e + 20 for e in a])
+
+
+@settings(max_examples=80, deadline=None)
+@given(lane_monomials(), lane_monomials())
+def test_monomial_lane_matches_the_general_loop(x, y):
+    product = x * y
+    (key,) = product.terms
+    # a second, far-off term sends each side through the general double loop
+    for general in ((x + _far_term(x)) * y, x * (y + _far_term(y))):
+        assert product.terms == {key: general.terms[key]}
+    assert product.twist is x.twist
+    assert product == TwistedPoly(_TW3, dict(product.terms))  # canonical: nothing to filter
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_monomials(), lane_monomials(), lane_monomials())
+def test_one_by_one_lane_matches_the_general_loop(x, y, z):
+    zero = TwistedPoly.zero(_TW3)
+    lane = PolyMatrix.from_scalar(x) * PolyMatrix.from_scalar(y + z)
+    # a 1 x 2 by 2 x 1 product runs the triple loop and the full constructor
+    general = PolyMatrix(_TW3, [[x, zero]]) * PolyMatrix(_TW3, [[y + z], [zero]])
+    assert lane == general
+    assert (lane.rows, lane.cols, lane.twist) == (1, 1, _TW3)
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), st.data())
+def test_ampliate_is_the_kronecker_product_with_the_identity(rows, cols, d, data):
+    entries = [[data.draw(lane_monomials()) for _ in range(cols)] for _ in range(rows)]
+    x = PolyMatrix(_TW3, entries)
+    assert x.ampliate(d) == x.kron(PolyMatrix.identity(_TW3, d))
+    if d == 1:
+        assert x.ampliate(d) is x
+
+
+@pytest.fixture(scope="module")
+def pythagorean_system(q3_action):
+    return from_cleft(q3_action, pythagorean_column(q3_action))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(-2, 2), st.data())
+def test_one_by_one_apply_to_matrix_is_the_block_assembly(pythagorean_system, k, data):
+    action = pythagorean_system.action
+    tw = action.twist
+    g = pythagorean_system.gamma((k,))
+    x = random_base_poly(random.Random(data.draw(st.integers(0, 10**6))), action)
+    zero = TwistedPoly.zero(tw)
+    lane = g.apply_to_matrix(PolyMatrix.from_scalar(x))
+    # diag(x, 0) runs the general assembly; its (0, 0) entries form the one block
+    general = g.apply_to_matrix(PolyMatrix(tw, [[x, zero], [zero, zero]]))
+    d = g.dim
+    assert lane == PolyMatrix(
+        tw, [[general.entry(2 * s1, 2 * s2) for s2 in range(d)] for s1 in range(d)]
+    )
+    assert (lane.rows, lane.cols) == (d, d) == ((2, 2) if k else (1, 1))

@@ -25,7 +25,13 @@ from nctorus.factor_system import (
 from nctorus.phases import Phase, QQi
 from nctorus.q3torus import all_weight_monomials
 
-from conftest import random_base_poly, random_poly, unimodular_phase
+from conftest import (
+    pythagorean_column,
+    random_base_poly,
+    random_poly,
+    unimodular_phase,
+    wrong_size,
+)
 
 
 @pytest.fixture()
@@ -90,6 +96,22 @@ class TestExtraction:
             )
         assert err.value.char == (1,)
         assert err.value.generator is not None
+
+    def test_witness_of_the_wrong_size_is_named(self, q3_action):
+        fs = from_cleft(q3_action, pythagorean_column(q3_action))
+        one = PolyMatrix.identity(q3_action.twist, 1)
+        v = PartialIsometryFamily(q3_action, lambda char: one)
+        with pytest.raises(ValueError, match=wrong_size("-1")):
+            lift_via_cohomology(fs, Automorphism.identity(q3_action), v, 1, 1)
+
+    def test_witness_of_the_wrong_size_off_the_box_is_named(self, q3_action):
+        # the cocycle law reads u(sigma + pi, rho), so values leave the box
+        fs = from_cleft(q3_action, pythagorean_column(q3_action))
+        units = PartialIsometryFamily.units(fs)
+        one = PolyMatrix.identity(q3_action.twist, 1)
+        v = PartialIsometryFamily(q3_action, lambda char: units(char) if abs(char[0]) < 2 else one)
+        with pytest.raises(ValueError, match=wrong_size("-2")):
+            lift_via_cohomology(fs, Automorphism.identity(q3_action), v, 1, 1)
 
 
 class TestCocycleLaws:

@@ -23,7 +23,13 @@ from nctorus.factor_system import (
 )
 from nctorus.phases import Phase, QQi
 
-from conftest import random_base_poly, random_circle_action, unimodular_phase
+from conftest import (
+    pythagorean_column,
+    random_base_poly,
+    random_circle_action,
+    unimodular_phase,
+    wrong_size,
+)
 
 
 def q13(tw, power=1):
@@ -174,6 +180,22 @@ class TestVerifyConjugacy:
         rep = verify_conjugacy(q3_system, q3_system, v, 2, 2)
         assert not rep.passed
 
+    def test_witness_of_the_wrong_size_is_named(self, q3_action):
+        fs = from_cleft(q3_action, pythagorean_column(q3_action))
+        one = PolyMatrix.identity(q3_action.twist, 1)
+        v = PartialIsometryFamily(q3_action, lambda char: one)
+        with pytest.raises(ValueError, match=wrong_size("-1")):
+            verify_conjugacy(fs, fs, v, 1, 1)
+
+    def test_witness_of_the_wrong_size_off_the_box_is_named(self, q3_action):
+        # v(sigma + pi) leaves the box; its size comes from the cocycles
+        fs = from_cleft(q3_action, pythagorean_column(q3_action))
+        units = PartialIsometryFamily.units(fs)
+        one = PolyMatrix.identity(q3_action.twist, 1)
+        v = PartialIsometryFamily(q3_action, lambda char: units(char) if abs(char[0]) < 2 else one)
+        with pytest.raises(ValueError, match=wrong_size("-2")):
+            verify_conjugacy(fs, fs, v, 1, 1)
+
 
 class TestFrohlich:
     def test_unit_is_fixed(self, q3_system, q3_twist):
@@ -284,6 +306,16 @@ class TestMorphismValidation:
         )
         with pytest.raises(ValueError):
             Automorphism(fwd, shifted)
+
+    def test_wrong_inverse_images_on_the_inverse_leg_are_rejected(self, q3_action, q3_gens):
+        # the inverse leg fixes u1 and u2 but sends u1^-1 to 2 u1^-1
+        u1, u2, _ = q3_gens
+        ident = AlgebraMorphism.identity(q3_action)
+        inv = AlgebraMorphism(q3_action, {0: u1, 1: u2}, {0: u1.star().scale(QQi(2)), 1: u2.star()})
+        assert not inv.equals_on_generators(ident)
+        assert not inv.respects_relations()
+        with pytest.raises(ValueError, match="inverse images do not invert the morphism"):
+            Automorphism(ident, inv)
 
     def test_non_star_morphism_is_rejected(self, q3_action, q3_gens):
         # u1 -> 2 u1 respects the relations and is invertible, but is not unitary

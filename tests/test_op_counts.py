@@ -1,32 +1,68 @@
-"""Pinned operation counts for one fixed verification workload.
+"""Pinned operation counts for fixed verification workloads.
 
-The ring layers are wrapped from outside with counting wrappers, and
-``verify_axioms`` runs on a fresh q3torus demo system.  The counts are
-deterministic, so an algorithmic regression (an extra product per term
-pair, a lost cache, a unit phase multiplied in again) fails here without
-relying on timing.
+The ring layers are wrapped from outside with counting wrappers, and each
+workload runs on a fresh system.  The counts are deterministic, so an
+algorithmic regression (an extra product per term pair, a lost cache, a
+unit phase multiplied in again) fails here without relying on timing.
+A pin may be lowered when a change removes products; it is never raised.
 """
 
+import pytest
+
 from nctorus.algebra import TwistedPoly
+from nctorus.cohomology import lift_via_cohomology
 from nctorus.dynamics import TorusAction
-from nctorus.factor_system import from_cleft, verify_axioms
+from nctorus.factor_system import (
+    Automorphism,
+    PartialIsometryFamily,
+    from_cleft,
+    verify_axioms,
+)
 from nctorus.phases import Phase, QQi
 from nctorus.q3torus import standard_angles, twist3
 
-# every product on this workload multiplies two monomials: one Phase.mul
-# and one QQi product per TwistedPoly product.  A morphism caches the image
-# of each monomial, and scaling a cached image by its phase is one
-# Phase.mul with no TwistedPoly product, so the counts no longer match one
-# to one.  A monomial image is the product of its generator powers with no
-# unit factor, and each isometry column costs one product for s* s = 1.
+from conftest import pythagorean_column
+
+# verify_axioms on the q3torus demo system.  Every product on this
+# workload multiplies two monomials: one Phase.mul and one QQi product per
+# TwistedPoly product.  A morphism caches the image of each monomial, and
+# scaling a cached image by its phase is one Phase.mul with no TwistedPoly
+# product, so the counts no longer match one to one.  A monomial image is
+# the product of its generator powers with no unit factor, and each
+# isometry column costs one product for s* s = 1.  x ox 1_1 is x itself
+# (``PolyMatrix.ampliate``), so the cocycle identity and the twisted
+# product form no Kronecker product with I_1: 1,380 / 1,620 / 1,620 before.
 EXPECTED = {
-    "TwistedPoly.__mul__": 1380,
-    "Phase.mul": 1620,
-    "QQi.__mul__": 1620,
+    "TwistedPoly.__mul__": 1255,
+    "Phase.mul": 1495,
+    "QQi.__mul__": 1495,
+}
+
+# lift_via_cohomology of a diagonal automorphism on the q3torus demo
+# system with the default witness, r = 2: extraction, the cocycle sweep,
+# the solve and the materialized lift's conjugacy check.  The pin covers
+# the constructor's relation and *-checks on both legs of the automorphism.
+# 2,019 / 2,112 / 2,112 before x ox 1_1 became x itself.
+EXPECTED_LIFT = {
+    "TwistedPoly.__mul__": 1933,
+    "Phase.mul": 2027,
+    "QQi.__mul__": 2027,
+}
+
+# verify_axioms on the d = 2 Pythagorean column system (d_sigma = 2 for
+# sigma != 0), so the 1 x 1 lanes cannot hide a d > 1 regression.  Only
+# the cocycle identity at rho = 0, where d_rho = 1, lost its Kronecker
+# product with I_1: 5,120 / 6,040 / 6,040 before.
+EXPECTED_D2 = {
+    "TwistedPoly.__mul__": 5079,
+    "Phase.mul": 5999,
+    "QQi.__mul__": 5999,
 }
 
 
-def test_verify_axioms_operation_counts(monkeypatch):
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of each ring product since the fixture was requested."""
     counts = dict.fromkeys(EXPECTED, 0)
 
     def counting(name, fn):
@@ -39,10 +75,39 @@ def test_verify_axioms_operation_counts(monkeypatch):
     for cls, attr in ((TwistedPoly, "__mul__"), (Phase, "mul"), (QQi, "__mul__")):
         name = f"{cls.__name__}.{attr}"
         monkeypatch.setattr(cls, attr, counting(name, cls.__dict__[attr]))
+    return counts
 
+
+def q3_action():
+    return TorusAction(twist3(*standard_angles()), (2,))
+
+
+def test_verify_axioms_operation_counts(counts):
     # a fresh system: its gamma/omega caches start empty
-    fs = from_cleft(TorusAction(twist3(*standard_angles()), (2,)))
+    fs = from_cleft(q3_action())
     report = verify_axioms(fs, char_range=2, gen_degree=2)
 
     assert report.passed and report.checks == 512
     assert counts == EXPECTED
+
+
+def test_lift_operation_counts(counts):
+    action = q3_action()
+    nslots = action.twist.nslots
+    beta = Automorphism.diagonal(
+        action, {0: Phase.coeff(nslots, QQi(0, 1)), 1: Phase.coeff(nslots, QQi(-1))}
+    )
+    fs = from_cleft(action)
+    outcome = lift_via_cohomology(fs, beta, PartialIsometryFamily.units(fs), 2, 2)
+
+    assert outcome.lifts and outcome.cocycle_report.checks == 176
+    assert counts == EXPECTED_LIFT
+
+
+def test_matrix_valued_axioms_operation_counts(counts):
+    action = q3_action()
+    fs = from_cleft(action, pythagorean_column(action))
+    report = verify_axioms(fs, char_range=1, gen_degree=2)
+
+    assert report.passed and report.checks == 170
+    assert counts == EXPECTED_D2
