@@ -29,6 +29,15 @@ nonzero because the coefficient ring QQ(i)[F] has no zero divisors, so
 there is nothing to merge or filter; and a 1 x 1 product is the one
 entry product, whose twist ``TwistedPoly._check`` has already compared.
 The general loops stay for every other shape.
+
+Dense lane: the general polynomial product groups its term pairs by
+output monomial and hands each group to one kernel
+(``phases._product_terms``), with s(a, b) folded into the phase keys;
+``Phase.mul`` uses the same kernel.  Coefficients accumulate per key
+as unreduced integers (a, b, d) and each output coefficient is reduced
+with one gcd.  This is exact because the canonical form of a Gaussian
+rational is unique: reducing once at the end gives the same value as
+reducing after every product and sum.
 """
 
 from __future__ import annotations
@@ -37,7 +46,7 @@ import cmath
 from fractions import Fraction
 from operator import add
 
-from .phases import Phase, QQi
+from .phases import Phase, QQi, _canonical, _product_terms
 
 
 class TwistMismatchError(ValueError):
@@ -115,13 +124,12 @@ def check_skew_numeric(theta_numeric, n: int, tol: float = 1e-12):
                 raise ValueError("numeric theta is not skew-symmetric within 1e-12")
 
 
-def _reordered(twist: TwistMatrix, p: Phase, a, b) -> Phase:
-    """``p`` times the phase of normal-ordering u^a * u^b.
+def _reorder_shift(twist: TwistMatrix, a, b):
+    """The q-exponent vector s(a, b) of u^a * u^b = q^s * u^(a+b), or None if 0.
 
-    u^a * u^b = q^s * u^(a+b) with s = -a^T L b, L strictly
-    lower-triangular: slot q_{ji} gets -a_i*b_j for each i > j.  Each
-    slot has one term, so ``p`` comes back unchanged exactly when every
-    product a_i*b_j vanishes.
+    s = -a^T L b, L strictly lower-triangular: slot q_{ji} gets
+    -a_i*b_j for each i > j.  Each slot has one term, so s is zero
+    exactly when every product a_i*b_j vanishes.
     """
     e = None
     for i, j, slot in twist.reorder:
@@ -132,7 +140,7 @@ def _reordered(twist: TwistMatrix, p: Phase, a, b) -> Phase:
                 if e is None:
                     e = [0] * twist.nslots
                 e[slot] = -ai * bj
-    return p if e is None else p.shift(e)
+    return e
 
 
 def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
@@ -150,6 +158,21 @@ def _coerce_phase(twist: TwistMatrix, c) -> Phase | None:
     if isinstance(c, (int, Fraction)):
         return Phase.coeff(twist.nslots, QQi(c))
     return None
+
+
+def _dense_product(twist: TwistMatrix, xs: dict, ys: dict) -> "TwistedPoly":
+    """The dense lane: one kernel call per output monomial (kept out of ``__mul__``,
+    whose frame size the monomial lane pays on every call)."""
+    groups: dict = {}
+    for a, pa in xs.items():
+        for b, pb in ys.items():
+            pair = (pa.terms, pb.terms, _reorder_shift(twist, a, b))
+            groups.setdefault(tuple(map(add, a, b)), []).append(pair)
+    nslots = twist.nslots
+    # the constructor drops a monomial whose phase cancelled to zero
+    return TwistedPoly(
+        twist, {key: _canonical(nslots, _product_terms(pairs)) for key, pairs in groups.items()}
+    )
 
 
 class TwistedPoly:
@@ -229,16 +252,11 @@ class TwistedPoly:
                 (b, pb), = other.terms.items()
                 mono = object.__new__(TwistedPoly)
                 mono.twist = twist
-                mono.terms = {tuple(map(add, a, b)): _reordered(twist, pa.mul(pb), a, b)}
+                p = pa.mul(pb)
+                e = _reorder_shift(twist, a, b)
+                mono.terms = {tuple(map(add, a, b)): p if e is None else p.shift(e)}
                 return mono
-            out: dict = {}
-            for a, pa in self.terms.items():
-                for b, pb in other.terms.items():
-                    key = tuple(map(add, a, b))
-                    p = _reordered(twist, pa.mul(pb), a, b)
-                    acc = out.get(key)
-                    out[key] = p if acc is None else acc.add(p)
-            return TwistedPoly(twist, out)
+            return _dense_product(twist, self.terms, other.terms)
         c = _coerce_phase(self.twist, other)
         if c is None:
             return NotImplemented
@@ -260,7 +278,8 @@ class TwistedPoly:
         for a, p in self.terms.items():
             key = tuple(-x for x in a)
             # star(u^a) = q^s(a, a) * u^-a
-            q = _reordered(self.twist, p.conjugate(), a, a)
+            q, e = p.conjugate(), _reorder_shift(self.twist, a, a)
+            q = q if e is None else q.shift(e)
             acc = out.get(key)
             out[key] = q if acc is None else acc.add(q)
         return TwistedPoly(self.twist, out)
@@ -272,7 +291,8 @@ class TwistedPoly:
         (a, p), = self.terms.items()
         inv_exp = tuple(-x for x in a)
         # (c u^a)^-1 = c^-1 (u^a)^-1 and (u^a)^-1 = (u^a)^* for the unitary u^a
-        q = _reordered(self.twist, p.invert(), a, a)
+        q, e = p.invert(), _reorder_shift(self.twist, a, a)
+        q = q if e is None else q.shift(e)
         return TwistedPoly(self.twist, {inv_exp: q})
 
     # -- predicates and views ------------------------------------------

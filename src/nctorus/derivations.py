@@ -45,15 +45,23 @@ class DerivationError(ValueError):
 
 
 class Derivation:
-    """Derivation given by generator images, extended by the Leibniz rule."""
+    """Derivation given by generator images, extended by the Leibniz rule.
 
-    __slots__ = ("twist", "gens", "images", "_powers")
+    ``gens`` is kept sorted and free of repeats, so two derivations on
+    the same generator set compare, add and bracket whatever order the
+    set was listed in.  The image of each monomial u^a is computed once
+    and cached (``_monomial``), as are the images of generator powers;
+    ``apply`` scales the cached images by the phases of its argument.
+    """
+
+    __slots__ = ("twist", "gens", "images", "_powers", "_monomials")
 
     def __init__(self, twist: TwistMatrix, gens, images: dict, check: bool = True):
         self.twist = twist
-        self.gens = tuple(gens)
+        self.gens = tuple(sorted(set(gens)))
         self.images = {k: images[k] for k in self.gens}
         self._powers: dict = {}
+        self._monomials: dict = {}
         if check:
             violated = self.violated_relation()
             if violated is not None:
@@ -115,31 +123,37 @@ class Derivation:
         self._powers[(k, m)] = total
         return total
 
+    def _monomial(self, a) -> TwistedPoly:
+        """delta(u^a): the Leibniz sum of u^left * delta(u_k^a_k) * u^right, cached.
+
+        The scope check runs on every cache miss before anything is
+        stored, so an exponent outside the generators raises every time.
+        """
+        image = self._monomials.get(a)
+        if image is not None:
+            return image
+        tw = self.twist
+        for k, e in enumerate(a):
+            if e and k not in self.images:
+                raise ScopeError(f"derivation not defined on {tw.gen_name(k)}")
+        image = TwistedPoly.zero(tw)
+        for k in self.gens:
+            if a[k]:
+                left = [e if j < k else 0 for j, e in enumerate(a)]
+                right = [e if j > k else 0 for j, e in enumerate(a)]
+                image = image + (
+                    TwistedPoly.monomial(tw, left)
+                    * self._gen_power(k, a[k])
+                    * TwistedPoly.monomial(tw, right)
+                )
+        self._monomials[a] = image
+        return image
+
     def apply(self, x: TwistedPoly) -> TwistedPoly:
         total = TwistedPoly.zero(self.twist)
-        genset = set(self.gens)
         for a, phase in x.terms.items():
-            for k, e in enumerate(a):
-                if e and k not in genset:
-                    raise ScopeError(
-                        f"derivation not defined on {self.twist.gen_name(k)}"
-                    )
-            for k in self.gens:
-                if not a[k]:
-                    continue
-                left = [0] * self.twist.n
-                right = [0] * self.twist.n
-                for j in self.gens:
-                    if j < k:
-                        left[j] = a[j]
-                    elif j > k:
-                        right[j] = a[j]
-                piece = (
-                    TwistedPoly.monomial(self.twist, left, phase)
-                    * self._gen_power(k, a[k])
-                    * TwistedPoly.monomial(self.twist, right)
-                )
-                total = total + piece
+            image = self._monomial(a)
+            total = total + (image if phase.is_one() else image.scale(phase))
         return total
 
     def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -154,6 +168,8 @@ class Derivation:
         )
 
     def __add__(self, other: "Derivation") -> "Derivation":
+        if self.gens != other.gens:
+            raise ValueError("derivations live on different generator sets")
         # the exchange-relation constraint is linear, no recheck needed
         return Derivation(
             self.twist,

@@ -163,6 +163,41 @@ def _clean(terms: dict) -> dict:
     return {k: c for k, c in terms.items() if not c.is_zero()}
 
 
+def _product_terms(pairs) -> dict:
+    """Canonical terms of the sum of ``s * o * q^shift`` over ``pairs``.
+
+    ``pairs`` holds ``(s, o, shift)``: two term maps and a q-exponent
+    vector, or None for no shift.  Each output key accumulates unreduced
+    ``(a, b, d)`` ints (numerators add over a shared denominator,
+    otherwise cross-multiply) and becomes one QQi with one gcd at the
+    end; keys that sum to exactly zero are dropped.  Reducing once is
+    exact because the canonical form of a Gaussian rational is unique.
+    """
+    acc: dict = {}
+    get = acc.get
+    for s, o, shift in pairs:
+        for (e1, t1), c1 in s.items():
+            if shift is not None:
+                e1 = tuple(map(add, e1, shift))
+            a1, b1, d1 = c1.a, c1.b, c1.d
+            for (e2, t2), c2 in o.items():
+                key = (tuple(map(add, e1, e2)), t1 + t2)
+                a2, b2 = c2.a, c2.b
+                a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2.d
+                cur = get(key)
+                if cur is None:
+                    acc[key] = [a, b, d]
+                elif cur[2] == d:
+                    cur[0] += a
+                    cur[1] += b
+                else:
+                    e = cur[2]
+                    cur[0] = cur[0] * d + a * e
+                    cur[1] = cur[1] * d + b * e
+                    cur[2] = e * d
+    return {k: _reduced(a, b, d) for k, (a, b, d) in acc.items() if a or b}
+
+
 def _canonical(nslots: int, terms: dict) -> "Phase":
     """Wrap ``terms`` that are already canonical (no zero coefficient)."""
     p = object.__new__(Phase)
@@ -251,14 +286,7 @@ class Phase:
             ((e2, t2), c2), = other.terms.items()
             key = (tuple(map(add, e1, e2)), t1 + t2)
             return _canonical(self.nslots, {key: c1 * c2})
-        out: dict = {}
-        for (e1, t1), c1 in self.terms.items():
-            for (e2, t2), c2 in other.terms.items():
-                key = (tuple(map(add, e1, e2)), t1 + t2)
-                c = c1 * c2
-                acc = out.get(key)
-                out[key] = c if acc is None else acc + c
-        return Phase(self.nslots, out)
+        return _canonical(self.nslots, _product_terms(((self.terms, other.terms, None),)))
 
     def scale(self, c: QQi) -> "Phase":
         if c.is_zero():

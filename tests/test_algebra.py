@@ -383,3 +383,128 @@ def test_one_by_one_apply_to_matrix_is_the_block_assembly(pythagorean_system, k,
         tw, [[general.entry(2 * s1, 2 * s2) for s2 in range(d)] for s1 in range(d)]
     )
     assert (lane.rows, lane.cols) == (d, d) == ((2, 2) if k else (1, 1))
+
+
+# the dense lane: the general products run one kernel that accumulates
+# unreduced integers per output key and reduces once; the reference is the
+# schoolbook loop it replaced, which reduces after every product and sum
+
+
+def _schoolbook_phase(p: Phase, r: Phase) -> Phase:
+    out = {}
+    for (e1, t1), c1 in p.terms.items():
+        for (e2, t2), c2 in r.terms.items():
+            key = (tuple(x + y for x, y in zip(e1, e2)), t1 + t2)
+            c = c1 * c2
+            out[key] = c if key not in out else out[key] + c
+    return Phase(p.nslots, out)
+
+
+def _schoolbook_shift(tw, a, b):
+    """s(a, b) from the relations: u_i^x u_j^y = q_{ji}^(-x y) u_j^y u_i^x for i > j."""
+    e = [0] * tw.nslots
+    for i in range(tw.n):
+        for j in range(i):
+            e[tw.slot(j, i)] -= a[i] * b[j]
+    return e
+
+
+def _schoolbook(x: TwistedPoly, y: TwistedPoly) -> TwistedPoly:
+    tw = x.twist
+    out = {}
+    for a, pa in x.terms.items():
+        for b, pb in y.terms.items():
+            key = tuple(s + t for s, t in zip(a, b))
+            p = _schoolbook_phase(pa, pb).shift(_schoolbook_shift(tw, a, b))
+            out[key] = p if key not in out else out[key].add(p)
+    return TwistedPoly(tw, out)
+
+
+@st.composite
+def dense_phases(draw):
+    """One to three terms: small q and tau powers so keys meet, denominators 1 to 4."""
+    terms = {}
+    for _ in range(draw(st.integers(1, 3))):
+        qexp = tuple(draw(st.integers(-1, 1)) for _ in range(_TW3.nslots))
+        re, im = draw(_coeffs), draw(_coeffs)
+        terms[(qexp, draw(st.integers(0, 2)))] = QQi(
+            Fraction(re or 1, draw(st.integers(1, 4))), Fraction(im, draw(st.integers(1, 4)))
+        )
+    return Phase(_TW3.nslots, terms)
+
+
+@st.composite
+def dense_polys(draw):
+    """Two to four terms on exponents in {-1, 0, 1}^3, so term pairs share output keys."""
+    exps = st.tuples(*[st.integers(-1, 1)] * _TW3.n)
+    terms = {draw(exps): draw(dense_phases()) for _ in range(draw(st.integers(2, 4)))}
+    return TwistedPoly(_TW3, terms)
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_phases(), dense_phases())
+def test_dense_phase_product_matches_the_schoolbook_loop(p, r):
+    assert p.mul(r).terms == _schoolbook_phase(p, r).terms
+
+
+@settings(max_examples=80, deadline=None)
+@given(dense_polys(), dense_polys())
+def test_dense_lane_matches_the_schoolbook_loop(x, y):
+    # dict equality: the same keys, and every QQi in the same (a, b, d) form
+    assert (x * y).terms == _schoolbook(x, y).terms
+
+
+@settings(max_examples=60, deadline=None)
+@given(lane_monomials(), dense_polys())
+def test_one_term_by_many_terms_matches_the_schoolbook_loop(m, x):
+    assert (m * x).terms == _schoolbook(m, x).terms
+    assert (x * m).terms == _schoolbook(x, m).terms
+
+
+class TestDenseLane:
+    def test_phase_terms_that_cancel_are_dropped(self):
+        n = _TW3.nslots
+        q_tau = Phase(n, {((1, 0, 0), 1): QQi(1)})
+        one = Phase.one(n)
+        product = one.add(q_tau).mul(one.sub(q_tau))
+        # (1 + q tau)(1 - q tau) = 1 - q^2 tau^2: the q tau terms cancel
+        assert product.terms == {((0, 0, 0), 0): QQi(1), ((2, 0, 0), 2): QQi(-1)}
+
+    def test_an_output_monomial_that_cancels_is_dropped(self):
+        u1, u2 = (TwistedPoly.generator(_TW3, k) for k in (0, 1))
+        q12 = TwistedPoly.scalar(_TW3, Phase.unit(_TW3.nslots, _TW3.slot(0, 1)))
+        # u1 u2 - q12 u2 u1 = 0, since u2 u1 = q12^-1 u1 u2
+        product = (u1 + u2) * (u2 - q12 * u1)
+        assert (1, 1, 0) not in product.terms
+        assert product == u2 * u2 - q12 * u1 * u1
+        assert product.terms == _schoolbook(u1 + u2, u2 - q12 * u1).terms
+
+    def test_mixed_denominators_on_one_key(self):
+        n = _TW3.nslots
+        q = ((1, 0, 0), 0)
+        q_inv = ((-1, 0, 0), 0)
+        zero = ((0, 0, 0), 0)
+        p = Phase(n, {zero: QQi(Fraction(1, 2)), q: QQi(1)})
+        r = Phase(n, {zero: QQi(Fraction(1, 3)), q_inv: QQi(0, 1)})
+        # the constant key gets 1/6 and then i over a different denominator
+        assert p.mul(r).terms == {
+            zero: QQi(Fraction(1, 6), 1),
+            q_inv: QQi(0, Fraction(1, 2)),
+            q: QQi(Fraction(1, 3)),
+        }
+
+    def test_several_term_pairs_on_one_output_monomial(self):
+        u1, u2, u3 = (TwistedPoly.generator(_TW3, k) for k in range(3))
+        x = u1 + u2 + u3
+        # u_k u_l and u_l u_k meet on every key off the diagonal
+        assert (x * x).terms == _schoolbook(x, x).terms
+        assert len((x * x).terms) == 6
+
+    def test_reorder_phase_lands_on_the_right_operand_order(self):
+        u1, u2 = (TwistedPoly.generator(_TW3, k) for k in (0, 1))
+        one = TwistedPoly.one(_TW3)
+        # u2 u1 carries q12^-1 and u1 u2 none
+        assert ((one + u2) * (one + u1)).terms[(1, 1, 0)] == Phase.unit(
+            _TW3.nslots, _TW3.slot(0, 1), -1
+        )
+        assert ((one + u1) * (one + u2)).terms[(1, 1, 0)] == Phase.one(_TW3.nslots)

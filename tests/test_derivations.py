@@ -12,6 +12,7 @@ from nctorus.derivations import (
     SectionEntry,
     atiyah_check,
     bracket,
+    bracket_derivations,
     crossed_hom_report,
     is_crossed_hom,
     is_gauge_element,
@@ -23,8 +24,8 @@ from nctorus.derivations import (
 )
 from nctorus.dynamics import grade
 from nctorus.factor_system import ScopeError
-from nctorus.phases import QQi
-from nctorus.q3torus import base_scaling_derivation, gauge_h_family
+from nctorus.phases import Phase, QQi
+from nctorus.q3torus import base_scaling_derivation, gauge_h_family, standard_angles, twist3
 
 from conftest import random_base_poly, random_poly, random_skew_scalar
 
@@ -372,3 +373,113 @@ class TestAtiyahSection:
         )
         rep = atiyah_check(q3_system, section, 2, 2)
         assert not rep.passed
+
+
+# -- the monomial-image cache and the generator set ---------------------------
+
+
+def _reference_power(d: Derivation, k: int, m: int) -> TwistedPoly:
+    """delta(u_k^m) by the Leibniz rule, recomputed on every call."""
+    tw = d.twist
+    if m < 0:
+        inv = TwistedPoly.generator(tw, k, m)
+        return -(inv * _reference_power(d, k, -m) * inv)
+    total = TwistedPoly.zero(tw)
+    for i in range(m):
+        total = total + (
+            TwistedPoly.generator(tw, k, i) * d.images[k] * TwistedPoly.generator(tw, k, m - 1 - i)
+        )
+    return total
+
+
+def _reference_apply(d: Derivation, x: TwistedPoly) -> TwistedPoly:
+    """The uncached per-term Leibniz sum of c u^left * delta(u_k^a_k) * u^right."""
+    tw = d.twist
+    total = TwistedPoly.zero(tw)
+    for a, phase in x.terms.items():
+        for k in d.gens:
+            if a[k]:
+                left = [e if j < k else 0 for j, e in enumerate(a)]
+                right = [e if j > k else 0 for j, e in enumerate(a)]
+                total = total + (
+                    TwistedPoly.monomial(tw, left, phase)
+                    * _reference_power(d, k, a[k])
+                    * TwistedPoly.monomial(tw, right)
+                )
+    return total
+
+
+def _dense_phase(rng: random.Random, nslots: int) -> Phase:
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        qexp = tuple(rng.randint(-1, 1) for _ in range(nslots))
+        terms[(qexp, rng.randint(0, 1))] = QQi(rng.randint(1, 4), rng.randint(-3, 3))
+    return Phase(nslots, terms)
+
+
+def _dense_base_poly(rng: random.Random, action) -> TwistedPoly:
+    terms = {}
+    for _ in range(rng.randint(2, 4)):
+        e = [0] * action.twist.n
+        for k in action.base:
+            e[k] = rng.randint(-2, 2)
+        terms[tuple(e)] = _dense_phase(rng, action.twist.nslots)
+    return TwistedPoly(action.twist, terms)
+
+
+def _dense_derivation(rng: random.Random, action) -> Derivation:
+    """An inner derivation plus a tau-valued scaling one: dense generator images."""
+    tw = action.twist
+    inner = Derivation.inner(tw, action.base, random_poly(rng, tw, 3, 1, with_phases=True))
+    return inner + scaling_derivation(tw, action.base, 0).scale(_dense_phase(rng, tw.nslots))
+
+
+class TestMonomialCache:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_apply_matches_the_uncached_leibniz_sum(self, q3_action, seed):
+        rng = random.Random(seed)
+        d = _dense_derivation(rng, q3_action)
+        for _ in range(3):
+            x = _dense_base_poly(rng, q3_action)
+            expected = _reference_apply(d, x)
+            assert d.apply(x) == expected
+            assert d.apply(x) == expected  # every image now comes from the cache
+
+    def test_out_of_scope_term_raises_every_time_and_is_never_cached(self, q3_action, q3_twist):
+        d = _dense_derivation(random.Random(7), q3_action)
+        x = TwistedPoly.monomial(q3_twist, (1, -1, 0)) + TwistedPoly.monomial(
+            q3_twist, (1, 0, 2), QQi(2)
+        )
+        for _ in range(2):
+            with pytest.raises(ScopeError, match="u3"):
+                d.apply(x)
+        assert (1, 0, 2) not in d._monomials
+
+    def test_a_scaled_monomial_after_the_monomial_is_the_scaled_image(self, q3_action, q3_twist):
+        rng = random.Random(11)
+        d = _dense_derivation(rng, q3_action)
+        c = _dense_phase(rng, q3_twist.nslots)
+        for a in ((1, 0, 0), (2, -1, 0), (-1, 2, 0)):
+            image = d.apply(TwistedPoly.monomial(q3_twist, a))
+            scaled = TwistedPoly.monomial(q3_twist, a, c)
+            assert d.apply(scaled) == image.scale(c) == _reference_apply(d, scaled)
+
+
+class TestGeneratorSets:
+    def test_listing_order_does_not_matter(self):
+        tw = twist3(*standard_angles())
+        d = scaling_derivation(tw, (0, 1), 0)
+        e = Derivation(tw, (1, 0, 1), d.images)
+        assert e.gens == (0, 1)
+        assert e == d
+        assert bracket_derivations(d, e).is_zero()
+
+    def test_adding_over_different_generator_sets_is_rejected(self, q3_system, h_zero):
+        tw = q3_system.action.twist
+        both = scaling_derivation(tw, (0, 1), 0)
+        one = scaling_derivation(tw, (0,), 0)
+        for x, y in ((both, one), (one, both)):
+            with pytest.raises(ValueError, match="different generator sets"):
+                x + y
+            with pytest.raises(ValueError, match="different generator sets"):
+                LiftedDerivation(q3_system, x, h_zero) + LiftedDerivation(q3_system, y, h_zero)

@@ -7,10 +7,13 @@ unit phase multiplied in again) fails here without relying on timing.
 A pin may be lowered when a change removes products; it is never raised.
 """
 
+from fractions import Fraction
+
 import pytest
 
 from nctorus.algebra import TwistedPoly
 from nctorus.cohomology import lift_via_cohomology
+from nctorus.derivations import Derivation, HFamily, verify_lift_conditions
 from nctorus.dynamics import TorusAction
 from nctorus.factor_system import (
     Automorphism,
@@ -57,6 +60,21 @@ EXPECTED_D2 = {
     "TwistedPoly.__mul__": 5079,
     "Phase.mul": 5999,
     "QQi.__mul__": 5999,
+}
+
+# verify_lift_conditions on the q3torus demo system, r = 2, degree 2, with
+# the dense skew scalar derivation u_k -> s_k u_k (three-term tau-valued
+# s_k) and H(sigma) = sigma * h for a three-term tau-valued h, counted from
+# the checked construction of the derivation on.  The derivation caches the
+# image of each monomial, so gamma_sigma(b), which has the same exponent
+# for every sigma, is expanded by the Leibniz rule once and then only
+# scaled by its phase; and a product of multi-term phases runs one kernel
+# on integers instead of a QQi product per term pair: 701 / 749 / 1,988
+# before.
+EXPECTED_DENSE = {
+    "TwistedPoly.__mul__": 413,
+    "Phase.mul": 509,
+    "QQi.__mul__": 149,
 }
 
 
@@ -111,3 +129,32 @@ def test_matrix_valued_axioms_operation_counts(counts):
 
     assert report.passed and report.checks == 170
     assert counts == EXPECTED_D2
+
+
+def _skew_scalar(tw, a, c, slot):
+    """i a tau + c q tau - conj(c) q^-1 tau for the q unit of ``slot``: s* = -s."""
+    n = tw.nslots
+    e = tuple(int(j == slot) for j in range(n))
+    terms = {
+        ((0,) * n, 1): QQi(0, a),
+        (e, 1): c,
+        (tuple(-x for x in e), 1): -c.conjugate(),
+    }
+    return TwistedPoly.scalar(tw, Phase(n, terms))
+
+
+def test_dense_lift_conditions_operation_counts(counts):
+    action = q3_action()
+    tw = action.twist
+    fs = from_cleft(action)
+    images = {
+        k: _skew_scalar(tw, Fraction(k + 1, 2), QQi(Fraction(1, 3), k - 1), k)
+        * TwistedPoly.generator(tw, k)
+        for k in action.base
+    }
+    delta = Derivation(tw, action.base, images)
+    h = HFamily.linear_scalar(action, _skew_scalar(tw, Fraction(-1, 3), QQi(2, Fraction(1, 5)), 2))
+    report = verify_lift_conditions(fs, delta, h, char_range=2, gen_degree=2)
+
+    assert report.passed and report.checks == 91
+    assert counts == EXPECTED_DENSE
