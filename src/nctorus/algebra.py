@@ -46,7 +46,7 @@ import cmath
 from fractions import Fraction
 from operator import add
 
-from .phases import Phase, QQi, _canonical, _product_terms
+from .phases import _QQI_ONE, Phase, QQi, _canonical, _product_terms
 
 
 class TwistMismatchError(ValueError):
@@ -205,7 +205,7 @@ class TwistedPoly:
         return cls(twist, {(0,) * twist.n: p})
 
     @classmethod
-    def monomial(cls, twist: TwistMatrix, exponents, c=1) -> "TwistedPoly":
+    def monomial(cls, twist: TwistMatrix, exponents, c=_QQI_ONE) -> "TwistedPoly":
         exponents = tuple(int(x) for x in exponents)
         if len(exponents) != twist.n:
             raise ValueError("exponent vector has wrong length")
@@ -511,6 +511,31 @@ class PolyMatrix:
 
     def map(self, fn) -> "PolyMatrix":
         return PolyMatrix(self.twist, [[fn(e) for e in row] for row in self.entries])
+
+    def scaled(self, phase: Phase) -> "PolyMatrix":
+        """Every entry times the scalar ``phase``, built directly in canonical form.
+
+        A nonzero phase times a nonzero term is nonzero (QQ(i)[F] has no
+        zero divisors), so no entry needs the zero filter, and the shape
+        and twist are the ones ``self`` already checked.
+        """
+        if phase.is_zero():
+            return PolyMatrix.zeros(self.twist, self.rows, self.cols)
+        tw = self.twist
+        rows = []
+        for row in self.entries:
+            out_row = []
+            for e in row:
+                p = object.__new__(TwistedPoly)
+                p.twist = tw
+                p.terms = {a: q.mul(phase) for a, q in e.terms.items()}
+                out_row.append(p)
+            rows.append(tuple(out_row))
+        m = object.__new__(PolyMatrix)
+        m.twist = tw
+        m.entries = tuple(rows)
+        m.rows, m.cols = self.rows, self.cols
+        return m
 
     # -- views ---------------------------------------------------------
 

@@ -18,6 +18,14 @@ d >= 2, the solver normalizes a candidate cochain along lexicographic
 staircase paths and either verifies the coboundary equation on the
 requested box or returns a certified :class:`Obstruction` with the
 exact residual at a witness pair.
+
+Lift lane: a cocycle value x is checked central without forming a
+product.  c u^a u_k and u_k c u^a are the monomial u^(a+e_k) with the
+phases c q^s(a, e_k) and c q^s(e_k, a), and a -> a + e_k is one to
+one, so x commutes with u_k exactly when the integer vectors s(a, e_k)
+and s(e_k, a) agree for every exponent a of x.  This is exact because
+the q units are free: a nonzero phase times q^v determines v.  The
+isometry adjoints s(sigma)* are read from the family's own cache.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import PolyMatrix, TwistedPoly
+from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, _reorder_shift
 from .dynamics import (
     Character,
     GradedElement,
@@ -64,10 +72,16 @@ class WitnessError(ValueError):
 
 
 def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
+    """x commutes with every u_k of B0: s(a, e_k) = s(e_k, a) for every
+    exponent a of x (the lift lane of the module docstring)."""
+    tw = action.twist
+    if x.twist != tw:
+        raise TwistMismatchError("operands have different twist matrices")
     for k in action.base:
-        g = TwistedPoly.generator(action.twist, k)
-        if x * g != g * x:
-            return False
+        e = tuple(int(j == k) for j in range(tw.n))
+        for a in x.terms:
+            if _reorder_shift(tw, a, e) != _reorder_shift(tw, e, a):
+                return False
     return True
 
 
@@ -199,7 +213,7 @@ def extract_cocycle(
         sp = char_add(sigma, pi_)
         product = twisted_product(fs, pi_, witness(pi_), sigma, witness(sigma))
         inner = binv.apply_matrix(witness(sp) * product.adjoint())
-        return (s(sp).adjoint() * inner * s(pi_).kron(s(sigma))).as_scalar()
+        return (s.adjoint(sp) * inner * s(pi_).kron(s(sigma))).as_scalar()
 
     return TwoCocycle(action, value_fn, delta_fn=lambda c: frohlich_morphism(fs, c))
 
@@ -401,7 +415,7 @@ class LiftedAutomorphism:
 
     def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
         s = self.fs.isometries(char)
-        y = s.adjoint().scale_left(x)
+        y = self.fs.isometries.adjoint(char).scale_left(x)
         out = self.beta.apply_matrix(y) * self.v(char) * s
         return out.as_scalar()
 

@@ -49,16 +49,21 @@ class Derivation:
 
     ``gens`` is kept sorted and free of repeats, so two derivations on
     the same generator set compare, add and bracket whatever order the
-    set was listed in.  The image of each monomial u^a is computed once
-    and cached (``_monomial``), as are the images of generator powers;
-    ``apply`` scales the cached images by the phases of its argument.
+    set was listed in; an index outside 0..n-1 is rejected here.  The
+    image of each monomial u^a is computed once and cached
+    (``_monomial``), as are the images of generator powers; ``apply``
+    scales the cached images by the phases of its argument.
     """
 
     __slots__ = ("twist", "gens", "images", "_powers", "_monomials")
 
     def __init__(self, twist: TwistMatrix, gens, images: dict, check: bool = True):
+        gens = tuple(sorted(set(gens)))
+        for k in gens:
+            if not 0 <= k < twist.n:
+                raise ValueError(f"generator index {k} out of range 0..{twist.n - 1}")
         self.twist = twist
-        self.gens = tuple(sorted(set(gens)))
+        self.gens = gens
         self.images = {k: images[k] for k in self.gens}
         self._powers: dict = {}
         self._monomials: dict = {}
@@ -356,7 +361,7 @@ class LiftedDerivation:
 
     def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
         s = self.fs.isometries(char)
-        y = s.adjoint().scale_left(x)
+        y = self.fs.isometries.adjoint(char).scale_left(x)
         out = self.base.apply_matrix(y) * s + y * self.h(char) * s
         return out.as_scalar()
 

@@ -11,6 +11,7 @@ i.e. generated by the non-acting u_k.
 from __future__ import annotations
 
 import itertools
+from operator import add
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMatrix
 
@@ -18,7 +19,7 @@ Character = tuple[int, ...]
 
 
 def char_add(a: Character, b: Character) -> Character:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def char_neg(a: Character) -> Character:

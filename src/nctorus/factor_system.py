@@ -32,6 +32,16 @@ fixed-algebra monomial it is applied to; ``apply`` scales the cached
 images by the phase coefficients.  The cache is bounded by the distinct
 monomials applied: in the verifiers, the character box times the degree.
 
+Lift lane: ``apply`` on a single term returns the cached image, or the
+image times the term's phase through ``PolyMatrix.scaled``, with no
+zero matrix and no sum; the general loop over the terms is the only
+other path.  ``scaled`` builds the entries directly and needs no zero
+filter: a nonzero phase times a nonzero term cannot vanish (QQ(i)[F]
+has no zero divisors), and the twist was checked when the image was
+built.  An :class:`IsometryFamily` serves s(sigma)* from a cached
+family, each value built from the validated s(sigma), so gamma_sigma,
+omega, the cocycle values and the lifts stop recomputing adjoints.
+
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
 set of fixed-algebra monomials; that suffices because every law is
@@ -145,11 +155,17 @@ class MatrixMorphism:
         return out
 
     def apply(self, x: TwistedPoly) -> PolyMatrix:
+        terms = x.terms
+        if len(terms) == 1:
+            # single-term lane: the cached image, scaled when the phase is not 1
+            (a, phase), = terms.items()
+            image = self._monomial(a)
+            return image if phase.is_one() else image.scaled(phase)
         total = None
-        for a, phase in x.terms.items():
+        for a, phase in terms.items():
             term = self._monomial(a)
             if not phase.is_one():
-                term = term.map(lambda e: e.scale(phase))
+                term = term.scaled(phase)
             total = term if total is None else total + term
         if total is None:
             return PolyMatrix.zeros(self.action.twist, self.dim, self.dim)
@@ -186,7 +202,7 @@ class MatrixMorphism:
             for l in self.action.base[i + 1 :]:
                 lam = exchange_phase(tw, k, l)
                 lhs = self.images[k] * self.images[l]
-                rhs = (self.images[l] * self.images[k]).map(lambda e: e.scale(lam))
+                rhs = (self.images[l] * self.images[k]).scaled(lam)
                 if lhs != rhs:
                     return False
             if self.images[k] * self.inv_images[k] != unit:
@@ -345,9 +361,22 @@ class CharacterFamily:
 
 
 class IsometryFamily(CharacterFamily):
-    """Family of equivariant isometry columns s(sigma) over the full algebra."""
+    """Family of equivariant isometry columns s(sigma) over the full algebra.
 
-    __slots__ = ()
+    ``adjoint(char)`` serves s(char)* from a cached family of its own,
+    each value built from the validated s(char), so a column that fails
+    its check leaves no adjoint behind either.
+    """
+
+    __slots__ = ("_adjoints",)
+
+    def __init__(self, action: TorusAction, fn: Callable):
+        super().__init__(action, fn)
+        self._adjoints = CharacterFamily(action, lambda char: self(char).adjoint())
+
+    def adjoint(self, char: Character) -> PolyMatrix:
+        """s(char)*, computed once per character."""
+        return self._adjoints(char)
 
     @classmethod
     def from_cleft_generators(cls, action: TorusAction) -> "IsometryFamily":
@@ -453,11 +482,11 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
 
     def gamma_fn(char: Character) -> MatrixMorphism:
         sm = s(char)
-        sa = sm.adjoint()
+        sa = s.adjoint(char)
         return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
-        m = s(sigma).kron(s(pi_)) * s(char_add(sigma, pi_)).adjoint()
+        m = s(sigma).kron(s(pi_)) * s.adjoint(char_add(sigma, pi_))
         if not matrix_in_base_algebra(action, m):
             raise ScopeError(f"cocycle value at {(sigma, pi_)} leaves the fixed algebra")
         return m
@@ -646,9 +675,9 @@ def frohlich_map(fs: FactorSystem, char: Character, b: TwistedPoly) -> TwistedPo
     """Conjugation of the fixed algebra by the isometry: s(sigma)* b s(sigma)."""
     if fs.isometries is None:
         raise ValueError("factor system carries no isometry realization")
-    s = fs.isometries(tuple(char))
+    s = fs.isometries(char)
     middle = PolyMatrix.identity(fs.action.twist, s.rows).scale_left(b)
-    return (s.adjoint() * middle * s).as_scalar()
+    return (fs.isometries.adjoint(char) * middle * s).as_scalar()
 
 
 def frohlich_morphism(fs: FactorSystem, char: Character) -> AlgebraMorphism:

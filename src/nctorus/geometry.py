@@ -68,7 +68,7 @@ def make_module(source, sigma) -> AssociatedModule:
     if fs.isometries is None:
         raise ValueError("module frames require an isometry realization")
     sigma = tuple(sigma)
-    adj = fs.isometries(sigma).adjoint()
+    adj = fs.isometries.adjoint(sigma)
     frame = [adj.entry(0, j) for j in range(adj.cols)]
     return AssociatedModule(fs, sigma, frame)
 

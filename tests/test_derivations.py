@@ -92,6 +92,15 @@ class TestMakeDerivation:
         with pytest.raises(ScopeError):
             d1.apply(q3_gens[2])
 
+    @pytest.mark.parametrize("bad", [5, 3, -1])
+    def test_generator_index_out_of_range_is_rejected(self, q3_twist, bad):
+        z = TwistedPoly.zero(q3_twist)
+        message = rf"generator index {bad} out of range 0\.\.2"
+        with pytest.raises(ValueError, match=message):
+            Derivation(q3_twist, (0, bad), {0: z, bad: z})
+        with pytest.raises(ValueError, match=message):
+            Derivation.zero(q3_twist, (0, bad))
+
 
 class TestLiftConditions:
     def test_scaling_derivations_lift_with_zero_family(self, q3_system, d1, d2, h_zero):

@@ -45,11 +45,14 @@ EXPECTED = {
 # system with the default witness, r = 2: extraction, the cocycle sweep,
 # the solve and the materialized lift's conjugacy check.  The pin covers
 # the constructor's relation and *-checks on both legs of the automorphism.
-# 2,019 / 2,112 / 2,112 before x ox 1_1 became x itself.
+# 2,019 / 2,112 / 2,112 before x ox 1_1 became x itself.  Centrality of a
+# cocycle value is read off the integer reordering form, so it forms no
+# products x u_k and u_k x (two per value and base generator): 1,933 /
+# 2,027 / 2,027 before.
 EXPECTED_LIFT = {
-    "TwistedPoly.__mul__": 1933,
-    "Phase.mul": 2027,
-    "QQi.__mul__": 2027,
+    "TwistedPoly.__mul__": 1573,
+    "Phase.mul": 1667,
+    "QQi.__mul__": 1667,
 }
 
 # verify_axioms on the d = 2 Pythagorean column system (d_sigma = 2 for
