@@ -513,14 +513,13 @@ class PolyMatrix:
         return PolyMatrix(self.twist, [[fn(e) for e in row] for row in self.entries])
 
     def scaled(self, phase: Phase) -> "PolyMatrix":
-        """Every entry times the scalar ``phase``, built directly in canonical form.
+        """Every entry times the scalar ``phase``, which must be nonzero,
+        built directly in canonical form.
 
         A nonzero phase times a nonzero term is nonzero (QQ(i)[F] has no
         zero divisors), so no entry needs the zero filter, and the shape
         and twist are the ones ``self`` already checked.
         """
-        if phase.is_zero():
-            return PolyMatrix.zeros(self.twist, self.rows, self.cols)
         tw = self.twist
         rows = []
         for row in self.entries:

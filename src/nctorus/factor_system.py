@@ -32,15 +32,15 @@ fixed-algebra monomial it is applied to; ``apply`` scales the cached
 images by the phase coefficients.  The cache is bounded by the distinct
 monomials applied: in the verifiers, the character box times the degree.
 
-Lift lane: ``apply`` on a single term returns the cached image, or the
-image times the term's phase through ``PolyMatrix.scaled``, with no
-zero matrix and no sum; the general loop over the terms is the only
-other path.  ``scaled`` builds the entries directly and needs no zero
-filter: a nonzero phase times a nonzero term cannot vanish (QQ(i)[F]
-has no zero divisors), and the twist was checked when the image was
-built.  An :class:`IsometryFamily` serves s(sigma)* from a cached
-family, each value built from the validated s(sigma), so gamma_sigma,
-omega, the cocycle values and the lifts stop recomputing adjoints.
+Lift lane: ``apply`` scales each cached image by its term's phase
+through ``PolyMatrix.scaled``, so a single-term argument gives back the
+cached image itself, or one scaled copy, with no sum.  ``scaled``
+builds the entries directly and needs no zero filter: a nonzero phase
+times a nonzero term cannot vanish (QQ(i)[F] has no zero divisors), and
+the twist was checked when the image was built.  An
+:class:`IsometryFamily` keeps the s(sigma)* that its isometry check
+forms, stored only once the column passes, so gamma_sigma, omega, the
+cocycle values and the lifts stop recomputing adjoints.
 
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
@@ -155,14 +155,8 @@ class MatrixMorphism:
         return out
 
     def apply(self, x: TwistedPoly) -> PolyMatrix:
-        terms = x.terms
-        if len(terms) == 1:
-            # single-term lane: the cached image, scaled when the phase is not 1
-            (a, phase), = terms.items()
-            image = self._monomial(a)
-            return image if phase.is_one() else image.scaled(phase)
         total = None
-        for a, phase in terms.items():
+        for a, phase in x.terms.items():
             term = self._monomial(a)
             if not phase.is_one():
                 term = term.scaled(phase)
@@ -363,20 +357,25 @@ class CharacterFamily:
 class IsometryFamily(CharacterFamily):
     """Family of equivariant isometry columns s(sigma) over the full algebra.
 
-    ``adjoint(char)`` serves s(char)* from a cached family of its own,
-    each value built from the validated s(char), so a column that fails
-    its check leaves no adjoint behind either.
+    ``adjoint(char)`` serves the s(char)* that the isometry check forms,
+    stored only after the last check passes, so a column that fails its
+    check leaves no adjoint behind either.
     """
 
     __slots__ = ("_adjoints",)
 
     def __init__(self, action: TorusAction, fn: Callable):
         super().__init__(action, fn)
-        self._adjoints = CharacterFamily(action, lambda char: self(char).adjoint())
+        self._adjoints: dict = {}
 
     def adjoint(self, char: Character) -> PolyMatrix:
         """s(char)*, computed once per character."""
-        return self._adjoints(char)
+        key = tuple(char)
+        cached = self._adjoints.get(key)
+        if cached is None:
+            self(char)
+            cached = self._adjoints[key]
+        return cached
 
     @classmethod
     def from_cleft_generators(cls, action: TorusAction) -> "IsometryFamily":
@@ -391,11 +390,13 @@ class IsometryFamily(CharacterFamily):
                 if not is_equivariant(self.action, e, char):
                     raise ValueError(f"isometry entry at {char} is not equivariant")
         one = PolyMatrix.identity(self.action.twist, 1)
+        adj = m.adjoint()
         # s* s = 1 makes Ad s(sigma) a unital *-morphism onto its range projection
-        if m.adjoint() * m != one:
+        if adj * m != one:
             raise ValueError(f"isometry column at {char} is not an isometry: s* s != 1")
         if char == char_zero(self.action.d) and m != one:
             raise ValueError("isometry family must send the trivial character to 1")
+        self._adjoints[tuple(char)] = adj
 
 
 class PartialIsometryFamily(CharacterFamily):

@@ -5,9 +5,9 @@ definitions they replace:
 
 * centrality of a cocycle value, read off the integer reordering form,
   against the products x u_k and u_k x for every base generator u_k;
-* ``MatrixMorphism.apply`` on a single term, the cached monomial image
-  scaled by the phase (``PolyMatrix.scaled``), against conjugation by the
-  isometry column, s x s*, and against the general sum over the terms;
+* ``MatrixMorphism.apply``, each cached monomial image scaled by its
+  term's phase (``PolyMatrix.scaled``), against conjugation by the
+  isometry column, s x s*, and against the sum over single terms;
 * the cached adjoint s(sigma)* of an isometry family against
   ``s(sigma).adjoint()``, and the rule that a column failing its check
   leaves nothing cached.
@@ -53,7 +53,7 @@ def phases(nslots: int, max_terms: int = 3):
     key = st.tuples(st.tuples(*[st.integers(-2, 2) for _ in range(nslots)]), st.integers(0, 1))
     return st.dictionaries(key, _nonzero_qqi, min_size=1, max_size=max_terms).map(
         lambda terms: Phase(nslots, terms)
-    )
+    ).filter(lambda p: not p.is_zero())
 
 
 def sparse_polys(twist: TwistMatrix, max_terms: int = 3):
@@ -112,7 +112,7 @@ def test_is_central_on_known_elements(q3_action, q3_gens):
 
 
 # ---------------------------------------------------------------------------
-# the single-term lane of MatrixMorphism.apply
+# MatrixMorphism.apply through PolyMatrix.scaled
 # ---------------------------------------------------------------------------
 
 Q3 = TwistMatrix(
@@ -171,7 +171,6 @@ def test_scaled_matches_entrywise_scale(data):
     for row in got.entries:
         for e in row:
             assert all(not p.is_zero() for p in e.terms.values())
-    assert m.scaled(Phase.zero(Q3.nslots)) == PolyMatrix.zeros(Q3, rows, cols)
 
 
 # ---------------------------------------------------------------------------
@@ -203,4 +202,4 @@ def test_failing_column_leaves_no_adjoint():
         with pytest.raises(ValueError, match=r"not an isometry"):
             s.adjoint((1,))
     assert calls == [(-1,), (1,), (1,)]
-    assert (1,) not in s._cache and (1,) not in s._adjoints._cache
+    assert (1,) not in s._cache and (1,) not in s._adjoints
