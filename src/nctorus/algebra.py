@@ -210,6 +210,8 @@ class TwistedPoly:
         if len(exponents) != twist.n:
             raise ValueError("exponent vector has wrong length")
         p = _coerce_phase(twist, c)
+        if p is None:
+            raise TypeError(f"cannot use {type(c).__name__} as coefficient")
         return cls(twist, {exponents: p})
 
     @classmethod

@@ -482,11 +482,11 @@ def cmd_lift(cfg: dict, args) -> dict:
         sample = _seeded_sample(action, rng_range, args.seed)
         rb = ReportBuilder("lift-sample")
         lift = outcome.lifted
-        for x in sample:
-            for y in sample[:3]:
-                rb.expect("multiplicativity", {"x": x, "y": y},
-                          lift.apply(x * y), lift.apply(x) * lift.apply(y))
-            rb.expect("involution", {"x": x}, lift.apply(x.star()), lift.apply(x).star())
+        images = [lift.apply(x) for x in sample]
+        for x, fx in zip(sample, images):
+            for y, fy in zip(sample[:3], images):
+                rb.expect("multiplicativity", {"x": x, "y": y}, lift.apply(x * y), fx * fy)
+            rb.expect("involution", {"x": x}, lift.apply(x.star()), fx.star())
         sample_rep = rb.finish()
         reports.append(sample_rep)
         passed = passed and sample_rep.passed
@@ -519,12 +519,13 @@ def cmd_lift_derivation(cfg: dict, args) -> dict:
     if passed:
         lifted = LiftedDerivation(fs, delta, h)
         sample = _seeded_sample(action, rng_range, args.seed)
+        images = [lifted.apply(x) for x in sample]
         rb = ReportBuilder("lift-sample")
-        for x in sample:
-            for y in sample[:3]:
+        for x, dx in zip(sample, images):
+            for y, dy in zip(sample[:3], images):
                 rb.expect(
                     "Leibniz rule", {"x": x, "y": y},
-                    lifted.apply(x * y), lifted.apply(x) * y + x * lifted.apply(y),
+                    lifted.apply(x * y), dx * y + x * dy,
                 )
         sample_rep = rb.finish()
         reports.append(sample_rep)

@@ -52,21 +52,28 @@ class Derivation:
     set was listed in; an index outside 0..n-1 is rejected here.  The
     image of each monomial u^a is computed once and cached
     (``_monomial``), as are the images of generator powers; ``apply``
-    scales the cached images by the phases of its argument.
+    scales the cached images by the phases of its argument.  A derivation
+    is an immutable value, so ``bracket_derivations`` keeps its last
+    bracket on the left operand (``_bracket``).
     """
 
-    __slots__ = ("twist", "gens", "images", "_powers", "_monomials")
+    __slots__ = ("twist", "gens", "images", "_powers", "_monomials", "_bracket")
 
     def __init__(self, twist: TwistMatrix, gens, images: dict, check: bool = True):
         gens = tuple(sorted(set(gens)))
         for k in gens:
             if not 0 <= k < twist.n:
                 raise ValueError(f"generator index {k} out of range 0..{twist.n - 1}")
+        try:
+            self.images = {k: images[k] for k in gens}
+        except KeyError as err:
+            missing = twist.gen_name(err.args[0])
+            raise ValueError(f"missing derivation image for {missing}") from None
         self.twist = twist
         self.gens = gens
-        self.images = {k: images[k] for k in self.gens}
         self._powers: dict = {}
         self._monomials: dict = {}
+        self._bracket = None  # (d2, [self, d2]) of the last bracket_derivations call
         if check:
             violated = self.violated_relation()
             if violated is not None:
@@ -155,10 +162,14 @@ class Derivation:
         return image
 
     def apply(self, x: TwistedPoly) -> TwistedPoly:
-        total = TwistedPoly.zero(self.twist)
+        total = None
         for a, phase in x.terms.items():
             image = self._monomial(a)
-            total = total + (image if phase.is_one() else image.scale(phase))
+            if not phase.is_one():
+                image = image.scale(phase)
+            total = image if total is None else total + image
+        if total is None:
+            return TwistedPoly.zero(self.twist)
         return total
 
     def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -202,13 +213,25 @@ def make_derivation(twist: TwistMatrix, gens, images: dict) -> Derivation:
 
 
 def bracket_derivations(d1: Derivation, d2: Derivation) -> Derivation:
-    """Commutator [d1, d2] as a derivation on the shared generators."""
+    """Commutator [d1, d2] as a derivation on the shared generators.
+
+    ``d1`` keeps the last result together with ``d2``, so asking again for
+    the same pair gives back the same derivation, monomial cache and all.
+    The operand is compared by identity, which is exact because a
+    derivation never changes after it is built; any other ``d2`` replaces
+    the memo.
+    """
+    memo = d1._bracket
+    if memo is not None and memo[0] is d2:
+        return memo[1]
     if d1.gens != d2.gens:
         raise ValueError("derivations live on different generator sets")
     images = {
         k: d1.apply(d2.images[k]) - d2.apply(d1.images[k]) for k in d1.gens
     }
-    return Derivation(d1.twist, d1.gens, images, check=False)
+    br = Derivation(d1.twist, d1.gens, images, check=False)
+    d1._bracket = (d2, br)
+    return br
 
 
 def two_pi_i(twist: TwistMatrix) -> TwistedPoly:

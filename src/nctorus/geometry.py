@@ -15,6 +15,14 @@ obeys the Leibniz rule and metric compatibility; its curvature is
 computed both as the commutator defect and by the closed frame formula,
 and the two must agree.  For cleft frames the inner products of frame
 elements are constant, so the curvature vanishes identically.
+
+A curvature sweep calls ``curvature`` once per module element with the
+same pair (delta1, delta2).  The commutator derivation [delta1, delta2]
+depends on the pair alone, so ``bracket_derivations`` keeps it on delta1:
+the sweep forms it once, and its cache of delta(u^a) images carries over
+from element to element.  The memo compares delta2 by identity, which is
+exact because a derivation is an immutable value; a different derivation
+is a different object.
 """
 
 from __future__ import annotations

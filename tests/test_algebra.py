@@ -156,6 +156,12 @@ class TestRingOps:
         assert 2 * u1 == u1 + u1
         assert u1 * Fraction(1, 2) + u1 * Fraction(1, 2) == u1
 
+    def test_unreadable_coefficient_is_rejected(self, tw):
+        with pytest.raises(TypeError, match="cannot use str as coefficient"):
+            TwistedPoly.monomial(tw, (1, 0, 0), "x")
+        with pytest.raises(TypeError, match="cannot use str as scalar"):
+            TwistedPoly.scalar(tw, "x")
+
 
 class TestEvaluate:
     def test_constants_and_characters(self, tw):

@@ -101,6 +101,11 @@ class TestMakeDerivation:
         with pytest.raises(ValueError, match=message):
             Derivation.zero(q3_twist, (0, bad))
 
+    def test_missing_generator_image_is_rejected(self, q3_twist):
+        z = TwistedPoly.zero(q3_twist)
+        with pytest.raises(ValueError, match="missing derivation image for u2"):
+            Derivation(q3_twist, (0, 1), {0: z})
+
 
 class TestLiftConditions:
     def test_scaling_derivations_lift_with_zero_family(self, q3_system, d1, d2, h_zero):
@@ -464,6 +469,14 @@ class TestMonomialCache:
                 d.apply(x)
         assert (1, 0, 2) not in d._monomials
 
+    def test_a_single_unit_term_gives_the_cached_image(self, q3_action, q3_twist):
+        d = _dense_derivation(random.Random(9), q3_action)
+        for a in ((1, 0, 0), (2, -1, 0)):
+            image = d.apply(TwistedPoly.monomial(q3_twist, a))
+            assert image is d._monomials[a]
+            assert image == _reference_apply(d, TwistedPoly.monomial(q3_twist, a))
+        assert d.apply(TwistedPoly.zero(q3_twist)) == TwistedPoly.zero(q3_twist)
+
     def test_a_scaled_monomial_after_the_monomial_is_the_scaled_image(self, q3_action, q3_twist):
         rng = random.Random(11)
         d = _dense_derivation(rng, q3_action)
@@ -472,6 +485,50 @@ class TestMonomialCache:
             image = d.apply(TwistedPoly.monomial(q3_twist, a))
             scaled = TwistedPoly.monomial(q3_twist, a, c)
             assert d.apply(scaled) == image.scale(c) == _reference_apply(d, scaled)
+
+
+def _base_derivation(rng: random.Random, action) -> Derivation:
+    """Inner by a dense element of B0 plus a tau-valued scaling: maps B0 into B0."""
+    tw = action.twist
+    inner = Derivation.inner(tw, action.base, _dense_base_poly(rng, action))
+    return inner + scaling_derivation(tw, action.base, 0).scale(_dense_phase(rng, tw.nslots))
+
+
+class TestBracketMemo:
+    """bracket_derivations keeps its last result on the left operand."""
+
+    @staticmethod
+    def _fresh_bracket(d1: Derivation, d2: Derivation) -> Derivation:
+        """[d1, d2] from copies that carry no memo and no cached images."""
+        copy = lambda d: Derivation(d.twist, d.gens, dict(d.images), check=False)
+        return bracket_derivations(copy(d1), copy(d2))
+
+    @staticmethod
+    def _commutator(d1: Derivation, d2: Derivation, x: TwistedPoly) -> TwistedPoly:
+        return d1.apply(d2.apply(x)) - d2.apply(d1.apply(x))
+
+    def test_the_same_pair_gives_the_same_bracket(self, q3_action):
+        rng = random.Random(3)
+        d1, d2 = _base_derivation(rng, q3_action), _base_derivation(rng, q3_action)
+        br = bracket_derivations(d1, d2)
+        assert not br.is_zero()
+        assert bracket_derivations(d1, d2) is br
+        assert br == self._fresh_bracket(d1, d2)
+        x = _dense_base_poly(rng, q3_action)
+        assert br.apply(x) == self._commutator(d1, d2, x)
+
+    def test_another_operand_or_the_swapped_order_gets_its_own_bracket(self, q3_action):
+        rng = random.Random(5)
+        d1, d2, d3 = (_base_derivation(rng, q3_action) for _ in range(3))
+        x = _dense_base_poly(rng, q3_action)
+        first = bracket_derivations(d1, d2)
+        for a, b in ((d1, d3), (d2, d1), (d1, d2)):
+            br = bracket_derivations(a, b)
+            assert br == self._fresh_bracket(a, b)
+            assert br.apply(x) == self._commutator(a, b, x)
+            if (a, b) != (d1, d2):
+                assert br != first
+        assert bracket_derivations(d1, d2) == first
 
 
 class TestGeneratorSets:

@@ -8,12 +8,14 @@ A pin may be lowered when a change removes products; it is never raised.
 """
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from nctorus.algebra import TwistedPoly
-from nctorus.cohomology import lift_via_cohomology
-from nctorus.derivations import Derivation, HFamily, verify_lift_conditions
+from nctorus.cli import _curvature_sweep, main
+from nctorus.cohomology import LiftedAutomorphism, lift_via_cohomology
+from nctorus.derivations import Derivation, HFamily, LiftedDerivation, verify_lift_conditions
 from nctorus.dynamics import TorusAction
 from nctorus.factor_system import (
     Automorphism,
@@ -78,6 +80,18 @@ EXPECTED_DENSE = {
     "TwistedPoly.__mul__": 413,
     "Phase.mul": 509,
     "QQi.__mul__": 149,
+}
+
+# The curvature sweep of ``cmd_curvature`` (sigma = 1, degree 2: 13 weight
+# monomials, commutator against closed formula) on the q3torus demo system
+# with two dense skew scalar derivations u_k -> s_k u_k.  The sweep forms
+# the commutator derivation [d1, d2] once, not once per element, and a
+# derivation applied to a single-term argument gives back its cached image:
+# 401 / 379 / 79 before.
+EXPECTED_CURVATURE = {
+    "TwistedPoly.__mul__": 365,
+    "Phase.mul": 331,
+    "QQi.__mul__": 79,
 }
 
 
@@ -161,3 +175,56 @@ def test_dense_lift_conditions_operation_counts(counts):
 
     assert report.passed and report.checks == 91
     assert counts == EXPECTED_DENSE
+
+
+def _dense_skew_derivation(tw, gens, a, c):
+    images = {
+        k: _skew_scalar(tw, Fraction(k + a, 2), QQi(Fraction(1, 3), k - c), k)
+        * TwistedPoly.generator(tw, k)
+        for k in gens
+    }
+    return Derivation(tw, gens, images)
+
+
+def test_curvature_sweep_operation_counts(counts):
+    action = q3_action()
+    tw = action.twist
+    fs = from_cleft(action)
+    d1 = _dense_skew_derivation(tw, action.base, 1, 1)
+    d2 = _dense_skew_derivation(tw, action.base, -2, 3)
+    counts.update(dict.fromkeys(counts, 0))  # count the sweep, not the constructions
+    report, flat = _curvature_sweep("curvature", fs, d1, d2, {(1,): {}}, 2)
+
+    assert report.passed and report.checks == 13 and flat
+    assert counts == EXPECTED_CURVATURE
+
+
+# The seeded re-check of ``lift`` and ``lift-derivation`` (six sample
+# elements, each against the first three) applies the lift to every sample
+# element once, then to each product x y (and, for ``lift``, to each x*):
+# 66 and 54 applications before, when each image was formed once per use.
+GOLDEN = Path(__file__).parent / "golden"
+
+
+@pytest.mark.parametrize(
+    "cls,argv,expected",
+    [
+        (LiftedAutomorphism,
+         ["lift", "--seed", "5", "--config", str(GOLDEN / "lift_witness.config.json")], 30),
+        (LiftedDerivation,
+         ["lift-derivation", "--seed", "3", "--config", str(GOLDEN / "lift_derivation.config.json")],
+         24),
+    ],
+    ids=["lift", "lift-derivation"],
+)
+def test_seeded_sample_applies_the_lift_once_per_element(monkeypatch, cls, argv, expected):
+    calls = []
+    apply = cls.apply
+
+    def counting(self, x):
+        calls.append(x)
+        return apply(self, x)
+
+    monkeypatch.setattr(cls, "apply", counting)
+    assert main(argv) == 0
+    assert len(calls) == expected
