@@ -28,7 +28,12 @@ times c' u^b is the single term c c' q^s(a, b) u^(a+b), which is
 nonzero because the coefficient ring QQ(i)[F] has no zero divisors, so
 there is nothing to merge or filter; and a 1 x 1 product is the one
 entry product, whose twist ``TwistedPoly._check`` has already compared.
-The general loops stay for every other shape.
+The phase c c' q^s(a, b) is one call of ``phases._phase_product``, which
+``Phase.mul`` uses too: for single-term c and c' it adds the keys and
+s(a, b) and forms the one coefficient product in the same step.  Twist
+checks compare by identity first, so operands over one shared twist
+never reach ``TwistMatrix.__eq__``; equal twists built apart still
+compare equal.  The general loops stay for every other shape.
 
 Dense lane: the general polynomial product groups its term pairs by
 output monomial and hands each group to one kernel
@@ -46,7 +51,7 @@ import cmath
 from fractions import Fraction
 from operator import add
 
-from .phases import _QQI_ONE, Phase, QQi, _canonical, _product_terms
+from .phases import _QQI_ONE, Phase, QQi, _canonical, _phase_product, _product_terms
 
 
 class TwistMismatchError(ValueError):
@@ -223,7 +228,7 @@ class TwistedPoly:
     # -- ring operations ---------------------------------------------
 
     def _check(self, other: "TwistedPoly"):
-        if self.twist != other.twist:
+        if other.twist is not self.twist and other.twist != self.twist:
             raise TwistMismatchError("operands have different twist matrices")
 
     def __add__(self, other: "TwistedPoly") -> "TwistedPoly":
@@ -246,17 +251,17 @@ class TwistedPoly:
 
     def __mul__(self, other) -> "TwistedPoly":
         if isinstance(other, TwistedPoly):
-            self._check(other)
             twist = self.twist
+            if other.twist is not twist:
+                self._check(other)
             if len(self.terms) == 1 and len(other.terms) == 1:
                 # monomial lane: one key, and QQ(i)[F] has no zero divisors
                 (a, pa), = self.terms.items()
                 (b, pb), = other.terms.items()
                 mono = object.__new__(TwistedPoly)
                 mono.twist = twist
-                p = pa.mul(pb)
                 e = _reorder_shift(twist, a, b)
-                mono.terms = {tuple(map(add, a, b)): p if e is None else p.shift(e)}
+                mono.terms = {tuple(map(add, a, b)): _phase_product(pa, pb, e)}
                 return mono
             return _dense_product(twist, self.terms, other.terms)
         c = _coerce_phase(self.twist, other)
@@ -273,7 +278,10 @@ class TwistedPoly:
 
     def scale(self, c) -> "TwistedPoly":
         p = _coerce_phase(self.twist, c)
-        return TwistedPoly(self.twist, {a: q.mul(p) for a, q in self.terms.items()})
+        if p is None:
+            raise TypeError(f"cannot use {type(c).__name__} as coefficient")
+        terms = {a: _phase_product(q, p, None) for a, q in self.terms.items()}
+        return TwistedPoly(self.twist, terms)
 
     def star(self) -> "TwistedPoly":
         out: dict = {}
@@ -312,7 +320,8 @@ class TwistedPoly:
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedPoly):
             return NotImplemented
-        return self.twist == other.twist and self.terms == other.terms
+        tw = other.twist
+        return (tw is self.twist or tw == self.twist) and self.terms == other.terms
 
     def __hash__(self):
         return hash(
@@ -410,7 +419,7 @@ class PolyMatrix:
             if len(row) != self.cols:
                 raise ValueError("ragged matrix")
             for e in row:
-                if e.twist != twist:
+                if e.twist is not twist and e.twist != twist:
                     raise TwistMismatchError("matrix entry over different twist")
 
     # -- constructors ------------------------------------------------
@@ -433,7 +442,7 @@ class PolyMatrix:
     # -- algebra -------------------------------------------------------
 
     def _check_twist(self, other: "PolyMatrix"):
-        if self.twist != other.twist:
+        if other.twist is not self.twist and other.twist != self.twist:
             raise TwistMismatchError("matrices over different twist matrices")
 
     def __add__(self, other: "PolyMatrix") -> "PolyMatrix":
@@ -457,7 +466,8 @@ class PolyMatrix:
     def __mul__(self, other: "PolyMatrix") -> "PolyMatrix":
         if not isinstance(other, PolyMatrix):
             return NotImplemented
-        self._check_twist(other)
+        if other.twist is not self.twist:
+            self._check_twist(other)
         if self.cols != other.rows:
             raise ValueError(
                 f"shape mismatch in matrix product: {self.rows}x{self.cols} by "
@@ -529,7 +539,7 @@ class PolyMatrix:
             for e in row:
                 p = object.__new__(TwistedPoly)
                 p.twist = tw
-                p.terms = {a: q.mul(phase) for a, q in e.terms.items()}
+                p.terms = {a: _phase_product(q, phase, None) for a, q in e.terms.items()}
                 out_row.append(p)
             rows.append(tuple(out_row))
         m = object.__new__(PolyMatrix)
@@ -555,7 +565,7 @@ class PolyMatrix:
         if not isinstance(other, PolyMatrix):
             return NotImplemented
         return (
-            self.twist == other.twist
+            (other.twist is self.twist or other.twist == self.twist)
             and self.rows == other.rows
             and self.cols == other.cols
             and self.entries == other.entries

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .algebra import PolyMatrix, TwistedPoly, TwistMatrix, exchange_phase
+from .algebra import PolyMatrix, TwistedPoly, TwistMatrix, TwistMismatchError, exchange_phase
 from .dynamics import (
     Character,
     GradedElement,
@@ -162,6 +162,9 @@ class Derivation:
         return image
 
     def apply(self, x: TwistedPoly) -> TwistedPoly:
+        tw = self.twist
+        if x.twist is not tw and x.twist != tw:
+            raise TwistMismatchError("argument over a different twist matrix")
         total = None
         for a, phase in x.terms.items():
             image = self._monomial(a)
@@ -169,7 +172,7 @@ class Derivation:
                 image = image.scale(phase)
             total = image if total is None else total + image
         if total is None:
-            return TwistedPoly.zero(self.twist)
+            return TwistedPoly.zero(tw)
         return total
 
     def apply_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -602,12 +605,15 @@ def atiyah_check(
         )
 
     if len(section.entries) >= 2:
+        # each basis lift's image of each corpus element, formed once for every combination
+        used = section.entries[: max(len(coeffs) for coeffs in SECTION_COMBOS)]
+        images = [[entry.lift.apply(x) for entry in used] for x in corpus]
         for coeffs in SECTION_COMBOS:
             combined = section.combine(coeffs)
-            for x in corpus:
+            for x, x_images in zip(corpus, images):
                 expected = TwistedPoly.zero(tw)
-                for c, entry in zip(coeffs, section.entries):
-                    expected = expected + entry.lift.apply(x).scale(c)
+                for c, image in zip(coeffs, x_images):
+                    expected = expected + image.scale(c)
                 rb.expect(
                     "linearity of the section",
                     {"coeffs": coeffs, "x": x},

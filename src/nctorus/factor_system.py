@@ -52,7 +52,7 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .algebra import PolyMatrix, TwistedPoly, exchange_phase
+from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, exchange_phase
 from .dynamics import (
     Character,
     TorusAction,
@@ -155,6 +155,9 @@ class MatrixMorphism:
         return out
 
     def apply(self, x: TwistedPoly) -> PolyMatrix:
+        tw = self.action.twist
+        if x.twist is not tw and x.twist != tw:
+            raise TwistMismatchError("argument over a different twist matrix")
         total = None
         for a, phase in x.terms.items():
             term = self._monomial(a)
@@ -162,7 +165,7 @@ class MatrixMorphism:
                 term = term.scaled(phase)
             total = term if total is None else total + term
         if total is None:
-            return PolyMatrix.zeros(self.action.twist, self.dim, self.dim)
+            return PolyMatrix.zeros(tw, self.dim, self.dim)
         return total
 
     def apply_to_matrix(self, m: PolyMatrix) -> PolyMatrix:
@@ -249,13 +252,18 @@ class AlgebraMorphism(MatrixMorphism):
 
 
 class Automorphism:
-    """Invertible *-morphism of B0: a forward and a verified inverse leg."""
+    """Invertible *-morphism of B0: a forward and a verified inverse leg.
 
-    __slots__ = ("fwd", "inv")
+    An automorphism is an immutable value, so ``apply_automorphism`` keeps
+    its last result on it (``_transport``).
+    """
+
+    __slots__ = ("fwd", "inv", "_transport")
 
     def __init__(self, fwd: AlgebraMorphism, inv: AlgebraMorphism, check: bool = True):
         self.fwd = fwd
         self.inv = inv
+        self._transport = None  # (fs, fs transported along self) of the last apply_automorphism
         if check:
             ident = AlgebraMorphism.identity(fwd.action)
             for a, b in ((fwd, inv), (inv, fwd)):
@@ -499,8 +507,15 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
     """Transport the factor system along an automorphism of the fixed algebra.
 
     The new coaction is phi . gamma_sigma . phi^-1 and the new cocycle is
-    phi applied entrywise to omega.
+    phi applied entrywise to omega.  ``phi`` keeps the last result together
+    with ``fs``, so transporting the same system again gives back the same
+    system, gamma and omega caches and all.  The system is compared by
+    identity, which is exact because a factor system never changes after
+    it is built; any other ``fs`` replaces the memo.
     """
+    memo = phi._transport
+    if memo is not None and memo[0] is fs:
+        return memo[1]
     action = fs.action
 
     def gamma_fn(char: Character) -> MatrixMorphism:
@@ -512,7 +527,9 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
         return phi.apply_matrix(fs.omega(sigma, pi_))
 
-    return FactorSystem(action, gamma_fn, omega_fn)
+    transported = FactorSystem(action, gamma_fn, omega_fn)
+    phi._transport = (fs, transported)
+    return transported
 
 
 def twisted_product(

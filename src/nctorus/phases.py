@@ -198,6 +198,29 @@ def _product_terms(pairs) -> dict:
     return {k: _reduced(a, b, d) for k, (a, b, d) in acc.items() if a or b}
 
 
+def _phase_product(p: "Phase", o: "Phase", shift) -> "Phase":
+    """The phase ``p * o * q^shift``; ``shift`` is a q-exponent vector or None.
+
+    Two single-term phases give one term in one step: the keys add, with
+    the reordering shift s(a, b) of a monomial product folded in, and the
+    coefficient is one Gaussian-rational product.  Nothing can cancel,
+    because QQ(i) has no zero divisors.  Every other pair of phases runs
+    the dense kernel.
+    """
+    nslots = p.nslots
+    if o.nslots != nslots:
+        raise ValueError("phase slot count mismatch")
+    s, t = p.terms, o.terms
+    if len(s) == 1 and len(t) == 1:
+        ((e1, t1), c1), = s.items()
+        ((e2, t2), c2), = t.items()
+        e = map(add, e1, e2)
+        key = (tuple(e if shift is None else map(add, e, shift)), t1 + t2)
+        a, b, c, f = c1.a, c1.b, c2.a, c2.b
+        return _canonical(nslots, {key: _reduced(a * c - b * f, a * f + b * c, c1.d * c2.d)})
+    return _canonical(nslots, _product_terms(((s, t, shift),)))
+
+
 def _canonical(nslots: int, terms: dict) -> "Phase":
     """Wrap ``terms`` that are already canonical (no zero coefficient)."""
     p = object.__new__(Phase)
@@ -279,14 +302,7 @@ class Phase:
         return Phase(self.nslots, {k: -c for k, c in self.terms.items()})
 
     def mul(self, other: "Phase") -> "Phase":
-        self._check(other)
-        if len(self.terms) == 1 and len(other.terms) == 1:
-            # monomial times monomial: one key, and QQ(i) has no zero divisors
-            ((e1, t1), c1), = self.terms.items()
-            ((e2, t2), c2), = other.terms.items()
-            key = (tuple(map(add, e1, e2)), t1 + t2)
-            return _canonical(self.nslots, {key: c1 * c2})
-        return _canonical(self.nslots, _product_terms(((self.terms, other.terms, None),)))
+        return _phase_product(self, other, None)
 
     def scale(self, c: QQi) -> "Phase":
         if c.is_zero():

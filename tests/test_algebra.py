@@ -161,6 +161,10 @@ class TestRingOps:
             TwistedPoly.monomial(tw, (1, 0, 0), "x")
         with pytest.raises(TypeError, match="cannot use str as scalar"):
             TwistedPoly.scalar(tw, "x")
+        # scale reads its coefficient the same way, on every polynomial
+        for x in (TwistedPoly.zero(tw), TwistedPoly.generator(tw, 0)):
+            with pytest.raises(TypeError, match="cannot use str as coefficient"):
+                x.scale("x")
 
 
 class TestEvaluate:

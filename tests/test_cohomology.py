@@ -151,6 +151,25 @@ class TestCocycleLaws:
         with pytest.raises(ValueError):
             u.value((1,), (1,))
 
+    @pytest.mark.parametrize("verdict", ["central", "unitary"])
+    def test_a_failing_value_stops_the_sweep(self, q3_action, q3_gens, one, verdict):
+        # the sweep reads every value once, and the value's own check raises
+        bad = one + q3_gens[0] if verdict == "central" else one.scale(QQi(2))
+        u = TwoCocycle(q3_action, lambda s, p: bad if (s, p) == ((1,), (-1,)) else one)
+        message = rf"cocycle value at \(\(1,\), \(-1,\)\) is not {verdict}"
+        with pytest.raises(WitnessError, match=message):
+            verify_cocycle(u, 1)
+
+    def test_report_counts_every_law(self, q3_action, q3_twist, one):
+        # normalization once, centrality and unitarity per pair, the identity per triple
+        valid = verify_cocycle(TwoCocycle(q3_action, lambda s, p: one), 2)
+        assert valid.passed and valid.checks == 1 + 2 * 5**2 + 5**3
+        i = TwistedPoly.scalar(q3_twist, QQi(0, 1))
+        u = TwoCocycle(q3_action, lambda s, p: i if (s, p) == ((1,), (1,)) else one)
+        rep = verify_cocycle(u, 1)
+        assert rep.checks == 1 + 2 * 3**2 + 3**3
+        assert not rep.passed and {f.law for f in rep.failures} == {"cocycle identity"}
+
 
 class TestSolveCoboundary:
     def test_trivial_input(self, q3_action, one):

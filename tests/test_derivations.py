@@ -1,8 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 
-from nctorus.algebra import PolyMatrix, TwistedPoly
+from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix, TwistMismatchError
 from nctorus.derivations import (
     ConnectionSection,
     Derivation,
@@ -105,6 +106,14 @@ class TestMakeDerivation:
         z = TwistedPoly.zero(q3_twist)
         with pytest.raises(ValueError, match="missing derivation image for u2"):
             Derivation(q3_twist, (0, 1), {0: z})
+
+    def test_apply_rejects_another_twist(self, q3_twist, d1):
+        u1 = TwistedPoly.generator(twist3(Fraction(1, 5), Fraction(1, 7), Fraction(2, 9)), 0)
+        with pytest.raises(TwistMismatchError):
+            d1.apply(u1)
+        # an equal twist built again is the same twist
+        same = TwistedPoly.generator(TwistMatrix(q3_twist.theta), 0)
+        assert d1.apply(same) == d1.apply(TwistedPoly.generator(q3_twist, 0))
 
 
 class TestLiftConditions:

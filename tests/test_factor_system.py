@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
+from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix, TwistMismatchError
 from nctorus.dynamics import TorusAction, cleft_generator
 from nctorus.factor_system import (
     AlgebraMorphism,
@@ -22,6 +22,7 @@ from nctorus.factor_system import (
     verify_gauge_unitary,
 )
 from nctorus.phases import Phase, QQi
+from nctorus.q3torus import twist3
 
 from conftest import (
     pythagorean_column,
@@ -145,6 +146,23 @@ class TestApplyAutomorphism:
     def test_transport_preserves_the_axioms(self, q3_system, q3_action, q3_gens):
         beta = Automorphism.inner(q3_action, q3_gens[0] * q3_gens[1])
         assert verify_axioms(apply_automorphism(q3_system, beta), 2, 2).passed
+
+    def test_the_automorphism_keeps_its_last_transport(self, q3_action, q3_twist):
+        beta = Automorphism.diagonal(q3_action, {0: q13(q3_twist)})
+        fs, equal = from_cleft(q3_action), from_cleft(q3_action)
+        first = apply_automorphism(fs, beta)
+        assert apply_automorphism(fs, beta) is first
+        # a system is compared by identity: an equal one gets its own transport
+        second = apply_automorphism(equal, beta)
+        assert second is not first and apply_automorphism(equal, beta) is second
+        assert apply_automorphism(fs, beta) is not first
+        # another automorphism of the same system keeps a transport of its own
+        assert apply_automorphism(fs, Automorphism.identity(q3_action)) is not first
+        # a diagonal automorphism fixes the system, so every transport agrees with it
+        u1 = TwistedPoly.generator(q3_twist, 0)
+        for k in (-1, 2):
+            expected = fs.gamma((k,)).apply(u1)
+            assert first.gamma((k,)).apply(u1) == second.gamma((k,)).apply(u1) == expected
 
 
 class TestVerifyConjugacy:
@@ -287,6 +305,16 @@ class TestIsotypicMul:
 
 
 class TestMorphismValidation:
+    def test_apply_rejects_another_twist(self, q3_system, q3_action, q3_twist):
+        u1 = TwistedPoly.generator(twist3(Fraction(1, 5), Fraction(1, 7), Fraction(2, 9)), 0)
+        for morphism in (q3_system.gamma((1,)), AlgebraMorphism.identity(q3_action)):
+            with pytest.raises(TwistMismatchError):
+                morphism.apply(u1)
+        # an equal twist built again is the same twist
+        same = TwistedPoly.generator(TwistMatrix(q3_twist.theta), 0)
+        g = q3_system.gamma((1,))
+        assert g.apply(same) == g.apply(TwistedPoly.generator(q3_twist, 0))
+
     def test_relation_respect_check(self, q3_action, q3_twist, q3_gens):
         u1, u2, _ = q3_gens
         good = AlgebraMorphism.identity(q3_action)

@@ -1,23 +1,25 @@
 """Exact reference checks for the monomial core of the ring.
 
 The product, star and monomial inverse fold the reordering phase straight
-into the phase keys, and ``Phase`` multiplication takes a shortcut for
-single-term operands.  Here every result is compared with the explicit
-construction those shortcuts replace: the reordering phase built as a
-``Phase`` with coefficient ``QQi(1)`` and multiplied in, with all scalar
-products done by the component formula.  ``QQi`` itself, stored as three
-integers ``(a + b*i)/d``, is compared with the ``Fraction`` component
-formulas for every operation.
+into the phase keys, and the phase product (``phases._phase_product``)
+forms two single-term operands, shift included, in one step.  Here every
+result is compared with the explicit construction those shortcuts
+replace: the reordering phase built as a ``Phase`` with coefficient
+``QQi(1)`` and multiplied in, with all scalar products done by the
+component formula.  ``QQi`` itself, stored as three integers
+``(a + b*i)/d``, is compared with the ``Fraction`` component formulas for
+every operation.
 """
 
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nctorus.algebra import TwistedPoly, TwistMatrix
-from nctorus.phases import Phase, QQi
+from nctorus.phases import Phase, QQi, _phase_product
 
 # ---------------------------------------------------------------------------
 # reference arithmetic: component formulas and the explicit reordering phase
@@ -152,6 +154,36 @@ def invertible_monomials(draw):
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------
+
+
+@st.composite
+def phase_products(draw):
+    """Two phases with one term each (the one-step lane) or up to three, and a shift."""
+    n = draw(st.integers(1, 4))
+    terms = draw(st.sampled_from([1, 3]))
+    shift = draw(st.one_of(st.none(), st.tuples(*[st.integers(-3, 3)] * n)))
+    return draw(phases(n, terms)), draw(phases(n, terms)), shift
+
+
+@settings(max_examples=200, deadline=None)
+@given(phase_products())
+def test_phase_product_matches_explicit_shift(case):
+    p, o, shift = case
+    ref = ref_phase_mul(p, o)
+    if shift is not None:
+        ref = ref_phase_mul(ref, Phase(p.nslots, {(shift, 0): QQi(1)}))
+    got = _phase_product(p, o, shift)
+    assert got == ref and got.nslots == p.nslots
+    assert all(not c.is_zero() for c in got.terms.values())
+
+
+def test_phase_product_checks_the_slot_count():
+    dense = Phase(2, {((0, 1), 0): QQi(2), ((1, 0), 1): QQi(0, 1)})
+    for p, o in ((Phase.one(2), Phase.one(3)), (Phase.unit(3, 1), dense)):
+        with pytest.raises(ValueError, match="phase slot count mismatch"):
+            _phase_product(p, o, None)
+        with pytest.raises(ValueError, match="phase slot count mismatch"):
+            p.mul(o)
 
 
 @settings(max_examples=150, deadline=None)

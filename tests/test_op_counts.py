@@ -12,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from nctorus import algebra, cli, cohomology, phases
 from nctorus.algebra import TwistedPoly
 from nctorus.cli import _curvature_sweep, main
 from nctorus.cohomology import LiftedAutomorphism, lift_via_cohomology
@@ -19,6 +20,7 @@ from nctorus.derivations import Derivation, HFamily, LiftedDerivation, verify_li
 from nctorus.dynamics import TorusAction
 from nctorus.factor_system import (
     Automorphism,
+    MatrixMorphism,
     PartialIsometryFamily,
     from_cleft,
     verify_axioms,
@@ -27,6 +29,14 @@ from nctorus.phases import Phase, QQi
 from nctorus.q3torus import standard_angles, twist3
 
 from conftest import pythagorean_column
+
+# Every phase product, the monomial lane's included, is one call of
+# ``phases._phase_product``, which forms the product of two single-term
+# phases, its one Gaussian-rational product included, in one step.  So
+# ``_phase_product`` counts what ``Phase.mul`` and ``QQi.__mul__`` counted
+# before, and those two read 0: a product formed outside the helper, or an
+# extra one per term, still fails a pin.  Each pin below lowered both from
+# the old ``Phase.mul`` count to 0 and pins the helper at or below it.
 
 # verify_axioms on the q3torus demo system.  Every product on this
 # workload multiplies two monomials: one Phase.mul and one QQi product per
@@ -37,10 +47,12 @@ from conftest import pythagorean_column
 # isometry column costs one product for s* s = 1.  x ox 1_1 is x itself
 # (``PolyMatrix.ampliate``), so the cocycle identity and the twisted
 # product form no Kronecker product with I_1: 1,380 / 1,620 / 1,620 before.
+# Phase.mul and QQi.__mul__ 1,495 / 1,495 before the helper.
 EXPECTED = {
+    "_phase_product": 1495,
     "TwistedPoly.__mul__": 1255,
-    "Phase.mul": 1495,
-    "QQi.__mul__": 1495,
+    "Phase.mul": 0,
+    "QQi.__mul__": 0,
 }
 
 # lift_via_cohomology of a diagonal automorphism on the q3torus demo
@@ -50,21 +62,28 @@ EXPECTED = {
 # 2,019 / 2,112 / 2,112 before x ox 1_1 became x itself.  Centrality of a
 # cocycle value is read off the integer reordering form, so it forms no
 # products x u_k and u_k x (two per value and base generator): 1,933 /
-# 2,027 / 2,027 before.
+# 2,027 / 2,027 before.  verify_cocycle records the unitarity that each
+# value's own check decided instead of forming val* val again (25 values on
+# the box), and the conjugacy check of the lift reads the transported
+# system that extraction built: TwistedPoly.__mul__ 1,573 -> 1,548, and
+# 1,667 phase products (Phase.mul, QQi.__mul__) -> 1,602 helper calls.
 EXPECTED_LIFT = {
-    "TwistedPoly.__mul__": 1573,
-    "Phase.mul": 1667,
-    "QQi.__mul__": 1667,
+    "_phase_product": 1602,
+    "TwistedPoly.__mul__": 1548,
+    "Phase.mul": 0,
+    "QQi.__mul__": 0,
 }
 
 # verify_axioms on the d = 2 Pythagorean column system (d_sigma = 2 for
 # sigma != 0), so the 1 x 1 lanes cannot hide a d > 1 regression.  Only
 # the cocycle identity at rho = 0, where d_rho = 1, lost its Kronecker
-# product with I_1: 5,120 / 6,040 / 6,040 before.
+# product with I_1: 5,120 / 6,040 / 6,040 before.  Phase.mul and
+# QQi.__mul__ 5,999 / 5,999 before the helper.
 EXPECTED_D2 = {
+    "_phase_product": 5999,
     "TwistedPoly.__mul__": 5079,
-    "Phase.mul": 5999,
-    "QQi.__mul__": 5999,
+    "Phase.mul": 0,
+    "QQi.__mul__": 0,
 }
 
 # verify_lift_conditions on the q3torus demo system, r = 2, degree 2, with
@@ -75,11 +94,12 @@ EXPECTED_D2 = {
 # for every sigma, is expanded by the Leibniz rule once and then only
 # scaled by its phase; and a product of multi-term phases runs one kernel
 # on integers instead of a QQi product per term pair: 701 / 749 / 1,988
-# before.
+# before.  Phase.mul and QQi.__mul__ 509 / 149 before the helper.
 EXPECTED_DENSE = {
+    "_phase_product": 509,
     "TwistedPoly.__mul__": 413,
-    "Phase.mul": 509,
-    "QQi.__mul__": 149,
+    "Phase.mul": 0,
+    "QQi.__mul__": 0,
 }
 
 # The curvature sweep of ``cmd_curvature`` (sigma = 1, degree 2: 13 weight
@@ -87,11 +107,13 @@ EXPECTED_DENSE = {
 # with two dense skew scalar derivations u_k -> s_k u_k.  The sweep forms
 # the commutator derivation [d1, d2] once, not once per element, and a
 # derivation applied to a single-term argument gives back its cached image:
-# 401 / 379 / 79 before.
+# 401 / 379 / 79 before.  Phase.mul and QQi.__mul__ 331 / 79 before the
+# helper.
 EXPECTED_CURVATURE = {
+    "_phase_product": 331,
     "TwistedPoly.__mul__": 365,
-    "Phase.mul": 331,
-    "QQi.__mul__": 79,
+    "Phase.mul": 0,
+    "QQi.__mul__": 0,
 }
 
 
@@ -110,6 +132,10 @@ def counts(monkeypatch):
     for cls, attr in ((TwistedPoly, "__mul__"), (Phase, "mul"), (QQi, "__mul__")):
         name = f"{cls.__name__}.{attr}"
         monkeypatch.setattr(cls, attr, counting(name, cls.__dict__[attr]))
+    # algebra imports the helper by name, so both references are wrapped
+    product = counting("_phase_product", phases._phase_product)
+    for module in (phases, algebra):
+        monkeypatch.setattr(module, "_phase_product", product)
     return counts
 
 
@@ -126,7 +152,8 @@ def test_verify_axioms_operation_counts(counts):
     assert counts == EXPECTED
 
 
-def test_lift_operation_counts(counts):
+def _q3_lift():
+    """The lift of the EXPECTED_LIFT pin, from a fresh system and automorphism."""
     action = q3_action()
     nslots = action.twist.nslots
     beta = Automorphism.diagonal(
@@ -134,9 +161,42 @@ def test_lift_operation_counts(counts):
     )
     fs = from_cleft(action)
     outcome = lift_via_cohomology(fs, beta, PartialIsometryFamily.units(fs), 2, 2)
-
     assert outcome.lifts and outcome.cocycle_report.checks == 176
+    return outcome
+
+
+def test_lift_operation_counts(counts):
+    _q3_lift()
     assert counts == EXPECTED_LIFT
+
+
+# The same lift builds each morphism with ``MatrixMorphism.from_map`` once:
+# the automorphism keeps the system it transported, so the conjugacy check
+# of the materialized lift reads the transported gamma_sigma that extraction
+# built instead of building all 5 on the box again: 23 before.  And each
+# cocycle value is checked central once, by its family, and verify_cocycle
+# records that verdict: 90 ``_is_central`` calls for 65 values before.
+EXPECTED_FROM_MAP = 18
+
+
+def test_lift_builds_each_morphism_and_checks_each_value_once(monkeypatch):
+    built, central = [], []
+    from_map, is_central = MatrixMorphism.from_map, cohomology._is_central
+
+    def counting_from_map(action, f):
+        built.append(action)
+        return from_map(action, f)
+
+    def counting_is_central(action, x):
+        central.append(x)
+        return is_central(action, x)
+
+    monkeypatch.setattr(MatrixMorphism, "from_map", staticmethod(counting_from_map))
+    monkeypatch.setattr(cohomology, "_is_central", counting_is_central)
+    outcome = _q3_lift()
+
+    assert len(built) == EXPECTED_FROM_MAP
+    assert len(central) == len(outcome.cocycle._u._cache) == 65
 
 
 def test_matrix_valued_axioms_operation_counts(counts):
@@ -228,3 +288,29 @@ def test_seeded_sample_applies_the_lift_once_per_element(monkeypatch, cls, argv,
     monkeypatch.setattr(cls, "apply", counting)
     assert main(argv) == 0
     assert len(calls) == expected
+
+
+# ``atiyah_check`` in ``demo q3torus`` forms each basis lift's image of each
+# corpus element once for both SECTION_COMBOS entries: the linearity law
+# applies the two basis lifts 50 times instead of 100, and the check as a
+# whole 129 times instead of 179.
+def test_atiyah_check_applies_each_basis_lift_once_per_element(monkeypatch):
+    calls, inside = [], []
+    apply, check = LiftedDerivation.apply, cli.atiyah_check
+
+    def counting(self, x):
+        if inside:
+            calls.append(x)
+        return apply(self, x)
+
+    def traced(*args, **kwargs):
+        inside.append(True)
+        try:
+            return check(*args, **kwargs)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(LiftedDerivation, "apply", counting)
+    monkeypatch.setattr(cli, "atiyah_check", traced)
+    assert main(["demo", "q3torus"]) == 0
+    assert len(calls) == 129
