@@ -511,21 +511,24 @@ def apply_automorphism(fs: FactorSystem, phi: Automorphism) -> FactorSystem:
     with ``fs``, so transporting the same system again gives back the same
     system, gamma and omega caches and all.  The system is compared by
     identity, which is exact because a factor system never changes after
-    it is built; any other ``fs`` replaces the memo.
+    it is built; any other ``fs`` replaces the memo.  The transported
+    system reads phi's two legs, not phi, so the memo makes no reference
+    cycle and the system is freed with phi.
     """
     memo = phi._transport
     if memo is not None and memo[0] is fs:
         return memo[1]
     action = fs.action
+    fwd, inv = phi.fwd, phi.inv
 
     def gamma_fn(char: Character) -> MatrixMorphism:
         g = fs.gamma(char)
         return MatrixMorphism.from_map(
-            action, lambda x: phi.apply_matrix(g.apply(phi.inv.apply(x)))
+            action, lambda x: fwd.apply_to_matrix(g.apply(inv.apply(x)))
         )
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
-        return phi.apply_matrix(fs.omega(sigma, pi_))
+        return fwd.apply_to_matrix(fs.omega(sigma, pi_))
 
     transported = FactorSystem(action, gamma_fn, omega_fn)
     phi._transport = (fs, transported)

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -163,6 +165,20 @@ class TestApplyAutomorphism:
         for k in (-1, 2):
             expected = fs.gamma((k,)).apply(u1)
             assert first.gamma((k,)).apply(u1) == second.gamma((k,)).apply(u1) == expected
+
+    def test_the_kept_transport_is_freed_with_the_automorphism(self, q3_action, q3_twist):
+        # the memo must not close a reference cycle: short-lived automorphisms
+        # would otherwise keep their systems and caches until a cycle collection
+        beta = Automorphism.diagonal(q3_action, {0: q13(q3_twist)})
+        transported = apply_automorphism(from_cleft(q3_action), beta)
+        transported.gamma((1,)).apply(TwistedPoly.generator(q3_twist, 0))
+        freed = weakref.ref(transported)
+        gc.disable()
+        try:
+            del transported, beta
+            assert freed() is None
+        finally:
+            gc.enable()
 
 
 class TestVerifyConjugacy:
