@@ -52,10 +52,6 @@ from .derivations import (
     bracket_derivations,
     crossed_hom_report,
     gauge_report,
-    is_crossed_hom,
-    is_gauge_element,
-    lift_derivation,
-    make_derivation,
     scaling_derivation,
     two_pi_i,
     verify_lift_conditions,

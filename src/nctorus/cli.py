@@ -28,6 +28,7 @@ import sys
 import time
 import traceback
 from fractions import Fraction
+from functools import partial
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMatrix
 from .cohomology import TwoCocycle, WitnessError, lift_via_cohomology, trivialize
@@ -60,7 +61,7 @@ from .q3torus import (
     standard_angles,
     twist3,
 )
-from .report import ReportBuilder
+from .report import Law, LawGroup, ReportBuilder, sweep
 
 
 class ConfigError(ValueError):
@@ -409,14 +410,30 @@ def _build_system(cfg: dict):
     return action, fs
 
 
-def _seeded_sample(action: TorusAction, rng_range, seed: int) -> list:
-    """Six weight monomials of weight at most 1, shuffled by the seed."""
+def _sample_report(lift, rng_range, seed: int, pair_law: Law, point_law: Law | None = None):
+    """The "lift-sample" report: a materialized lift re-checked on a sample.
+
+    The sample is six weight monomials of weight at most 1, shuffled by
+    the seed.  Each element x is paired with each of the first three, y;
+    ``pair_law.sides(x, fx, y, fy)`` runs at each pair and then
+    ``point_law.sides(x, fx)`` at x, where fx and fy are the images of
+    x and y under the lift, each formed once.
+    """
+    action = lift.fs.action
     rng = random.Random(seed)
     sample = []
     for char in char_box(action.d, min(rng_range, 1)):
         sample.extend(all_weight_monomials(action, char, 1))
     rng.shuffle(sample)
-    return sample[:6]
+    sample = sample[:6]
+    images = [lift.apply(x) for x in sample]
+    rows = []
+    for x, fx in zip(sample, images):
+        for y, fy in zip(sample[:3], images):
+            rows.append(Law(pair_law.name, partial(pair_law.sides, x, fx, y, fy), {"x": x, "y": y}))
+        if point_law is not None:
+            rows.append(Law(point_law.name, partial(point_law.sides, x, fx), {"x": x}))
+    return sweep("lift-sample", (LawGroup(0, point=rows),), (), ())
 
 
 def _curvature_sweep(name: str, fs, d1, d2, cases: dict, degree: int):
@@ -479,15 +496,12 @@ def cmd_lift(cfg: dict, args) -> dict:
     passed = outcome.solved is not None
     if outcome.lifted is not None:
         # re-verify multiplicativity and involution on a seeded sample
-        sample = _seeded_sample(action, rng_range, args.seed)
-        rb = ReportBuilder("lift-sample")
         lift = outcome.lifted
-        images = [lift.apply(x) for x in sample]
-        for x, fx in zip(sample, images):
-            for y, fy in zip(sample[:3], images):
-                rb.expect("multiplicativity", {"x": x, "y": y}, lift.apply(x * y), fx * fy)
-            rb.expect("involution", {"x": x}, lift.apply(x.star()), fx.star())
-        sample_rep = rb.finish()
+        sample_rep = _sample_report(
+            lift, rng_range, args.seed,
+            Law("multiplicativity", lambda x, fx, y, fy: (lift.apply(x * y), fx * fy)),
+            Law("involution", lambda x, fx: (lift.apply(x.star()), fx.star())),
+        )
         reports.append(sample_rep)
         passed = passed and sample_rep.passed
         notes.append("materialized lift re-verified on a seeded sample")
@@ -518,16 +532,10 @@ def cmd_lift_derivation(cfg: dict, args) -> dict:
     passed = rep.passed
     if passed:
         lifted = LiftedDerivation(fs, delta, h)
-        sample = _seeded_sample(action, rng_range, args.seed)
-        images = [lifted.apply(x) for x in sample]
-        rb = ReportBuilder("lift-sample")
-        for x, dx in zip(sample, images):
-            for y, dy in zip(sample[:3], images):
-                rb.expect(
-                    "Leibniz rule", {"x": x, "y": y},
-                    lifted.apply(x * y), dx * y + x * dy,
-                )
-        sample_rep = rb.finish()
+        sample_rep = _sample_report(
+            lifted, rng_range, args.seed,
+            Law("Leibniz rule", lambda x, dx, y, dy: (lifted.apply(x * y), dx * y + x * dy)),
+        )
         reports.append(sample_rep)
         passed = passed and sample_rep.passed
     details = {"char_range": rng_range, "gen_degree": degree}
@@ -602,11 +610,11 @@ def cmd_demo_q3torus(args) -> dict:
     )
     split = atiyah_check(fs, section, min(rng_range, 2), degree)
 
-    sweep, flat = _curvature_sweep(
+    curv, flat = _curvature_sweep(
         "curvature-sweep", fs, d1, d2, {(k,): {"sigma": k} for k in (0, 1, 2)}, 1
     )
 
-    passed = axioms.passed and split.passed and sweep.passed and omega_all_one and flat
+    passed = axioms.passed and split.passed and curv.passed and omega_all_one and flat
     details = {
         "theta": angles,
         "gamma": gamma_table,
@@ -615,7 +623,7 @@ def cmd_demo_q3torus(args) -> dict:
         "atiyah_split": split.passed,
         "curvature_vanishes": flat,
     }
-    return _report("demo-q3torus", passed, details, [axioms, split, sweep])
+    return _report("demo-q3torus", passed, details, [axioms, split, curv])
 
 
 # ---------------------------------------------------------------------------

@@ -16,8 +16,9 @@ when this class is a coboundary; over Z (circle actions) the class
 always vanishes and the solver is a finite exact recursion.  Over Z^d,
 d >= 2, the solver normalizes a candidate cochain along lexicographic
 staircase paths and either verifies the coboundary equation on the
-requested box or returns a certified :class:`Obstruction` with the
-exact residual at a witness pair.
+requested box or returns an :class:`Obstruction` with the exact residual
+at a witness pair, a certificate only when d = 1 or when the twisting
+fixes the centre of B0 (see :func:`solve_coboundary`).
 
 Lift lane: a cocycle value x is checked central without forming a
 product.  c u^a u_k and u_k c u^a are the monomial u^(a+e_k) with the
@@ -44,12 +45,10 @@ from typing import Callable
 from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, _reorder_shift
 from .dynamics import (
     Character,
-    GradedElement,
     TorusAction,
     char_add,
     char_box,
     char_zero,
-    grade,
     resolve_chars,
 )
 from .factor_system import (
@@ -57,13 +56,14 @@ from .factor_system import (
     Automorphism,
     CharacterFamily,
     FactorSystem,
+    IsotypicLift,
     PartialIsometryFamily,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
     verify_conjugacy,
 )
-from .report import CheckReport, ReportBuilder
+from .report import CheckReport, Law, LawGroup, sweep
 
 
 class WitnessError(ValueError):
@@ -160,10 +160,12 @@ class OneCochain:
 
 @dataclass
 class Obstruction:
-    """Certified failure of the coboundary equation.
+    """Failure of the coboundary equation for the normalized candidate.
 
     ``residual`` is exactly u(witness) divided by the coboundary of the
     normalized candidate cochain at the witness pair; it differs from 1.
+    It certifies a nontrivial class when d = 1 or when the twisting fixes
+    the centre of B0 (see :func:`solve_coboundary`).
     For an untwisted cocycle an antisymmetric pair u(sigma,pi) !=
     u(pi,sigma) certifies non-triviality outright, since coboundaries of
     central cochains are symmetric; ``kind`` records that stronger form
@@ -243,39 +245,28 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
     key = tuple(chars)
     if key in u._reports:
         return u._reports[key]
-    rb = ReportBuilder("two-cocycle-laws")
-    one = TwistedPoly.one(tw)
+    zero = char_zero(action.d)
 
-    rb.expect(
-        "normalization u(0,0) = 1",
-        {},
-        u.value(char_zero(action.d), char_zero(action.d)),
-        one,
+    def cocycle_pair(sigma, pi_):
+        return sigma, pi_, u.delta(sigma), u.value(sigma, pi_), char_add(sigma, pi_)
+
+    def cocycle_identity(sigma, pi_, delta_sigma, u_sp, sp, rho):
+        lhs = u.value(sp, rho) * u_sp
+        rhs = u.value(sigma, char_add(pi_, rho)) * delta_sigma.apply(u.value(pi_, rho))
+        return lhs, rhs
+
+    def checked(value):  # decided by CocycleValues._check when u.value read it
+        return True, True
+
+    groups = (
+        LawGroup(0, point=(
+            Law("normalization u(0,0) = 1", lambda: (u.value(zero, zero), TwistedPoly.one(tw))),
+        )),
+        LawGroup(2, lambda sigma, pi_: (u.value(sigma, pi_),),
+                 (Law("centrality", checked), Law("unitarity", checked))),
+        LawGroup(3, cocycle_pair, (), (Law("cocycle identity", cocycle_identity),)),
     )
-
-    for sigma in chars:
-        for pi_ in chars:
-            # u.value returns only values that CocycleValues._check passed
-            u.value(sigma, pi_)
-            where = {"sigma": sigma, "pi": pi_}
-            rb.expect_true("centrality", where, True)
-            rb.expect_true("unitarity", where, True)
-
-    for sigma in chars:
-        delta_sigma = u.delta(sigma)
-        for pi_ in chars:
-            u_sp = u.value(sigma, pi_)
-            sp = char_add(sigma, pi_)
-            for rho in chars:
-                lhs = u.value(sp, rho) * u_sp
-                rhs = u.value(sigma, char_add(pi_, rho)) * delta_sigma.apply(
-                    u.value(pi_, rho)
-                )
-                rb.expect(
-                    "cocycle identity", {"sigma": sigma, "pi": pi_, "rho": rho}, lhs, rhs
-                )
-
-    report = u._reports[key] = rb.finish()
+    report = u._reports[key] = sweep("two-cocycle-laws", groups, chars, ())
     return report
 
 
@@ -289,9 +280,14 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     box.  Success returns the :class:`OneCochain`; any residual returns
     an :class:`Obstruction` carrying the first witness.
 
-    Over Z the verified recursion always succeeds for a valid cocycle;
-    over Z^d with d >= 2 the normalization is a heuristic and a failure
-    is a certificate, not merely a missed search.
+    Over Z the verified recursion always succeeds for a valid cocycle.
+    Over Z^d with d >= 2 the candidate fixes c(e_j) = 1 on the basis
+    characters, which loses no solution only when every choice of those
+    values extends to a crossed homomorphism, as it does when Delta
+    fixes the centre of B0.  So a residual certifies an obstruction only
+    when d = 1 or when Delta fixes the centre of B0; otherwise a
+    coboundary can leave a residual, and the obstruction is a missed
+    search, not a certificate.
 
     The precondition is :func:`verify_cocycle` on the same box; a
     non-cocycle raises ``ValueError``.  When the caller has already
@@ -393,7 +389,7 @@ def updated_witness(
     return PartialIsometryFamily(fs.action, fn)
 
 
-class LiftedAutomorphism:
+class LiftedAutomorphism(IsotypicLift):
     """Equivariant automorphism of the whole algebra extending beta.
 
     Acts on the isotypic component of weight sigma by
@@ -421,20 +417,8 @@ class LiftedAutomorphism:
         self.beta = beta
         self.v = v
 
-    def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
-        s = self.fs.isometries(char)
-        y = self.fs.isometries.adjoint(char).scale_left(x)
-        out = self.beta.apply_matrix(y) * self.v(char) * s
-        return out.as_scalar()
-
-    def apply_graded(self, x) -> GradedElement:
-        return GradedElement(
-            self.fs.action,
-            {c: self.apply_component(c, p) for c, p in x.components.items()},
-        )
-
-    def apply(self, x: TwistedPoly) -> TwistedPoly:
-        return self.apply_graded(grade(self.fs.action, x)).to_poly()
+    def _act(self, char: Character, y: PolyMatrix, s: PolyMatrix) -> PolyMatrix:
+        return self.beta.apply_matrix(y) * self.v(char) * s
 
 
 @dataclass

@@ -26,18 +26,16 @@ from fractions import Fraction
 from .algebra import PolyMatrix, TwistedPoly, TwistMatrix, TwistMismatchError, exchange_phase
 from .dynamics import (
     Character,
-    GradedElement,
     TorusAction,
     base_monomials,
     char_add,
     char_zero,
-    grade,
     matrix_in_base_algebra,
     resolve_chars,
 )
-from .factor_system import CharacterFamily, FactorSystem, ScopeError
+from .factor_system import CharacterFamily, FactorSystem, IsotypicLift, ScopeError
 from .phases import Phase, QQi
-from .report import CheckReport, ReportBuilder
+from .report import CheckReport, Law, LawGroup, ReportBuilder, sweep
 
 
 class DerivationError(ValueError):
@@ -210,11 +208,6 @@ class Derivation:
         return all(v.is_zero() for v in self.images.values())
 
 
-def make_derivation(twist: TwistMatrix, gens, images: dict) -> Derivation:
-    """Validated constructor; raises :class:`DerivationError` on bad images."""
-    return Derivation(twist, gens, images, check=True)
-
-
 def bracket_derivations(d1: Derivation, d2: Derivation) -> Derivation:
     """Commutator [d1, d2] as a derivation on the shared generators.
 
@@ -319,6 +312,15 @@ def _cocycle_derivative(
     )
 
 
+def _vanishes_at_zero(fs: FactorSystem, h: HFamily) -> Law:
+    """The normalization row H(0) = 0, the d_0 x d_0 zero."""
+    zero = char_zero(fs.action.d)
+    return Law(
+        "normalization H(0) = 0",
+        lambda: (h(zero), PolyMatrix.zeros(fs.action.twist, fs.dim(zero), fs.dim(zero))),
+    )
+
+
 def verify_lift_conditions(
     fs: FactorSystem,
     delta: Derivation,
@@ -328,40 +330,28 @@ def verify_lift_conditions(
 ) -> CheckReport:
     """Exact check of the two lift equations over a character box."""
     action = fs.action
-    tw = action.twist
-    chars = resolve_chars(action, char_range)
-    monomials = base_monomials(action, gen_degree)
-    rb = ReportBuilder("derivation-lift-conditions")
 
-    rb.expect(
-        "normalization H(0) = 0",
-        {},
-        h(char_zero(action.d)),
-        PolyMatrix.zeros(tw, fs.dim(char_zero(action.d)), fs.dim(char_zero(action.d))),
-    )
-
-    for sigma in chars:
-        g = fs.gamma(sigma)
+    def point(sigma):
         hs = h(sigma)
-        hsa = hs.adjoint()
-        for b in monomials:
-            gb = g.apply(b)
-            lhs = delta.apply_matrix(gb)
-            rhs = g.apply(delta.apply(b)) + hs * gb + gb * hsa
-            rb.expect(
-                "coaction derivative", {"sigma": sigma, "b": b}, lhs, rhs
-            )
+        return fs.gamma(sigma), hs, hs.adjoint()
 
-    for sigma in chars:
-        for pi_ in chars:
-            lhs = delta.apply_matrix(fs.omega(sigma, pi_))
-            rhs = _cocycle_derivative(fs, h, sigma, pi_)
-            rb.expect("cocycle derivative", {"sigma": sigma, "pi": pi_}, lhs, rhs)
+    def coaction_derivative(g, hs, hsa, b):
+        gb = g.apply(b)
+        return delta.apply_matrix(gb), g.apply(delta.apply(b)) + hs * gb + gb * hsa
 
-    return rb.finish()
+    groups = (
+        LawGroup(0, point=(_vanishes_at_zero(fs, h),)),
+        LawGroup(1, point, (), (Law("coaction derivative", coaction_derivative),)),
+        LawGroup(2, point=(
+            Law("cocycle derivative", lambda sigma, pi_: (
+                delta.apply_matrix(fs.omega(sigma, pi_)), _cocycle_derivative(fs, h, sigma, pi_))),
+        )),
+    )
+    return sweep("derivation-lift-conditions", groups, resolve_chars(action, char_range),
+                 base_monomials(action, gen_degree))
 
 
-class LiftedDerivation:
+class LiftedDerivation(IsotypicLift):
     """Equivariant derivation of the whole algebra given by (delta, H)."""
 
     def __init__(
@@ -385,32 +375,14 @@ class LiftedDerivation:
         self.base = base
         self.h = h
 
-    def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
-        s = self.fs.isometries(char)
-        y = self.fs.isometries.adjoint(char).scale_left(x)
-        out = self.base.apply_matrix(y) * s + y * self.h(char) * s
-        return out.as_scalar()
-
-    def apply_graded(self, x):
-        return GradedElement(
-            self.fs.action,
-            {c: self.apply_component(c, p) for c, p in x.components.items()},
-        )
-
-    def apply(self, x: TwistedPoly) -> TwistedPoly:
-        return self.apply_graded(grade(self.fs.action, x)).to_poly()
+    def _act(self, char: Character, y: PolyMatrix, s: PolyMatrix) -> PolyMatrix:
+        return self.base.apply_matrix(y) * s + y * self.h(char) * s
 
     def __add__(self, other: "LiftedDerivation") -> "LiftedDerivation":
         return LiftedDerivation(self.fs, self.base + other.base, self.h + other.h)
 
     def scale(self, c) -> "LiftedDerivation":
         return LiftedDerivation(self.fs, self.base.scale(c), self.h.scale(c))
-
-
-def lift_derivation(fs, delta, h, x, char_range=2, gen_degree: int = 2):
-    """Verified one-shot lift application on a graded element."""
-    lifted = LiftedDerivation(fs, delta, h, check=True, char_range=char_range, gen_degree=gen_degree)
-    return lifted.apply_graded(x)
 
 
 def bracket(l1: LiftedDerivation, l2: LiftedDerivation) -> LiftedDerivation:
@@ -447,43 +419,27 @@ def gauge_report(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2
     """Exact membership test for the gauge Lie algebra (lifts of zero)."""
     action = fs.action
     tw = action.twist
-    chars = resolve_chars(action, char_range)
-    monomials = base_monomials(action, gen_degree)
-    rb = ReportBuilder("gauge-family")
 
-    d0 = fs.dim(char_zero(action.d))
-    rb.expect("normalization H(0) = 0", {}, h(char_zero(action.d)),
-              PolyMatrix.zeros(tw, d0, d0))
-
-    for sigma in chars:
+    def point(sigma):
         hs = h(sigma)
-        hsa = hs.adjoint()
-        rb.expect("skew-adjointness", {"sigma": sigma}, hsa, -hs)
-        g = fs.gamma(sigma)
-        for b in monomials:
-            gb = g.apply(b)
-            rb.expect(
-                "commutant condition",
-                {"sigma": sigma, "b": b},
-                hs * gb + gb * hsa,
-                PolyMatrix.zeros(tw, hs.rows, gb.cols),
-            )
+        return hs, hs.adjoint(), fs.gamma(sigma)
 
-    for sigma in chars:
-        for pi_ in chars:
-            total = _cocycle_derivative(fs, h, sigma, pi_)
-            rb.expect(
-                "cocycle condition",
-                {"sigma": sigma, "pi": pi_},
-                total,
-                PolyMatrix.zeros(tw, total.rows, total.cols),
-            )
+    def commutant(hs, hsa, g, b):
+        gb = g.apply(b)
+        return hs * gb + gb * hsa, PolyMatrix.zeros(tw, hs.rows, gb.cols)
 
-    return rb.finish()
+    def cocycle_condition(sigma, pi_):
+        total = _cocycle_derivative(fs, h, sigma, pi_)
+        return total, PolyMatrix.zeros(tw, total.rows, total.cols)
 
-
-def is_gauge_element(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2) -> bool:
-    return gauge_report(fs, h, char_range, gen_degree).passed
+    groups = (
+        LawGroup(0, point=(_vanishes_at_zero(fs, h),)),
+        LawGroup(1, point, (Law("skew-adjointness", lambda hs, hsa, g: (hsa, -hs)),),
+                 (Law("commutant condition", commutant),)),
+        LawGroup(2, point=(Law("cocycle condition", cocycle_condition),)),
+    )
+    return sweep("gauge-family", groups, resolve_chars(action, char_range),
+                 base_monomials(action, gen_degree))
 
 
 def crossed_hom_report(fs: FactorSystem, h: HFamily, char_range=2) -> CheckReport:
@@ -503,25 +459,18 @@ def crossed_hom_report(fs: FactorSystem, h: HFamily, char_range=2) -> CheckRepor
                     f"crossed homomorphisms require scalar cocycle values, "
                     f"not at {(sigma, pi_)}"
                 )
-    rb = ReportBuilder("crossed-homomorphism")
 
-    for sigma in chars:
-        hs = h(sigma).as_scalar()
-        rb.expect("skew-adjointness", {"sigma": sigma}, hs.star(), -hs)
-
-    for sigma in chars:
+    def twisted_additivity(sigma, pi_):
         g = fs.gamma(sigma)
         hs = h(sigma).as_scalar()
-        for pi_ in chars:
-            lhs = h(char_add(sigma, pi_)).as_scalar()
-            rhs = hs + g.apply(h(pi_).as_scalar()).as_scalar()
-            rb.expect("twisted additivity", {"sigma": sigma, "pi": pi_}, lhs, rhs)
+        return h(char_add(sigma, pi_)).as_scalar(), hs + g.apply(h(pi_).as_scalar()).as_scalar()
 
-    return rb.finish()
-
-
-def is_crossed_hom(fs: FactorSystem, h: HFamily, char_range=2) -> bool:
-    return crossed_hom_report(fs, h, char_range).passed
+    groups = (
+        LawGroup(1, lambda sigma: (h(sigma).as_scalar(),),
+                 (Law("skew-adjointness", lambda hs: (hs.star(), -hs)),)),
+        LawGroup(2, point=(Law("twisted additivity", twisted_additivity),)),
+    )
+    return sweep("crossed-homomorphism", groups, chars, ())
 
 
 # ---------------------------------------------------------------------------

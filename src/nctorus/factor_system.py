@@ -50,22 +50,25 @@ multiplicative and linear in the algebra argument.
 
 from __future__ import annotations
 
+from functools import partial
 from typing import Callable
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, exchange_phase
 from .dynamics import (
     Character,
+    GradedElement,
     TorusAction,
     base_monomials,
     char_add,
     char_zero,
     cleft_generator,
+    grade,
     in_base_algebra,
     is_equivariant,
     matrix_in_base_algebra,
     resolve_chars,
 )
-from .report import CheckReport, ReportBuilder
+from .report import CheckReport, Law, LawGroup, sweep
 
 
 class ScopeError(ValueError):
@@ -568,73 +571,58 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
     """
     action = fs.action
     tw = action.twist
-    chars = resolve_chars(action, char_range)
-    monomials = base_monomials(action, gen_degree)
-    rb = ReportBuilder("factor-system-axioms")
     zero = char_zero(action.d)
 
-    g0 = fs.gamma(zero)
-    for k in action.base:
-        rb.expect(
+    def generator_row(k: int) -> Law:
+        u = TwistedPoly.generator(tw, k)
+        return Law(
             "normalization gamma_0 = id",
+            lambda g0: (g0.apply(u), PolyMatrix.from_scalar(u)),
             {"generator": tw.gen_name(k)},
-            g0.apply(TwistedPoly.generator(tw, k)),
-            PolyMatrix.from_scalar(TwistedPoly.generator(tw, k)),
         )
 
-    for sigma in chars:
-        gs = fs.gamma(sigma)
-        unit = gs.unit()
-        rb.expect("normalization omega(0, sigma) = gamma_sigma(1)",
-                  {"sigma": sigma}, fs.omega(zero, sigma), unit)
-        rb.expect("normalization omega(sigma, 0) = gamma_sigma(1)",
-                  {"sigma": sigma}, fs.omega(sigma, zero), unit)
+    def pair(sigma, pi_):
+        om = fs.omega(sigma, pi_)
+        return fs.gamma(sigma), fs.gamma(pi_), om, om.adjoint(), fs.gamma(char_add(sigma, pi_))
 
-    for sigma in chars:
-        gs = fs.gamma(sigma)
-        for pi_ in chars:
-            gp = fs.gamma(pi_)
-            om = fs.omega(sigma, pi_)
-            oma = om.adjoint()
-            rb.expect(
-                "range projection omega* omega = gamma_{sigma+pi}(1)",
-                {"sigma": sigma, "pi": pi_},
-                oma * om,
-                fs.gamma(char_add(sigma, pi_)).unit(),
-            )
-            rb.expect(
-                "range projection omega omega* = gamma_sigma(gamma_pi(1))",
-                {"sigma": sigma, "pi": pi_},
-                om * oma,
-                gs.apply_to_matrix(gp.unit()),
-            )
-            gsp = fs.gamma(char_add(sigma, pi_))
-            for b in monomials:
-                rb.expect(
-                    "coaction intertwining",
-                    {"sigma": sigma, "pi": pi_, "b": b},
-                    om * gsp.apply(b),
-                    gs.apply_to_matrix(gp.apply(b)) * om,
-                )
+    def cocycle_pair(sigma, pi_):
+        return sigma, pi_, fs.gamma(sigma), fs.omega(sigma, pi_), char_add(sigma, pi_)
 
-    for sigma in chars:
-        gs = fs.gamma(sigma)
-        for pi_ in chars:
-            om_sp = fs.omega(sigma, pi_)
-            sp = char_add(sigma, pi_)
-            for rho in chars:
-                lhs = om_sp.ampliate(fs.dim(rho)) * fs.omega(sp, rho)
-                rhs = gs.apply_to_matrix(fs.omega(pi_, rho)) * fs.omega(
-                    sigma, char_add(pi_, rho)
-                )
-                rb.expect(
-                    "cocycle identity",
-                    {"sigma": sigma, "pi": pi_, "rho": rho},
-                    lhs,
-                    rhs,
-                )
+    def cocycle_identity(sigma, pi_, gs, om_sp, sp, rho):
+        lhs = om_sp.ampliate(fs.dim(rho)) * fs.omega(sp, rho)
+        rhs = gs.apply_to_matrix(fs.omega(pi_, rho)) * fs.omega(sigma, char_add(pi_, rho))
+        return lhs, rhs
 
-    return rb.finish()
+    groups = (
+        LawGroup(0, lambda: (fs.gamma(zero),), tuple(generator_row(k) for k in action.base)),
+        LawGroup(1, lambda sigma: (sigma, fs.gamma(sigma).unit()), (
+            Law("normalization omega(0, sigma) = gamma_sigma(1)",
+                lambda sigma, unit: (fs.omega(zero, sigma), unit)),
+            Law("normalization omega(sigma, 0) = gamma_sigma(1)",
+                lambda sigma, unit: (fs.omega(sigma, zero), unit)),
+        )),
+        LawGroup(2, pair, (
+            Law("range projection omega* omega = gamma_{sigma+pi}(1)",
+                lambda gs, gp, om, oma, gsp: (oma * om, gsp.unit())),
+            Law("range projection omega omega* = gamma_sigma(gamma_pi(1))",
+                lambda gs, gp, om, oma, gsp: (om * oma, gs.apply_to_matrix(gp.unit()))),
+        ), (
+            Law("coaction intertwining",
+                lambda gs, gp, om, oma, gsp, b: (
+                    om * gsp.apply(b), gs.apply_to_matrix(gp.apply(b)) * om)),
+        )),
+        LawGroup(3, cocycle_pair, (), (Law("cocycle identity", cocycle_identity),)),
+    )
+    return sweep("factor-system-axioms", groups, resolve_chars(action, char_range),
+                 base_monomials(action, gen_degree))
+
+
+def _intertwines_cocycles(fs: FactorSystem, fs2: FactorSystem, v, sigma, pi_):
+    """(v(sigma) ox 1) gamma_sigma(v(pi)) omega(sigma,pi) and omega'(sigma,pi) v(sigma+pi)."""
+    lhs = twisted_product(fs, sigma, v(sigma), pi_, v(pi_))
+    om2 = fs2.omega(sigma, pi_)
+    # sigma + pi may leave the box; the cocycles' columns give its size
+    return lhs, om2 * v.sized(char_add(sigma, pi_), om2.cols, fs.omega(sigma, pi_).cols)
 
 
 def verify_conjugacy(
@@ -653,43 +641,25 @@ def verify_conjugacy(
     names the character.
     """
     action = fs.action
-    chars = resolve_chars(action, char_range)
-    monomials = base_monomials(action, gen_degree)
-    rb = ReportBuilder("factor-system-conjugacy")
 
-    for sigma in chars:
-        g = fs.gamma(sigma)
-        g2 = fs2.gamma(sigma)
+    def point(sigma):
+        g, g2 = fs.gamma(sigma), fs2.gamma(sigma)
         vs = v.sized(sigma, g2.dim, g.dim)
-        vsa = vs.adjoint()
-        for b in monomials:
-            rb.expect(
-                "witness conjugates coaction forward",
-                {"sigma": sigma, "b": b},
-                vs * g.apply(b) * vsa,
-                g2.apply(b),
-            )
-            rb.expect(
-                "witness conjugates coaction backward",
-                {"sigma": sigma, "b": b},
-                vsa * g2.apply(b) * vs,
-                g.apply(b),
-            )
+        return g, g2, vs, vs.adjoint()
 
-    for sigma in chars:
-        for pi_ in chars:
-            lhs = twisted_product(fs, sigma, v(sigma), pi_, v(pi_))
-            om2 = fs2.omega(sigma, pi_)
-            # sigma + pi may leave the box; the cocycles' columns give its size
-            rhs = om2 * v.sized(char_add(sigma, pi_), om2.cols, fs.omega(sigma, pi_).cols)
-            rb.expect(
-                "witness intertwines cocycles",
-                {"sigma": sigma, "pi": pi_},
-                lhs,
-                rhs,
-            )
-
-    return rb.finish()
+    groups = (
+        LawGroup(1, point, (), (
+            Law("witness conjugates coaction forward",
+                lambda g, g2, vs, vsa, b: (vs * g.apply(b) * vsa, g2.apply(b))),
+            Law("witness conjugates coaction backward",
+                lambda g, g2, vs, vsa, b: (vsa * g2.apply(b) * vs, g.apply(b))),
+        )),
+        LawGroup(2, point=(
+            Law("witness intertwines cocycles", partial(_intertwines_cocycles, fs, fs2, v)),
+        )),
+    )
+    return sweep("factor-system-conjugacy", groups, resolve_chars(action, char_range),
+                 base_monomials(action, gen_degree))
 
 
 def frohlich_map(fs: FactorSystem, char: Character, b: TwistedPoly) -> TwistedPoly:
@@ -719,36 +689,30 @@ def verify_gauge_unitary(
 
     Checks unitarity relative to gamma_sigma(1), membership in the
     commutant of the coaction image, and the intertwining law
-    (u(sigma) ox 1) gamma_sigma(u(pi)) omega = omega u(sigma+pi).
+    (u(sigma) ox 1) gamma_sigma(u(pi)) omega = omega u(sigma+pi), the
+    conjugacy law with both systems equal; so, as there, every
+    u(sigma+pi) it reads must be d_{sigma+pi} x d_{sigma+pi}, or a
+    ValueError names the character.
     """
     action = fs.action
-    chars = resolve_chars(action, char_range)
-    monomials = base_monomials(action, gen_degree)
-    rb = ReportBuilder("gauge-unitary")
 
-    for sigma in chars:
+    def point(sigma):
         us = u(sigma)
-        usa = us.adjoint()
-        g = fs.gamma(sigma)
-        unit = g.unit()
-        rb.expect("relative unitarity u*u", {"sigma": sigma}, usa * us, unit)
-        rb.expect("relative unitarity uu*", {"sigma": sigma}, us * usa, unit)
-        for b in monomials:
-            gb = g.apply(b)
-            rb.expect(
-                "commutant of the coaction image",
-                {"sigma": sigma, "b": b},
-                us * gb,
-                gb * us,
-            )
+        return us, us.adjoint(), fs.gamma(sigma)
 
-    for sigma in chars:
-        for pi_ in chars:
-            lhs = twisted_product(fs, sigma, u(sigma), pi_, u(pi_))
-            rhs = fs.omega(sigma, pi_) * u(char_add(sigma, pi_))
-            rb.expect("gauge intertwining", {"sigma": sigma, "pi": pi_}, lhs, rhs)
+    def commutant(us, usa, g, b):
+        gb = g.apply(b)
+        return us * gb, gb * us
 
-    return rb.finish()
+    groups = (
+        LawGroup(1, point, (
+            Law("relative unitarity u*u", lambda us, usa, g: (usa * us, g.unit())),
+            Law("relative unitarity uu*", lambda us, usa, g: (us * usa, g.unit())),
+        ), (Law("commutant of the coaction image", commutant),)),
+        LawGroup(2, point=(Law("gauge intertwining", partial(_intertwines_cocycles, fs, fs, u)),)),
+    )
+    return sweep("gauge-unitary", groups, resolve_chars(action, char_range),
+                 base_monomials(action, gen_degree))
 
 
 def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
@@ -783,3 +747,27 @@ def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
         if x1 * x2 != expected:
             raise AssertionError("isotypic product disagrees with the algebra product")
     return char_add(sigma, pi_), y
+
+
+class IsotypicLift:
+    """A map of the whole algebra given on its isotypic components.
+
+    The component x of weight sigma is y s(sigma) with the row
+    y = s(sigma)* x over B0.  A subclass holds the factor system as
+    ``fs`` and supplies ``_act(char, y, s)``, the image of x as a 1 x 1
+    matrix, from y and s = s(sigma).
+    """
+
+    def apply_component(self, char: Character, x: TwistedPoly) -> TwistedPoly:
+        s = self.fs.isometries(char)
+        y = self.fs.isometries.adjoint(char).scale_left(x)
+        return self._act(char, y, s).as_scalar()
+
+    def apply_graded(self, x) -> GradedElement:
+        return GradedElement(
+            self.fs.action,
+            {c: self.apply_component(c, p) for c, p in x.components.items()},
+        )
+
+    def apply(self, x: TwistedPoly) -> TwistedPoly:
+        return self.apply_graded(grade(self.fs.action, x)).to_poly()

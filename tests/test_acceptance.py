@@ -29,8 +29,8 @@ from nctorus.derivations import (
     LiftedDerivation,
     SectionEntry,
     atiyah_check,
-    is_crossed_hom,
-    is_gauge_element,
+    crossed_hom_report,
+    gauge_report,
     two_pi_i,
     verify_lift_conditions,
 )
@@ -335,8 +335,8 @@ def test_criterion_08_gauge_crossed_hom_equivalence(capsys, q3):
 
     ok = True
     for h, valid in families:
-        gauge = is_gauge_element(fs, h, 2, 2)
-        crossed = is_crossed_hom(fs, h, 2)
+        gauge = gauge_report(fs, h, 2, 2).passed
+        crossed = crossed_hom_report(fs, h, 2).passed
         ok &= gauge == crossed == valid
     elapsed = time.perf_counter() - start
     announce(capsys, 8, ok, "gauge membership equals the crossed-homomorphism law, 100 families", elapsed)

@@ -16,14 +16,15 @@ from nctorus.cohomology import (
     updated_witness,
     verify_cocycle,
 )
-from nctorus.dynamics import TorusAction, char_box, grade, is_equivariant
+from nctorus.dynamics import TorusAction, char_add, char_box, grade, is_equivariant
 from nctorus.factor_system import (
     Automorphism,
     PartialIsometryFamily,
+    frohlich_morphism,
     from_cleft,
 )
 from nctorus.phases import Phase, QQi
-from nctorus.q3torus import all_weight_monomials
+from nctorus.q3torus import all_weight_monomials, standard_angles, twist3
 
 from conftest import (
     pythagorean_column,
@@ -253,6 +254,30 @@ class TestSolveCoboundary:
         assert verify_cocycle(u, 1).passed
         sol = solve_coboundary(u, 1)
         assert not isinstance(sol, Obstruction)
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="the staircase candidate fixes c(e_j) = 1, which misses this "
+        "coboundary when Delta moves the centre of B0 (ROADMAP M)",
+    )
+    def test_rank_two_coboundary_with_a_moving_centre_solves(self):
+        # u = delta c with c(sigma) = u1^sigma_1 over B0 = <u1>, on which the
+        # conjugation action of (0, 1) multiplies u1 by a q unit; today a
+        # residual q13 (r = 1) or q13^4 (r = 2) is returned for this coboundary
+        act = TorusAction(twist3(*standard_angles()), (1, 2))
+        fs = from_cleft(act)
+
+        def c(sigma):
+            return TwistedPoly.generator(act.twist, 0, sigma[0])
+
+        u = TwoCocycle(
+            act,
+            lambda s, p: u.delta(s).apply(c(p)) * c(s) * c(char_add(s, p)).star(),
+            lambda s: frohlich_morphism(fs, s),
+        )
+        report = verify_cocycle(u, 1)
+        assert report.passed and report.checks == 892
+        assert not isinstance(solve_coboundary(u, 1), Obstruction)
 
     def test_non_cocycle_input_is_an_error(self, q3_action, q3_twist, one):
         u1 = TwistedPoly.scalar(q3_twist, Phase.unit(q3_twist.nslots, 0))

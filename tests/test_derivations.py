@@ -15,10 +15,7 @@ from nctorus.derivations import (
     bracket,
     bracket_derivations,
     crossed_hom_report,
-    is_crossed_hom,
-    is_gauge_element,
-    lift_derivation,
-    make_derivation,
+    gauge_report,
     scaling_derivation,
     two_pi_i,
     verify_lift_conditions,
@@ -53,24 +50,26 @@ def h_gauge(q3_action):
 
 class TestMakeDerivation:
     def test_scaling_derivation_is_valid(self, q3_action, q3_twist, q3_gens):
-        d = make_derivation(
+        d = Derivation(
             q3_twist,
             q3_action.base,
             {0: two_pi_i(q3_twist) * q3_gens[0], 1: TwistedPoly.zero(q3_twist)},
+            check=True,
         )
         assert d.apply(q3_gens[0]) == two_pi_i(q3_twist) * q3_gens[0]
         assert d.is_star_derivation()
 
     def test_commutators_are_derivations(self, q3_action, q3_twist, q3_gens):
         d = Derivation.inner(q3_twist, q3_action.base, q3_gens[0])
-        assert make_derivation(q3_twist, q3_action.base, d.images) is not None
+        assert Derivation(q3_twist, q3_action.base, d.images, check=True) is not None
 
     def test_invalid_images_are_rejected(self, q3_action, q3_twist, q3_gens):
         with pytest.raises(DerivationError) as err:
-            make_derivation(
+            Derivation(
                 q3_twist,
                 q3_action.base,
                 {0: q3_gens[1], 1: TwistedPoly.zero(q3_twist)},
+                check=True,
             )
         assert "u1" in str(err.value) and "u2" in str(err.value)
 
@@ -160,7 +159,7 @@ class TestLiftedDerivation:
 
     def test_verified_one_shot_lift(self, q3_system, q3_action, d1, h_zero, q3_gens):
         g = grade(q3_action, q3_gens[2].star() * q3_gens[0])
-        out = lift_derivation(q3_system, d1, h_zero, g)
+        out = LiftedDerivation(q3_system, d1, h_zero, check=True).apply_graded(g)
         assert out.to_poly() == two_pi_i(q3_gens[0].twist) * (q3_gens[2].star() * q3_gens[0])
 
     def test_one_shot_lift_rejects_bad_family(self, q3_system, q3_action, q3_twist, q3_gens, d1):
@@ -170,7 +169,7 @@ class TestLiftedDerivation:
         )
         g = grade(q3_action, q3_gens[2])
         with pytest.raises(DerivationError):
-            lift_derivation(q3_system, d1, bad, g)
+            LiftedDerivation(q3_system, d1, bad, check=True).apply_graded(g)
 
     def test_leibniz_star_equivariance(self, q3_system, q3_action, q3_twist, d1, h_zero, h_gauge):
         rng = random.Random(23)
@@ -227,21 +226,21 @@ class TestLiftedDerivation:
         # h_zero and h_zero + h_gauge both lift d1; the difference is gauge
         h_other = h_zero + h_gauge
         assert verify_lift_conditions(q3_system, d1, h_other, 2, 2).passed
-        assert is_gauge_element(q3_system, h_other - h_zero, 2, 2)
+        assert gauge_report(q3_system, h_other - h_zero, 2, 2).passed
 
 
 class TestGaugeAlgebra:
     def test_zero_family(self, q3_system, h_zero):
-        assert is_gauge_element(q3_system, h_zero, 2, 2)
+        assert gauge_report(q3_system, h_zero, 2, 2).passed
 
     def test_gauge_circle_generator(self, q3_system, h_gauge):
-        assert is_gauge_element(q3_system, h_gauge, 2, 2)
+        assert gauge_report(q3_system, h_gauge, 2, 2).passed
 
     def test_selfadjoint_family_fails(self, q3_system, q3_action, q3_gens, q3_twist):
         h = HFamily.from_scalars(
             q3_action, lambda char: q3_gens[0].scale(QQi(char[0]))
         )
-        assert not is_gauge_element(q3_system, h, 2, 2)
+        assert not gauge_report(q3_system, h, 2, 2).passed
 
     def test_closed_under_bracket(self, q3_system, q3_action, q3_twist):
         rng = random.Random(29)
@@ -249,19 +248,19 @@ class TestGaugeAlgebra:
         for _ in range(4):
             h_a = HFamily.linear_scalar(q3_action, random_skew_scalar(rng, q3_twist))
             h_b = HFamily.linear_scalar(q3_action, random_skew_scalar(rng, q3_twist))
-            assert is_gauge_element(q3_system, h_a, 2, 2)
-            assert is_gauge_element(q3_system, h_b, 2, 2)
+            assert gauge_report(q3_system, h_a, 2, 2).passed
+            assert gauge_report(q3_system, h_b, 2, 2).passed
             br = bracket(
                 LiftedDerivation(q3_system, zero, h_a),
                 LiftedDerivation(q3_system, zero, h_b),
             )
             assert br.base.is_zero()
-            assert is_gauge_element(q3_system, br.h, 2, 2)
+            assert gauge_report(q3_system, br.h, 2, 2).passed
 
 
 class TestCrossedHom:
     def test_gauge_circle_generator(self, q3_system, h_gauge):
-        assert is_crossed_hom(q3_system, h_gauge, 2)
+        assert crossed_hom_report(q3_system, h_gauge, 2).passed
 
     def test_scalar_view_rejects_matrix_values(self, q3_system, q3_action, q3_twist):
         good = HFamily.from_scalars(
@@ -280,7 +279,7 @@ class TestCrossedHom:
         assert any(f.law == "twisted additivity" for f in rep.failures)
 
     def test_zero_family(self, q3_system, h_zero):
-        assert is_crossed_hom(q3_system, h_zero, 2)
+        assert crossed_hom_report(q3_system, h_zero, 2).passed
 
     @pytest.mark.parametrize("char", [(1,), (-1,)])
     def test_non_scalar_cocycle_value_anywhere_in_the_box_is_rejected(
@@ -309,7 +308,7 @@ class TestCrossedHom:
         else:
             selfadj = slope.scale(QQi(0, 1))
             h = HFamily.from_scalars(q3_action, lambda char: selfadj.scale(QQi(char[0])))
-        assert is_gauge_element(q3_system, h, 2, 2) == is_crossed_hom(q3_system, h, 2)
+        assert gauge_report(q3_system, h, 2, 2).passed == crossed_hom_report(q3_system, h, 2).passed
 
 
 class TestBracket:

@@ -4,7 +4,7 @@
 cocycle, and ``solve_coboundary`` checks the same box as its
 precondition, so verify-then-solve (and both ``lift`` CLI branches)
 run the (2r+1)^(3d) cocycle sweep once.  Sweeps are counted by wrapping
-the ``ReportBuilder`` that ``verify_cocycle`` builds its report with.
+the ``sweep`` of the law table that ``verify_cocycle`` builds its report with.
 """
 
 from pathlib import Path
@@ -33,13 +33,14 @@ def sweeps(monkeypatch):
     """Number of cocycle sweeps started since the fixture was requested."""
     count = [0]
 
-    class Counting(cohomology.ReportBuilder):
-        def __init__(self, name, *args, **kwargs):
-            super().__init__(name, *args, **kwargs)
-            if name == "two-cocycle-laws":
-                count[0] += 1
+    sweep = cohomology.sweep
 
-    monkeypatch.setattr(cohomology, "ReportBuilder", Counting)
+    def counting(name, *args, **kwargs):
+        if name == "two-cocycle-laws":
+            count[0] += 1
+        return sweep(name, *args, **kwargs)
+
+    monkeypatch.setattr(cohomology, "sweep", counting)
     return count
 
 
