@@ -331,7 +331,7 @@ def verify_lift_conditions(
     """Exact check of the two lift equations over a character box."""
     action = fs.action
 
-    def point(sigma):
+    def per_sigma(sigma):
         hs = h(sigma)
         return fs.gamma(sigma), hs, hs.adjoint()
 
@@ -341,7 +341,7 @@ def verify_lift_conditions(
 
     groups = (
         LawGroup(0, point=(_vanishes_at_zero(fs, h),)),
-        LawGroup(1, point, (), (Law("coaction derivative", coaction_derivative),)),
+        LawGroup(1, per_sigma, (), (Law("coaction derivative", coaction_derivative),)),
         LawGroup(2, point=(
             Law("cocycle derivative", lambda sigma, pi_: (
                 delta.apply_matrix(fs.omega(sigma, pi_)), _cocycle_derivative(fs, h, sigma, pi_))),
@@ -420,7 +420,7 @@ def gauge_report(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2
     action = fs.action
     tw = action.twist
 
-    def point(sigma):
+    def per_sigma(sigma):
         hs = h(sigma)
         return hs, hs.adjoint(), fs.gamma(sigma)
 
@@ -434,7 +434,7 @@ def gauge_report(fs: FactorSystem, h: HFamily, char_range=2, gen_degree: int = 2
 
     groups = (
         LawGroup(0, point=(_vanishes_at_zero(fs, h),)),
-        LawGroup(1, point, (Law("skew-adjointness", lambda hs, hsa, g: (hsa, -hs)),),
+        LawGroup(1, per_sigma, (Law("skew-adjointness", lambda hs, hsa, g: (hsa, -hs)),),
                  (Law("commutant condition", commutant),)),
         LawGroup(2, point=(Law("cocycle condition", cocycle_condition),)),
     )

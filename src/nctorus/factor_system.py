@@ -581,7 +581,7 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
             {"generator": tw.gen_name(k)},
         )
 
-    def pair(sigma, pi_):
+    def per_pair(sigma, pi_):
         om = fs.omega(sigma, pi_)
         return fs.gamma(sigma), fs.gamma(pi_), om, om.adjoint(), fs.gamma(char_add(sigma, pi_))
 
@@ -601,7 +601,7 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
             Law("normalization omega(sigma, 0) = gamma_sigma(1)",
                 lambda sigma, unit: (fs.omega(sigma, zero), unit)),
         )),
-        LawGroup(2, pair, (
+        LawGroup(2, per_pair, (
             Law("range projection omega* omega = gamma_{sigma+pi}(1)",
                 lambda gs, gp, om, oma, gsp: (oma * om, gsp.unit())),
             Law("range projection omega omega* = gamma_sigma(gamma_pi(1))",
@@ -642,13 +642,13 @@ def verify_conjugacy(
     """
     action = fs.action
 
-    def point(sigma):
+    def per_sigma(sigma):
         g, g2 = fs.gamma(sigma), fs2.gamma(sigma)
         vs = v.sized(sigma, g2.dim, g.dim)
         return g, g2, vs, vs.adjoint()
 
     groups = (
-        LawGroup(1, point, (), (
+        LawGroup(1, per_sigma, (), (
             Law("witness conjugates coaction forward",
                 lambda g, g2, vs, vsa, b: (vs * g.apply(b) * vsa, g2.apply(b))),
             Law("witness conjugates coaction backward",
@@ -696,7 +696,7 @@ def verify_gauge_unitary(
     """
     action = fs.action
 
-    def point(sigma):
+    def per_sigma(sigma):
         us = u(sigma)
         return us, us.adjoint(), fs.gamma(sigma)
 
@@ -705,7 +705,7 @@ def verify_gauge_unitary(
         return us * gb, gb * us
 
     groups = (
-        LawGroup(1, point, (
+        LawGroup(1, per_sigma, (
             Law("relative unitarity u*u", lambda us, usa, g: (usa * us, g.unit())),
             Law("relative unitarity uu*", lambda us, usa, g: (us * usa, g.unit())),
         ), (Law("commutant of the coaction image", commutant),)),
