@@ -91,7 +91,6 @@ from .factor_system import (
 )
 from .geometry import (
     AssociatedModule,
-    CurvatureValue,
     ModuleMembershipError,
     curvature,
     frame_connection,

@@ -314,9 +314,6 @@ class TwistedPoly:
         zero = (0,) * self.twist.n
         return all(a == zero for a in self.terms)
 
-    def support(self):
-        return sorted(self.terms)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TwistedPoly):
             return NotImplemented

@@ -139,10 +139,7 @@ def parse_twist(cfg: dict) -> TwistMatrix:
         if not isinstance(row, list) or len(row) != n:
             raise ConfigError("theta must be an n x n array")
         rows.append([_fraction(x, f"theta[{i}][{j}]") for j, x in enumerate(row)])
-    try:
-        return TwistMatrix(rows)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _at("theta", TwistMatrix, rows)
 
 
 def parse_action(cfg: dict) -> TorusAction:
@@ -154,12 +151,9 @@ def parse_action(cfg: dict) -> TorusAction:
     for c in coords:
         c = _int(c, "acting_coords")
         if not 1 <= c <= tw.n:
-            raise ConfigError(f"acting coordinate {c} out of range 1..{tw.n}")
+            raise ConfigError(f"acting_coords: coordinate {c} out of range 1..{tw.n}")
         zero_based.append(c - 1)
-    try:
-        return TorusAction(tw, zero_based)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return _at("acting_coords", TorusAction, tw, zero_based)
 
 
 def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
@@ -451,8 +445,7 @@ def _curvature_sweep(name: str, fs, d1, d2, cases: dict, degree: int):
         for x in all_weight_monomials(fs.action, char_neg(sigma), degree):
             c_comm = curvature(module, d1, d2, x, "commutator")
             c_form = curvature(module, d1, d2, x, "formula")
-            rb.expect("commutator vs closed formula", {**where, "x": x},
-                      c_comm.value, c_form.value)
+            rb.expect("commutator vs closed formula", {**where, "x": x}, c_comm, c_form)
             if not c_comm.is_zero():
                 flat = False
     return rb.finish(), flat

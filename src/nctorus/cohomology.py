@@ -154,9 +154,6 @@ class OneCochain:
     def value(self, char: Character) -> TwistedPoly:
         return self.values[tuple(char)]
 
-    def __contains__(self, char) -> bool:
-        return tuple(char) in self.values
-
 
 @dataclass
 class Obstruction:

@@ -47,7 +47,9 @@ class Derivation:
 
     ``gens`` is kept sorted and free of repeats, so two derivations on
     the same generator set compare, add and bracket whatever order the
-    set was listed in; an index outside 0..n-1 is rejected here.  The
+    set was listed in; an index outside 0..n-1 is rejected here, and with
+    ``check`` so is an image outside the algebra generated by ``gens``
+    or one that breaks an exchange relation.  The
     image of each monomial u^a is computed once and cached
     (``_monomial``), as are the images of generator powers; ``apply``
     scales the cached images by the phases of its argument.  A derivation
@@ -73,6 +75,13 @@ class Derivation:
         self._monomials: dict = {}
         self._bracket = None  # (d2, [self, d2]) of the last bracket_derivations call
         if check:
+            outside = [j for j in range(twist.n) if j not in gens]
+            for k in gens:
+                if any(a[j] for a in self.images[k].terms for j in outside):
+                    names = ", ".join(twist.gen_name(j) for j in gens)
+                    raise ScopeError(
+                        f"image of {twist.gen_name(k)} leaves the algebra generated by {names}"
+                    )
             violated = self.violated_relation()
             if violated is not None:
                 k, l = violated
@@ -288,9 +297,6 @@ class HFamily(CharacterFamily):
     def __sub__(self, other: "HFamily") -> "HFamily":
         return HFamily(self.action, lambda c: self(c) - other(c))
 
-    def __neg__(self) -> "HFamily":
-        return HFamily(self.action, lambda c: -self(c))
-
     def scale(self, c) -> "HFamily":
         return HFamily(self.action, lambda ch: self(ch).map(lambda e: e.scale(c)))
 
@@ -352,25 +358,15 @@ def verify_lift_conditions(
 
 
 class LiftedDerivation(IsotypicLift):
-    """Equivariant derivation of the whole algebra given by (delta, H)."""
+    """Equivariant derivation of the whole algebra given by (delta, H).
 
-    def __init__(
-        self,
-        fs: FactorSystem,
-        base: Derivation,
-        h: HFamily,
-        check: bool = False,
-        char_range=2,
-        gen_degree: int = 2,
-    ):
+    The pair is not checked here: ``verify_lift_conditions`` decides
+    whether it defines a lift.
+    """
+
+    def __init__(self, fs: FactorSystem, base: Derivation, h: HFamily):
         if fs.isometries is None:
             raise ValueError("lifting requires an isometry realization")
-        if check:
-            rep = verify_lift_conditions(fs, base, h, char_range, gen_degree)
-            if not rep.passed:
-                raise DerivationError(
-                    f"lift conditions fail: {rep.failures[0]}"
-                )
         self.fs = fs
         self.base = base
         self.h = h

@@ -100,12 +100,6 @@ class GradedElement:
             total = total + p
         return total
 
-    def __add__(self, other: "GradedElement") -> "GradedElement":
-        out = dict(self.components)
-        for c, p in other.components.items():
-            out[c] = out[c] + p if c in out else p
-        return GradedElement(self.action, out)
-
     def __mul__(self, other: "GradedElement") -> "GradedElement":
         return grade(self.action, self.to_poly() * other.to_poly())
 

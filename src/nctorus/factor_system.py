@@ -278,10 +278,6 @@ class Automorphism:
                 if not leg.is_star_morphism():
                     raise ValueError("automorphism is not a *-morphism")
 
-    @property
-    def action(self) -> TorusAction:
-        return self.fwd.action
-
     @classmethod
     def identity(cls, action: TorusAction) -> "Automorphism":
         ident = AlgebraMorphism.identity(action)
@@ -715,7 +711,7 @@ def verify_gauge_unitary(
                  base_monomials(action, gen_degree))
 
 
-def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
+def isotypic_mul(fs: FactorSystem, left, right):
     """Multiply isotypic components through the factor system.
 
     ``left`` and ``right`` are pairs (character, row matrix over B0); a
@@ -724,8 +720,8 @@ def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
 
         y = (y_sigma ox 1) gamma_sigma(y_pi) omega(sigma, pi)
 
-    With ``check=True`` the result is compared against the plain algebra
-    product of the realized elements, the module's brute-force oracle.
+    The result is compared against the plain algebra product of the
+    realized elements, the module's brute-force oracle.
     """
     sigma, y_sigma = left
     pi_, y_pi = right
@@ -737,15 +733,14 @@ def isotypic_mul(fs: FactorSystem, left, right, check: bool = True):
 
     y = twisted_product(fs, sigma, y_sigma, pi_, y_pi)
 
-    if check:
-        if fs.isometries is None:
-            raise ValueError("cross-check requires an isometry realization")
-        s = fs.isometries
-        x1 = (y_sigma * s(sigma)).as_scalar()
-        x2 = (y_pi * s(pi_)).as_scalar()
-        expected = (y * s(char_add(sigma, pi_))).as_scalar()
-        if x1 * x2 != expected:
-            raise AssertionError("isotypic product disagrees with the algebra product")
+    if fs.isometries is None:
+        raise ValueError("cross-check requires an isometry realization")
+    s = fs.isometries
+    x1 = (y_sigma * s(sigma)).as_scalar()
+    x2 = (y_pi * s(pi_)).as_scalar()
+    expected = (y * s(char_add(sigma, pi_))).as_scalar()
+    if x1 * x2 != expected:
+        raise AssertionError("isotypic product disagrees with the algebra product")
     return char_add(sigma, pi_), y
 
 

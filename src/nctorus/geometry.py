@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .algebra import TwistedPoly
 from .derivations import Derivation, LiftedDerivation, bracket_derivations
-from .dynamics import Character, GradedElement, char_neg, is_equivariant
-from .factor_system import FactorSystem, from_cleft
+from .dynamics import Character, char_neg, is_equivariant
+from .factor_system import FactorSystem
 from .report import CheckReport, ReportBuilder
 
 
@@ -66,13 +66,8 @@ class AssociatedModule:
             )
 
 
-def make_module(source, sigma) -> AssociatedModule:
-    """Module of weight sigma with the frame cut from the isometry family.
-
-    ``source`` is a factor system with an isometry realization, or a
-    torus action (then the canonical cleft system is used).
-    """
-    fs = source if isinstance(source, FactorSystem) else from_cleft(source)
+def make_module(fs: FactorSystem, sigma) -> AssociatedModule:
+    """Module of weight sigma with the frame cut from the isometry family."""
     if fs.isometries is None:
         raise ValueError("module frames require an isometry realization")
     sigma = tuple(sigma)
@@ -109,8 +104,7 @@ def section_connection(m: AssociatedModule, lifted: LiftedDerivation, x: Twisted
     """Covariant derivative through a section of the derivation sequence:
     apply the lifted derivation to the module element (weights are kept)."""
     m.require(x)
-    graded = lifted.apply_graded(GradedElement(m.action, {m.weight: x}))
-    out = graded.to_poly()
+    out = lifted.apply_component(m.weight, x)
     m.require(out)
     return out
 
@@ -142,27 +136,13 @@ def section_metric_report(
     return skew.finish(), metric.finish()
 
 
-@dataclass
-class CurvatureValue:
-    """Curvature of the frame connection at a derivation pair and element."""
-
-    delta1: Derivation
-    delta2: Derivation
-    element: TwistedPoly
-    value: TwistedPoly
-    method: str
-
-    def is_zero(self) -> bool:
-        return self.value.is_zero()
-
-
 def curvature(
     m: AssociatedModule,
     delta1: Derivation,
     delta2: Derivation,
     x: TwistedPoly,
     method: str = "commutator",
-) -> CurvatureValue:
+) -> TwistedPoly:
     """Curvature defect of the frame connection.
 
     ``method="commutator"`` evaluates [D_1, D_2](x) - D_{[1,2]}(x);
@@ -176,8 +156,8 @@ def curvature(
         d12 = frame_connection(m, delta1, frame_connection(m, delta2, x))
         d21 = frame_connection(m, delta2, frame_connection(m, delta1, x))
         br = bracket_derivations(delta1, delta2)
-        value = d12 - d21 - frame_connection(m, br, x)
-    elif method == "formula":
+        return d12 - d21 - frame_connection(m, br, x)
+    if method == "formula":
         value = TwistedPoly.zero(m.action.twist)
         for s_k in m.frame:
             for s_l in m.frame:
@@ -187,6 +167,5 @@ def curvature(
                     delta1.apply(gram) * delta2.apply(rx)
                     - delta2.apply(gram) * delta1.apply(rx)
                 )
-    else:
-        raise ValueError(f"unknown curvature method {method!r}")
-    return CurvatureValue(delta1, delta2, x, value, method)
+        return value
+    raise ValueError(f"unknown curvature method {method!r}")

@@ -64,10 +64,6 @@ class QQi:
     def one(cls) -> "QQi":
         return _QQI_ONE
 
-    @classmethod
-    def i(cls) -> "QQi":
-        return _QQI_I
-
     def __add__(self, other: "QQi") -> "QQi":
         d, e = self.d, other.d
         if d == e:
@@ -246,10 +242,6 @@ class Phase:
     # -- constructors ------------------------------------------------
 
     @classmethod
-    def zero(cls, nslots: int) -> "Phase":
-        return cls(nslots)
-
-    @classmethod
     def one(cls, nslots: int) -> "Phase":
         return cls.coeff(nslots, _QQI_ONE)
 
@@ -303,11 +295,6 @@ class Phase:
 
     def mul(self, other: "Phase") -> "Phase":
         return _phase_product(self, other, None)
-
-    def scale(self, c: QQi) -> "Phase":
-        if c.is_zero():
-            return Phase(self.nslots)
-        return Phase(self.nslots, {k: v * c for k, v in self.terms.items()})
 
     def shift(self, e) -> "Phase":
         """Multiply by the unit monomial ``q^e``: add ``e`` to every q-exponent."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from .algebra import TwistMatrix, TwistedPoly
+from .algebra import TwistMatrix
 from .derivations import HFamily, scaling_derivation, two_pi_i
 from .dynamics import TorusAction
 
@@ -32,9 +32,7 @@ def twist3(t12, t13, t23) -> TwistMatrix:
     )
 
 
-def restricted_gauge_action(twist: TwistMatrix | None = None) -> TorusAction:
-    if twist is None:
-        twist = twist3(*standard_angles())
+def restricted_gauge_action(twist: TwistMatrix) -> TorusAction:
     if twist.n != 3:
         raise ValueError("the restricted gauge circle lives on three generators")
     return TorusAction(twist, (2,))

@@ -40,15 +40,6 @@ class CheckReport:
     failures: list[Counterexample] = field(default_factory=list)
     notes: list[str] = field(default_factory=list)
 
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "checks": self.checks,
-            "failures": [f.to_json() for f in self.failures],
-            "notes": list(self.notes),
-        }
-
     def __str__(self) -> str:
         head = f"{self.name}: {'pass' if self.passed else 'FAIL'} ({self.checks} checks)"
         lines = [head] + [f"  {f}" for f in self.failures]

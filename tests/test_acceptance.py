@@ -387,7 +387,7 @@ def test_criterion_09_module_geometry(capsys, q3):
             for x in all_weight_monomials(action, m.weight, 1)[:4]:
                 c_comm = curvature(m, da, db, x, "commutator")
                 c_form = curvature(m, da, db, x, "formula")
-                ok &= c_comm.value == c_form.value
+                ok &= c_comm == c_form
                 ok &= c_comm.is_zero()
     elapsed = time.perf_counter() - start
     announce(capsys, 9, ok, "frames, connection laws (200 cases), flat cleft curvature", elapsed)

@@ -291,6 +291,47 @@ def test_box_parameters_must_be_non_negative_integers(tmp_path, command, extra, 
         ("lift", {"cocycle": "slot"}, "cocycle"),
         ("lift-derivation", {"h_family": 5}, "h_family"),
         ("lift-derivation", {"h_family": {"linear_scalar": 5}}, "h_family.linear_scalar"),
+        # the input checks below are each reached by this row alone
+        ("check-factor-system", {"theta": [["0", [1], "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+         "theta[0][1]: expected rational string, got list"),
+        ("check-factor-system", {"theta": [["0", "x", "0"], ["0", "0", "0"], ["0", "0", "0"]]},
+         "theta[0][1]: bad rational 'x'"),
+        ("check-factor-system", {"theta": "0"}, "theta must be an n x n array"),
+        ("check-factor-system", {"theta": [["0", "0", "0"], ["0", "0"], ["0", "0", "0"]]},
+         "theta must be an n x n array"),
+        ("check-factor-system", {"theta": [["0", "1/4", "0"], ["1/4", "0", "0"], ["0", "0", "0"]]},
+         "theta: theta must be skew-symmetric"),
+        ("check-factor-system", {"acting_coords": []}, "acting_coords must be a nonempty list"),
+        ("check-factor-system", {"acting_coords": [4]},
+         "acting_coords: coordinate 4 out of range 1..3"),
+        ("check-factor-system", {"acting_coords": [3, 3]},
+         "acting_coords: acting coordinates must be distinct"),
+        ("check-factor-system", {"omega_overrides": 5}, "omega_overrides must be a list"),
+        ("check-factor-system", {"omega_overrides": [{"sigma": [1], "pi": [1], "value": 5}]},
+         "omega_overrides[0].value: expected a list of terms"),
+        ("check-factor-system", {"omega_overrides": [{"sigma": [1], "pi": [1], "value": [5]}]},
+         "omega_overrides[0].value[0]: expected a term object"),
+        ("check-factor-system",
+         {"omega_overrides": [{"sigma": [1], "pi": [1], "value": [{"exponents": [1, 0]}]}]},
+         "omega_overrides[0].value[0]: exponents must have length 3"),
+        ("check-factor-system",
+         {"omega_overrides": [{"sigma": [1], "pi": [1], "value": [
+             {"exponents": [0, 0, 0], "phase_exponents": [1]}]}]},
+         "omega_overrides[0].value[0]: phase_exponents must have length 3"),
+        ("lift", {"automorphism": {"images": {"4": [{"exponents": [1, 0, 0]}]}}},
+         "automorphism.images: generator index 4 out of range"),
+        ("lift", {"automorphism": {"images": [1]}},
+         "automorphism.images must map generator indices to terms"),
+        ("lift", {"automorphism": IDENTITY_AUTOMORPHISM, "v_family": 5},
+         "v_family must map character keys to terms"),
+        ("lift", {"automorphism": IDENTITY_AUTOMORPHISM, "v_family": {"x": []}},
+         "v_family: bad character key 'x'"),
+        ("lift", {"automorphism": IDENTITY_AUTOMORPHISM, "v_family": {"1,2": []}},
+         "v_family: character '1,2' has wrong rank"),
+        ("lift", {"cocycle": {"slot": 1}}, "cocycle.slot must be a pair"),
+        ("lift", {"cocycle": {"slot": [1, 2], "bilinear_exponents": 5}},
+         "cocycle.bilinear_exponents must be a d x d integer matrix"),
+        ("lift-derivation", {"h_family": {}}, "h_family needs per_char or linear_scalar"),
     ],
 )
 def test_non_object_config_values_name_their_path(tmp_path, command, extra, path):
@@ -298,6 +339,20 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
     proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--json")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"].startswith(path)
+    assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "args, stdin, error",
+    [
+        (["--config", "-"], "[1, 2]", "config must be a JSON object"),
+        ([], None, "--config is required"),
+    ],
+)
+def test_the_config_itself_is_checked(args, stdin, error):
+    proc = run_cli("check-factor-system", *args, "--json", stdin=stdin)
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == error
     assert "Traceback" not in proc.stderr
 
 
@@ -442,6 +497,53 @@ class TestLiftDerivation:
         proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
         assert proc.returncode == 2
         assert "family must vanish at the trivial character" in json.loads(proc.stdout)["error"]
+
+    # u1 and u2 acted on: a rank-2 linear family has one slope per coordinate
+    RANK_TWO = {**Q3_CONFIG, "acting_coords": [1, 2], "char_range": 1}
+    TWO_PI_I = {"exponents": [0, 0, 0], "coeff": {"re": "0", "im": "1"}, "tau": 1}
+
+    def test_rank_two_slopes_are_read_per_coordinate(self, tmp_path):
+        four_pi_i = {**self.TWO_PI_I, "coeff": {"re": "0", "im": "2"}}
+        cfg = {**self.RANK_TWO, "h_family": {"linear_scalar": [[self.TWO_PI_I], [four_pi_i]]}}
+        proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 0
+        # a second slope of 1 is not skew-adjoint, so H(sigma) fails once sigma_2 != 0
+        cfg["h_family"]["linear_scalar"][1] = [{"exponents": [0, 0, 0]}]
+        proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+        assert proc.returncode == 1
+        first = json.loads(proc.stdout)["counterexamples"][0]
+        assert (first["law"], first["where"]["sigma"]) == ("coaction derivative", "(-1, -1)")
+
+    def test_single_rank_two_slope_serves_every_coordinate(self, tmp_path):
+        outputs = []
+        for slopes in ([self.TWO_PI_I], [[self.TWO_PI_I], [self.TWO_PI_I]]):
+            cfg = {**self.RANK_TWO, "h_family": {"linear_scalar": slopes}}
+            proc = run_cli("lift-derivation", "--config", write_config(tmp_path, cfg), "--json")
+            assert proc.returncode == 0
+            outputs.append(proc.stdout)
+        assert outputs[0] == outputs[1]
+
+
+# n = 2, u2 acted on: u1 -> u1 u2 - u1 u2^-1 is a *-derivation of the whole
+# algebra that no exchange relation constrains, but it leaves the fixed algebra
+OUTSIDE_THE_BASE = {
+    "n": 2, "theta": [["0", "1/4"], ["-1/4", "0"]], "acting_coords": [2], "sigma": [1],
+}
+IMAGE_OUTSIDE_THE_BASE = {"images": {"1": [
+    {"exponents": [1, 1]}, {"exponents": [1, -1], "coeff": {"re": "-1", "im": "0"}}]}}
+
+
+@pytest.mark.parametrize(
+    "command, key", [("lift-derivation", "derivation"), ("curvature", "derivation_1")]
+)
+def test_derivation_image_outside_the_base_names_its_path(tmp_path, command, key):
+    cfg = {**OUTSIDE_THE_BASE, key: IMAGE_OUTSIDE_THE_BASE}
+    proc = run_cli(command, "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == (
+        f"{key}: image of u1 leaves the algebra generated by u1"
+    )
+    assert "Traceback" not in proc.stderr
 
 
 class TestCurvature:

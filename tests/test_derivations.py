@@ -101,6 +101,16 @@ class TestMakeDerivation:
         with pytest.raises(ValueError, match=message):
             Derivation.zero(q3_twist, (0, bad))
 
+    def test_image_outside_the_generated_algebra_is_rejected(self):
+        # u1 -> u1 u2 - u1 u2^-1 on the algebra of u1 alone: a *-derivation of
+        # the whole algebra that no exchange relation constrains
+        tw = TwistMatrix([[0, Fraction(1, 4)], [Fraction(-1, 4), 0]])
+        u1, u2 = (TwistedPoly.generator(tw, k) for k in range(2))
+        image = u1 * u2 - u1 * TwistedPoly.generator(tw, 1, -1)
+        with pytest.raises(ScopeError, match="image of u1 leaves the algebra generated by u1"):
+            Derivation(tw, (0,), {0: image})
+        assert Derivation(tw, (0, 1), {0: image, 1: TwistedPoly.zero(tw)}).gens == (0, 1)
+
     def test_missing_generator_image_is_rejected(self, q3_twist):
         z = TwistedPoly.zero(q3_twist)
         with pytest.raises(ValueError, match="missing derivation image for u2"):
@@ -159,7 +169,8 @@ class TestLiftedDerivation:
 
     def test_verified_one_shot_lift(self, q3_system, q3_action, d1, h_zero, q3_gens):
         g = grade(q3_action, q3_gens[2].star() * q3_gens[0])
-        out = LiftedDerivation(q3_system, d1, h_zero, check=True).apply_graded(g)
+        assert verify_lift_conditions(q3_system, d1, h_zero).passed
+        out = LiftedDerivation(q3_system, d1, h_zero).apply_graded(g)
         assert out.to_poly() == two_pi_i(q3_gens[0].twist) * (q3_gens[2].star() * q3_gens[0])
 
     def test_one_shot_lift_rejects_bad_family(self, q3_system, q3_action, q3_twist, q3_gens, d1):
@@ -167,9 +178,10 @@ class TestLiftedDerivation:
             q3_action,
             lambda char: q3_gens[0] if char == (1,) else TwistedPoly.zero(q3_twist),
         )
-        g = grade(q3_action, q3_gens[2])
-        with pytest.raises(DerivationError):
-            LiftedDerivation(q3_system, d1, bad, check=True).apply_graded(g)
+        rep = verify_lift_conditions(q3_system, d1, bad)
+        assert not rep.passed
+        assert rep.failures[0].law == "coaction derivative"
+        assert rep.failures[0].where["sigma"] == "(1,)"
 
     def test_leibniz_star_equivariance(self, q3_system, q3_action, q3_twist, d1, h_zero, h_gauge):
         rng = random.Random(23)
@@ -376,6 +388,27 @@ class TestAtiyahSection:
             ]
         )
         assert atiyah_check(q3_system, section, 2, 2).passed
+
+    def test_non_commuting_basis_pair_is_noted_not_checked(
+        self, q3_system, q3_action, q3_twist, q3_gens, d1, h_zero
+    ):
+        # [d1, ad(u1)] = ad(d1(u1)) = ad(2*pi*i*u1) is not zero
+        u1 = q3_gens[0]
+        ad_u1 = Derivation.inner(q3_twist, q3_action.base, u1)
+        h_inner = HFamily.from_scalars(
+            q3_action, lambda char: u1 - q3_system.gamma(char).apply(u1).as_scalar()
+        )
+        section = ConnectionSection(
+            entries=[
+                SectionEntry(d1, LiftedDerivation(q3_system, d1, h_zero)),
+                SectionEntry(ad_u1, LiftedDerivation(q3_system, ad_u1, h_inner)),
+            ]
+        )
+        rep = atiyah_check(q3_system, section, 2, 2)
+        assert rep.passed, rep
+        assert rep.notes == ["bracket-section check skipped for a non-commuting basis pair"]
+        # 2 x 2 restrictions and 2 x 25 linearity checks, no bracket checks
+        assert rep.checks == 54
 
     def test_misassigned_section_fails_restriction(self, q3_system, d1, d2, h_zero):
         section = ConnectionSection(

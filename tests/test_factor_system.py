@@ -317,7 +317,7 @@ class TestIsotypicMul:
             b = rng.randint(-2, 2)
             ya = random_base_poly(rng, action)
             yb = random_base_poly(rng, action)
-            isotypic_mul(fs, ((a,), ya), ((b,), yb), check=True)
+            isotypic_mul(fs, ((a,), ya), ((b,), yb))
 
 
 class TestMorphismValidation:
