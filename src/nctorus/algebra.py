@@ -35,6 +35,17 @@ checks compare by identity first, so operands over one shared twist
 never reach ``TwistMatrix.__eq__``; equal twists built apart still
 compare equal.  The general loops stay for every other shape.
 
+Unit lane: on a cleft system omega is 1 and gamma_sigma(1) is 1, so
+most products the verifiers form have the unit as a factor.  Each twist
+holds one shared unit, ``twist.one``: ``TwistedPoly.one``, ``scalar``
+and ``monomial`` return it for the value 1, the monomial lane returns
+it for a product that comes out as 1, and its star is itself.  A
+polynomial product, and a 1 x 1 matrix product, whose factor is that
+object by identity returns the other factor.  This is exact because 1 is
+the two-sided identity and values are immutable; the twist check runs
+first, so the unit of another twist still raises ``TwistMismatchError``,
+and the unit of an equal twist built apart takes the monomial lane.
+
 Dense lane: the general polynomial product groups its term pairs by
 output monomial and hands each group to one kernel
 (``phases._product_terms``), with s(a, b) folded into the phase keys;
@@ -66,7 +77,7 @@ class TwistMatrix:
     0-based in the API; printed names are 1-based (u1, q12, ...).
     """
 
-    __slots__ = ("n", "theta", "nslots", "_slot_of", "slot_pairs", "reorder")
+    __slots__ = ("n", "theta", "nslots", "_slot_of", "slot_pairs", "reorder", "one")
 
     def __init__(self, theta):
         rows = [tuple(Fraction(x) for x in row) for row in theta]
@@ -88,6 +99,8 @@ class TwistMatrix:
         self.reorder = tuple(
             (i, j, self._slot_of[(j, i)]) for i in range(n) for j in range(i)
         )
+        # the shared unit of the unit lane (a cycle of these two objects only)
+        self.one = TwistedPoly(self, {(0,) * n: Phase.one(self.nslots)})
 
     def slot(self, k: int, l: int) -> int:
         """Slot index of the unit q_{kl}, k < l."""
@@ -200,13 +213,15 @@ class TwistedPoly:
 
     @classmethod
     def one(cls, twist: TwistMatrix) -> "TwistedPoly":
-        return cls.scalar(twist, Phase.one(twist.nslots))
+        return twist.one
 
     @classmethod
     def scalar(cls, twist: TwistMatrix, c) -> "TwistedPoly":
         p = _coerce_phase(twist, c)
         if p is None:
             raise TypeError(f"cannot use {type(c).__name__} as scalar")
+        if p.is_one():
+            return twist.one
         return cls(twist, {(0,) * twist.n: p})
 
     @classmethod
@@ -217,6 +232,8 @@ class TwistedPoly:
         p = _coerce_phase(twist, c)
         if p is None:
             raise TypeError(f"cannot use {type(c).__name__} as coefficient")
+        if not any(exponents) and p.is_one():
+            return twist.one
         return cls(twist, {exponents: p})
 
     @classmethod
@@ -254,14 +271,23 @@ class TwistedPoly:
             twist = self.twist
             if other.twist is not twist:
                 self._check(other)
+            # unit lane, after the twist check: 1 is the two-sided identity
+            one = twist.one
+            if self is one:
+                return other
+            if other is one:
+                return self
             if len(self.terms) == 1 and len(other.terms) == 1:
                 # monomial lane: one key, and QQ(i)[F] has no zero divisors
                 (a, pa), = self.terms.items()
                 (b, pb), = other.terms.items()
+                key = tuple(map(add, a, b))
+                p = _phase_product(pa, pb, _reorder_shift(twist, a, b))
+                if not any(key) and p.is_one():
+                    return one
                 mono = object.__new__(TwistedPoly)
                 mono.twist = twist
-                e = _reorder_shift(twist, a, b)
-                mono.terms = {tuple(map(add, a, b)): _phase_product(pa, pb, e)}
+                mono.terms = {key: p}
                 return mono
             return _dense_product(twist, self.terms, other.terms)
         c = _coerce_phase(self.twist, other)
@@ -284,6 +310,8 @@ class TwistedPoly:
         return TwistedPoly(self.twist, terms)
 
     def star(self) -> "TwistedPoly":
+        if self is self.twist.one:
+            return self
         out: dict = {}
         for a, p in self.terms.items():
             key = tuple(-x for x in a)
@@ -471,12 +499,19 @@ class PolyMatrix:
                 f"{other.rows}x{other.cols}"
             )
         if self.rows == self.cols == other.cols == 1:
-            # 1 x 1 lane: the entry product checks its twists itself
-            one = object.__new__(PolyMatrix)
-            one.twist = self.twist
-            one.entries = ((self.entries[0][0] * other.entries[0][0],),)
-            one.rows = one.cols = 1
-            return one
+            # 1 x 1 lane: the entry product checks its twists itself, and a
+            # unit entry, after the twist check above, gives the other factor
+            x, y = self.entries[0][0], other.entries[0][0]
+            one = self.twist.one
+            if x is one:
+                return other
+            if y is one:
+                return self
+            m = object.__new__(PolyMatrix)
+            m.twist = self.twist
+            m.entries = ((x * y,),)
+            m.rows = m.cols = 1
+            return m
         # a 0-column self has a 0x0 other, so no entry reads row[0]
         out = []
         for row in self.entries:

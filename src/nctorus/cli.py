@@ -176,8 +176,8 @@ def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
             raise ConfigError(f"{loc}: phase_exponents must have length {tw.nslots}")
         qexp = tuple(_int(e, f"{loc}.phase_exponents") for e in qexp)
         tau = _int(term.get("tau", 0), f"{loc}.tau")
-        phase = Phase(tw.nslots, {(qexp, tau): c})
-        total = total + TwistedPoly(tw, {exps: phase})
+        mono = TwistedPoly.monomial(tw, exps, Phase(tw.nslots, {(qexp, tau): c}))
+        total = mono if total.is_zero() else total + mono
     return total
 
 

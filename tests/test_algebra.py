@@ -241,6 +241,74 @@ class TestPolyMatrix:
             x * y
 
 
+class TestUnitLane:
+    @staticmethod
+    def operands(tw):
+        """A dense x, a monomial x and zero."""
+        dense = TwistedPoly.generator(tw, 0) + unit(tw, 1, 2) * TwistedPoly.generator(tw, 2, -1)
+        mono = TwistedPoly.monomial(tw, (1, -2, 0), QQi(Fraction(1, 3), -1))
+        return dense, mono, TwistedPoly.zero(tw)
+
+    def test_every_constructor_of_one_returns_the_shared_unit(self, tw):
+        from nctorus.cli import parse_poly
+        from nctorus.dynamics import TorusAction, cleft_generator
+
+        ones = [
+            TwistedPoly.one(tw),
+            TwistedPoly.scalar(tw, 1),
+            TwistedPoly.scalar(tw, QQi(1)),
+            TwistedPoly.scalar(tw, Phase.one(tw.nslots)),
+            TwistedPoly.monomial(tw, (0, 0, 0)),
+            TwistedPoly.generator(tw, 1, 0),
+            cleft_generator(TorusAction(tw, (2,)), (0,)),
+            parse_poly(tw, [{"exponents": [0, 0, 0]}], "witness"),
+        ]
+        assert all(one is tw.one for one in ones)
+        # a 1 that the lane forms from two other factors is the shared one too
+        u1 = TwistedPoly.generator(tw, 0)
+        assert u1 * TwistedPoly.generator(tw, 0, -1) is tw.one
+        assert u1.star() * u1 is tw.one and u1 * u1.star() is tw.one
+        # other scalars are values of their own
+        assert TwistedPoly.scalar(tw, -1) is not tw.one
+        assert unit(tw, 0, 1) != tw.one
+
+    def test_a_product_by_the_unit_is_the_other_factor(self, tw):
+        for x in self.operands(tw):
+            assert x * tw.one is x
+            assert tw.one * x is x
+        assert tw.one * tw.one is tw.one
+        assert tw.one.star() is tw.one
+
+    def test_a_matrix_product_by_the_unit_is_the_other_factor(self, tw):
+        eye = PolyMatrix.identity(tw, 1)
+        assert eye.entry(0, 0) is tw.one
+        for x in self.operands(tw):
+            m = PolyMatrix.from_scalar(x)
+            assert m * eye is m
+            assert eye * m is m
+
+    def test_the_unit_of_an_equal_twist_built_apart(self, tw):
+        twin = TwistMatrix([list(row) for row in tw.theta])
+        assert twin == tw and twin.one is not tw.one
+        for x in self.operands(tw):
+            assert x * twin.one == x and twin.one * x == x
+            m, eye = PolyMatrix.from_scalar(x), PolyMatrix.identity(twin, 1)
+            assert m * eye == m and eye * m == m
+
+    def test_the_unit_of_another_twist_is_a_mismatch(self, tw):
+        other = TwistMatrix([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]])
+        for x in self.operands(tw):
+            pairs = [
+                (x, other.one),
+                (other.one, x),
+                (PolyMatrix.from_scalar(x), PolyMatrix.identity(other, 1)),
+                (PolyMatrix.identity(other, 1), PolyMatrix.from_scalar(x)),
+            ]
+            for lhs, rhs in pairs:
+                with pytest.raises(TwistMismatchError):
+                    lhs * rhs
+
+
 # hypothesis strategies for the exact ring axioms, kept small for speed
 
 _coeffs = st.integers(min_value=-2, max_value=2)

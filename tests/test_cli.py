@@ -575,6 +575,33 @@ class TestCurvature:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["details"]["curvature_vanishes"] is True
 
+    def test_a_nonzero_curvature_value_clears_the_flag(self, monkeypatch):
+        # cleft frames are flat, so a nonzero value is fed in: both methods
+        # agree on it for one element, and every other element keeps its value
+        from nctorus import cli
+        from nctorus.dynamics import TorusAction
+        from nctorus.factor_system import from_cleft
+        from nctorus.q3torus import base_scaling_derivation, standard_angles, twist3
+
+        action = TorusAction(twist3(*standard_angles()), (2,))
+        fs = from_cleft(action)
+        d1 = base_scaling_derivation(action, 0)
+        d2 = base_scaling_derivation(action, 1)
+        seen, curvature = [], cli.curvature
+
+        def one_curved(module, d1, d2, x, method):
+            if not seen or seen[0] == x:
+                seen.append(x)
+                return x
+            return curvature(module, d1, d2, x, method)
+
+        monkeypatch.setattr(cli, "curvature", one_curved)
+        report, flat = cli._curvature_sweep("curvature", fs, d1, d2, {(1,): {}}, 2)
+
+        assert seen == [seen[0]] * 2 and not seen[0].is_zero()
+        assert flat is False
+        assert report.passed and report.checks == 13
+
 
 class TestDemo:
     def test_default_walkthrough(self):

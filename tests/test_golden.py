@@ -1,8 +1,9 @@
 """CLI reports stay byte-identical to the committed golden reports.
 
-The reports in ``tests/golden/`` were produced by the CLI with ``--json``
-and without ``--timing``; any change to the exact arithmetic, to term
-order or to rendering shows up here as a byte difference.
+The ``.json`` reports in ``tests/golden/`` were produced by the CLI with
+``--json`` and without ``--timing``; ``demo_q3torus.txt`` is the stdout of
+the plain ``demo q3torus`` command.  Any change to the exact arithmetic,
+to term order or to rendering shows up here as a byte difference.
 """
 
 from pathlib import Path
@@ -15,6 +16,8 @@ GOLDEN = Path(__file__).parent / "golden"
 
 CASES = [
     ("demo_q3torus", ["demo", "q3torus", "--json"], 0),
+    # the plain command: its stdout is the report, the summary goes to stderr
+    ("demo_q3torus.txt", ["demo", "q3torus"], 0),
     (
         "rank2_corrupted",
         ["check-factor-system", "--json", "--config", str(GOLDEN / "rank2_corrupted.config.json")],
@@ -58,4 +61,5 @@ CASES = [
 def test_cli_report_matches_golden(capsys, name, argv, code):
     assert main(argv) == code
     out = capsys.readouterr().out
-    assert out == (GOLDEN / f"{name}.json").read_text(encoding="utf-8")
+    path = GOLDEN / (name if name.endswith(".txt") else f"{name}.json")
+    assert out == path.read_text(encoding="utf-8")

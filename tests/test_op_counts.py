@@ -47,10 +47,14 @@ from conftest import pythagorean_column
 # isometry column costs one product for s* s = 1.  x ox 1_1 is x itself
 # (``PolyMatrix.ampliate``), so the cocycle identity and the twisted
 # product form no Kronecker product with I_1: 1,380 / 1,620 / 1,620 before.
-# Phase.mul and QQi.__mul__ 1,495 / 1,495 before the helper.
+# Phase.mul and QQi.__mul__ 1,495 / 1,495 before the helper.  Every 1 is
+# the twist's shared ``tw.one`` and a product by it returns the other
+# factor, in the 1 x 1 matrix lane before any entry product: on a cleft
+# system omega is 1 and gamma_sigma(1) is 1, so most products had a unit
+# factor.  1,255 products and 1,495 helper calls before the unit lane.
 EXPECTED = {
-    "_phase_product": 1495,
-    "TwistedPoly.__mul__": 1255,
+    "_phase_product": 504,
+    "TwistedPoly.__mul__": 281,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -67,9 +71,10 @@ EXPECTED = {
 # the box), and the conjugacy check of the lift reads the transported
 # system that extraction built: TwistedPoly.__mul__ 1,573 -> 1,548, and
 # 1,667 phase products (Phase.mul, QQi.__mul__) -> 1,602 helper calls.
+# The unit lane: 1,548 -> 883 products and 1,602 -> 510 helper calls.
 EXPECTED_LIFT = {
-    "_phase_product": 1602,
-    "TwistedPoly.__mul__": 1548,
+    "_phase_product": 510,
+    "TwistedPoly.__mul__": 883,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -78,10 +83,11 @@ EXPECTED_LIFT = {
 # sigma != 0), so the 1 x 1 lanes cannot hide a d > 1 regression.  Only
 # the cocycle identity at rho = 0, where d_rho = 1, lost its Kronecker
 # product with I_1: 5,120 / 6,040 / 6,040 before.  Phase.mul and
-# QQi.__mul__ 5,999 / 5,999 before the helper.
+# QQi.__mul__ 5,999 / 5,999 before the helper.  The unit lane: 5,079 ->
+# 5,037 products and 5,999 -> 5,728 helper calls.
 EXPECTED_D2 = {
-    "_phase_product": 5999,
-    "TwistedPoly.__mul__": 5079,
+    "_phase_product": 5728,
+    "TwistedPoly.__mul__": 5037,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -94,10 +100,11 @@ EXPECTED_D2 = {
 # for every sigma, is expanded by the Leibniz rule once and then only
 # scaled by its phase; and a product of multi-term phases runs one kernel
 # on integers instead of a QQi product per term pair: 701 / 749 / 1,988
-# before.  Phase.mul and QQi.__mul__ 509 / 149 before the helper.
+# before.  Phase.mul and QQi.__mul__ 509 / 149 before the helper.  The
+# unit lane: 413 -> 308 products and 509 -> 380 helper calls.
 EXPECTED_DENSE = {
-    "_phase_product": 509,
-    "TwistedPoly.__mul__": 413,
+    "_phase_product": 380,
+    "TwistedPoly.__mul__": 308,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -108,9 +115,10 @@ EXPECTED_DENSE = {
 # the commutator derivation [d1, d2] once, not once per element, and a
 # derivation applied to a single-term argument gives back its cached image:
 # 401 / 379 / 79 before.  Phase.mul and QQi.__mul__ 331 / 79 before the
-# helper.
+# helper.  The unit lane: 331 -> 266 helper calls; the product count stays,
+# since a product by the unit is still a call of ``TwistedPoly.__mul__``.
 EXPECTED_CURVATURE = {
-    "_phase_product": 331,
+    "_phase_product": 266,
     "TwistedPoly.__mul__": 365,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -150,6 +158,26 @@ def test_verify_axioms_operation_counts(counts):
 
     assert report.passed and report.checks == 512
     assert counts == EXPECTED
+
+
+# A 1 that is equal to the unit but is not ``tw.one`` misses the unit lane
+# and pays the monomial lane.  On this workload every unit operand is
+# shared, so a new source of 1 that forgets to share fails here.
+def test_every_unit_operand_of_the_axioms_is_the_shared_one(monkeypatch):
+    unshared = []
+    mul = TwistedPoly.__mul__
+
+    def watching(self, other):
+        for x in (self, other):
+            if isinstance(x, TwistedPoly) and x is not x.twist.one and x == x.twist.one:
+                unshared.append(x)
+        return mul(self, other)
+
+    monkeypatch.setattr(TwistedPoly, "__mul__", watching)
+    report = verify_axioms(from_cleft(q3_action()), char_range=2, gen_degree=2)
+
+    assert report.passed and report.checks == 512
+    assert unshared == []
 
 
 def _q3_lift():
