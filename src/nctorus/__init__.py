@@ -100,7 +100,7 @@ from .geometry import (
     section_connection,
     section_metric_report,
 )
-from .phases import Phase, QQi
+from .phases import Phase, PhaseRangeError, QQi
 from .report import CheckReport, Counterexample
 
 __all__ = [name for name in dir() if not name.startswith("_")]

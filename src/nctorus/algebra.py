@@ -10,8 +10,10 @@ The algebra is the twisted group algebra of Z^n: u^a * u^b =
 q^s(a, b) * u^(a+b), where the q-exponent vector s(a, b) is the integer
 bilinear form -a^T L b with L strictly lower-triangular, i.e. slot
 q_{ji} gets -a_i*b_j for every pair i > j.  ``TwistMatrix.reorder``
-lists the (i, j, slot) terms of this form once per twist, and the
-product adds s(a, b) straight to the phase keys.  The star and the
+lists the (i, j, slot) terms of this form once per twist, with each slot
+as the bit offset of its packed key field (``phases`` module docstring),
+so ``_reorder_shift`` returns s(a, b) as a packed offset and the product
+adds it straight to the phase keys.  The star and the
 monomial inverse use the diagonal case: star(u^a) = q^s(a, a) * u^(-a),
 since u^(-a) * u^a = q^s(-a, a) * u^0 and s(-a, a) = -s(a, a).
 Coefficients never touch floating point; ``evaluate`` is the one
@@ -62,7 +64,18 @@ import cmath
 from fractions import Fraction
 from operator import add
 
-from .phases import _QQI_ONE, Phase, QQi, _canonical, _phase_product, _product_terms
+from .phases import (
+    _BITS,
+    _HALF,
+    _QQI_ONE,
+    _RANGE,
+    Phase,
+    PhaseRangeError,
+    QQi,
+    _canonical,
+    _phase_product,
+    _product_terms,
+)
 
 
 class TwistMismatchError(ValueError):
@@ -95,9 +108,10 @@ class TwistMatrix:
         self.slot_pairs = [(k, l) for k in range(n) for l in range(k + 1, n)]
         self._slot_of = {p: i for i, p in enumerate(self.slot_pairs)}
         self.nslots = len(self.slot_pairs)
-        # (i, j, slot of q_{ji}) for i > j: the terms of the reordering form
+        # (i, j, bit offset of the field of q_{ji}) for i > j: the terms of
+        # the reordering form
         self.reorder = tuple(
-            (i, j, self._slot_of[(j, i)]) for i in range(n) for j in range(i)
+            (i, j, _BITS * self._slot_of[(j, i)]) for i in range(n) for j in range(i)
         )
         # the shared unit of the unit lane (a cycle of these two objects only)
         self.one = TwistedPoly(self, {(0,) * n: Phase.one(self.nslots)})
@@ -143,22 +157,26 @@ def check_skew_numeric(theta_numeric, n: int, tol: float = 1e-12):
 
 
 def _reorder_shift(twist: TwistMatrix, a, b):
-    """The q-exponent vector s(a, b) of u^a * u^b = q^s * u^(a+b), or None if 0.
+    """The q-exponent vector s(a, b) of u^a * u^b = q^s * u^(a+b) as a packed
+    offset (``phases._offset``), or None if s is 0.
 
     s = -a^T L b, L strictly lower-triangular: slot q_{ji} gets
     -a_i*b_j for each i > j.  Each slot has one term, so s is zero
-    exactly when every product a_i*b_j vanishes.
+    exactly when every product a_i*b_j vanishes.  Each product is range
+    checked here: one outside the field range would spill into the next
+    field, where no guard bit could see it.
     """
-    e = None
-    for i, j, slot in twist.reorder:
+    e = 0
+    for i, j, shift in twist.reorder:
         ai = a[i]
         if ai:
             bj = b[j]
             if bj:
-                if e is None:
-                    e = [0] * twist.nslots
-                e[slot] = -ai * bj
-    return e
+                p = ai * bj
+                if not -_HALF < p <= _HALF:
+                    raise PhaseRangeError(f"{_RANGE}: reordering exponent {-p}")
+                e -= p << shift
+    return e or None
 
 
 def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
@@ -187,23 +205,49 @@ def _dense_product(twist: TwistMatrix, xs: dict, ys: dict) -> "TwistedPoly":
             pair = (pa.terms, pb.terms, _reorder_shift(twist, a, b))
             groups.setdefault(tuple(map(add, a, b)), []).append(pair)
     nslots = twist.nslots
-    # the constructor drops a monomial whose phase cancelled to zero
-    return TwistedPoly(
-        twist, {key: _canonical(nslots, _product_terms(pairs)) for key, pairs in groups.items()}
+    # _poly drops a monomial whose phase cancelled to zero
+    return _poly(
+        twist,
+        {key: _canonical(nslots, _product_terms(nslots, pairs)) for key, pairs in groups.items()},
     )
 
 
+def _poly(twist: TwistMatrix, terms: dict) -> "TwistedPoly":
+    """Wrap ``terms`` whose keys and phases are already valid over ``twist``,
+    dropping the zero phases."""
+    x = object.__new__(TwistedPoly)
+    x.twist = twist
+    x.terms = {a: p for a, p in terms.items() if p.terms}
+    return x
+
+
 class TwistedPoly:
-    """Twisted Laurent polynomial: finite map exponent vector -> Phase."""
+    """Twisted Laurent polynomial: finite map exponent vector -> Phase.
+
+    Each key is a tuple of ``twist.n`` ints and each value a :class:`Phase`
+    over ``twist.nslots`` slots; zero phases are dropped.
+    """
 
     __slots__ = ("twist", "terms")
 
     def __init__(self, twist: TwistMatrix, terms: dict | None = None):
+        n, nslots = twist.n, twist.nslots
+        out = {}
+        for a, p in (terms or {}).items():
+            if not isinstance(a, tuple) or any(
+                isinstance(x, bool) or not isinstance(x, int) for x in a
+            ):
+                raise TypeError(f"exponent vector must be a tuple of ints, got {a!r}")
+            if len(a) != n:
+                raise ValueError(f"exponent vector {a} has length {len(a)}, expected {n}")
+            if not isinstance(p, Phase):
+                raise TypeError(f"coefficient must be a Phase, got {type(p).__name__}")
+            if p.nslots != nslots:
+                raise ValueError(f"phase has {p.nslots} slots, the twist has {nslots}")
+            if p.terms:
+                out[a] = p
         self.twist = twist
-        if terms:
-            self.terms = {a: p for a, p in terms.items() if not p.is_zero()}
-        else:
-            self.terms = {}
+        self.terms = out
 
     # -- constructors ------------------------------------------------
 
@@ -256,7 +300,7 @@ class TwistedPoly:
         for a, p in other.terms.items():
             acc = out.get(a)
             out[a] = p if acc is None else acc.add(p)
-        return TwistedPoly(self.twist, out)
+        return _poly(self.twist, out)
 
     def __sub__(self, other: "TwistedPoly") -> "TwistedPoly":
         if not isinstance(other, TwistedPoly):
@@ -264,7 +308,7 @@ class TwistedPoly:
         return self + (-other)
 
     def __neg__(self) -> "TwistedPoly":
-        return TwistedPoly(self.twist, {a: p.neg() for a, p in self.terms.items()})
+        return _poly(self.twist, {a: p.neg() for a, p in self.terms.items()})
 
     def __mul__(self, other) -> "TwistedPoly":
         if isinstance(other, TwistedPoly):
@@ -307,7 +351,7 @@ class TwistedPoly:
         if p is None:
             raise TypeError(f"cannot use {type(c).__name__} as coefficient")
         terms = {a: _phase_product(q, p, None) for a, q in self.terms.items()}
-        return TwistedPoly(self.twist, terms)
+        return _poly(self.twist, terms)
 
     def star(self) -> "TwistedPoly":
         if self is self.twist.one:
@@ -317,10 +361,10 @@ class TwistedPoly:
             key = tuple(-x for x in a)
             # star(u^a) = q^s(a, a) * u^-a
             q, e = p.conjugate(), _reorder_shift(self.twist, a, a)
-            q = q if e is None else q.shift(e)
+            q = q if e is None else q._shifted(e)
             acc = out.get(key)
             out[key] = q if acc is None else acc.add(q)
-        return TwistedPoly(self.twist, out)
+        return _poly(self.twist, out)
 
     def inverse_monomial(self) -> "TwistedPoly":
         """Inverse of a single-term polynomial with invertible phase."""
@@ -330,8 +374,8 @@ class TwistedPoly:
         inv_exp = tuple(-x for x in a)
         # (c u^a)^-1 = c^-1 (u^a)^-1 and (u^a)^-1 = (u^a)^* for the unitary u^a
         q, e = p.invert(), _reorder_shift(self.twist, a, a)
-        q = q if e is None else q.shift(e)
-        return TwistedPoly(self.twist, {inv_exp: q})
+        q = q if e is None else q._shifted(e)
+        return _poly(self.twist, {inv_exp: q})
 
     # -- predicates and views ------------------------------------------
 

@@ -52,7 +52,7 @@ from .factor_system import (
     verify_axioms,
 )
 from .geometry import curvature, make_module
-from .phases import Phase, QQi
+from .phases import Phase, QQi, _check_exponent
 from .q3torus import (
     all_weight_monomials,
     base_scaling_derivation,
@@ -92,6 +92,11 @@ def _int(x, where: str) -> int:
     if isinstance(x, bool) or not isinstance(x, int):
         raise ConfigError(f"{where}: expected integer, got {x!r}")
     return x
+
+
+def _exponent(x, where: str) -> int:
+    """An int phase exponent inside the packed key range [-2^62, 2^62)."""
+    return _at(where, _check_exponent, _int(x, where))
 
 
 def _object(x, where: str) -> dict:
@@ -174,8 +179,8 @@ def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
         qexp = term.get("phase_exponents", [0] * tw.nslots)
         if not isinstance(qexp, list) or len(qexp) != tw.nslots:
             raise ConfigError(f"{loc}: phase_exponents must have length {tw.nslots}")
-        qexp = tuple(_int(e, f"{loc}.phase_exponents") for e in qexp)
-        tau = _int(term.get("tau", 0), f"{loc}.tau")
+        qexp = tuple(_exponent(e, f"{loc}.phase_exponents") for e in qexp)
+        tau = _exponent(term.get("tau", 0), f"{loc}.tau")
         mono = TwistedPoly.monomial(tw, exps, Phase(tw.nslots, {(qexp, tau): c}))
         total = mono if total.is_zero() else total + mono
     return total

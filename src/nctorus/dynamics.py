@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from operator import add
 
-from .algebra import PolyMatrix, TwistedPoly, TwistMatrix
+from .algebra import PolyMatrix, TwistedPoly, TwistMatrix, _poly
 
 Character = tuple[int, ...]
 
@@ -129,7 +129,7 @@ def grade(action: TorusAction, x: TwistedPoly) -> GradedElement:
         bucket = parts.setdefault(c, {})
         bucket[a] = p
     return GradedElement(
-        action, {c: TwistedPoly(action.twist, t) for c, t in parts.items()}
+        action, {c: _poly(action.twist, t) for c, t in parts.items()}
     )
 
 
@@ -137,7 +137,7 @@ def fixed_part(action: TorusAction, x: TwistedPoly) -> TwistedPoly:
     """Conditional expectation onto the fixed-point algebra (degree 0 part)."""
     zero = char_zero(action.d)
     terms = {a: p for a, p in x.terms.items() if action.degree(a) == zero}
-    return TwistedPoly(action.twist, terms)
+    return _poly(action.twist, terms)
 
 
 def inner_product(action: TorusAction, x: TwistedPoly, y: TwistedPoly) -> TwistedPoly:

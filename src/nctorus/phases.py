@@ -8,9 +8,29 @@ relations among the units are imposed, so equality is decided by normal
 form and stays valid for every (also irrational) choice of twist angles.
 
 A :class:`Phase` is a finite sum of terms ``c * q^e * tau^t`` stored as
-a mapping ``(e, t) -> c`` with zero coefficients removed.  Conjugation
+a mapping ``key(e, t) -> c`` with zero coefficients removed.  Conjugation
 negates the q-exponents (the q units are unimodular) and fixes the tau
 exponent (tau is real).
+
+Packed keys: the key of ``(e, t)`` is one int with a 64-bit field per
+exponent, slot 0 lowest and tau highest, and each field holds the
+exponent plus 2^62.  Every exponent must lie in [-2^62, 2^62), so a
+valid field lies in [0, 2^63) and its top bit, the guard bit, is clear.
+A product adds keys, ``k1 + k2 - bias`` (``bias`` packs the zero
+vector), so the q-exponents and the tau exponent all add in one integer
+addition, and a shift adds an offset (a valid key less the bias).
+Every key the code forms is a sum of at most three valid keys with the
+extra biases taken off, or, in conjugation and inversion, has fields
+``2 * 2^62 - f`` for valid fields f; either way every field total lies
+in [-2^63, 2^64).  If all the totals lie in [0, 2^63), no field carries
+into the next and the int is the packing of the exponent vector it
+stands for.  Otherwise the lowest field that leaves that range receives
+no carry from below and shows its guard bit (a negative top field makes
+the whole int negative, whose two's-complement guard bits are set).  So
+one ``key & guard`` decides exactness, and a key that fails it raises
+:class:`PhaseRangeError` instead of aliasing another key.  Packing a
+key from a tuple checks each exponent's range directly, and so does
+``__pow__``, which scales exponents and cannot scale a packed key.
 
 Coefficients are :class:`QQi` values ``(a + b*i)/d`` kept as three ints
 in lowest terms, so every ring operation is integer arithmetic with at
@@ -21,7 +41,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import add
 
 
 class QQi:
@@ -155,29 +174,108 @@ _QQI_ONE = _qqi(1, 0, 1)
 _QQI_I = _qqi(0, 1, 1)
 
 
-def _clean(terms: dict) -> dict:
-    return {k: c for k, c in terms.items() if not c.is_zero()}
+# -- packed keys ----------------------------------------------------------
+
+_BITS = 64  # the width of one field
+_FIELD = (1 << _BITS) - 1
+_HALF = 1 << 62  # the bias of one field, and the bound of the exponent range
+
+_RANGE = "phase exponent outside the packed range [-2^62, 2^62)"
+
+# nslots -> (bias, guard): the packed zero vector and the guard bit of every
+# field.  Layout constants only; ``_layout`` fills an entry when the first
+# phase over that slot count is built, so the lanes read it by subscript.
+_LAYOUT: dict = {}
 
 
-def _product_terms(pairs) -> dict:
+class PhaseRangeError(ValueError):
+    """A phase exponent left [-2^62, 2^62), the range of a packed key field."""
+
+
+def _layout(nslots: int) -> tuple:
+    """The ``(bias, guard)`` of ``nslots``, added to the table on first use.
+
+    A slot count that is not a plain int is checked even when found,
+    since ``True`` and ``1.0`` hash like ``1``.
+    """
+    lay = _LAYOUT.get(nslots)
+    if lay is None or type(nslots) is not int:
+        if isinstance(nslots, bool) or not isinstance(nslots, int):
+            raise TypeError(f"slot count must be an int, got {nslots!r}")
+        if nslots < 0:
+            raise ValueError(f"slot count must be non-negative, got {nslots}")
+    if lay is None:
+        fields = range(nslots + 1)
+        lay = _LAYOUT[nslots] = (
+            sum(_HALF << (_BITS * f) for f in fields),
+            sum(1 << (_BITS * f + _BITS - 1) for f in fields),
+        )
+    return lay
+
+
+def _check_exponent(x) -> int:
+    """``x`` itself if it is an int exponent in [-2^62, 2^62)."""
+    if isinstance(x, bool) or not isinstance(x, int):
+        raise TypeError(f"phase exponent must be an int, got {x!r}")
+    if not -_HALF <= x < _HALF:
+        raise PhaseRangeError(f"{_RANGE}: {x}")
+    return x
+
+
+def _check_coefficient(c) -> bool:
+    """Whether the phase coefficient ``c``, which must be a QQi, is nonzero."""
+    if not isinstance(c, QQi):
+        raise TypeError(f"phase coefficient must be a QQi, got {type(c).__name__}")
+    return not c.is_zero()
+
+
+def _offset(nslots: int, qexp) -> int:
+    """The q-exponent vector ``qexp`` as an offset that a key adds: its
+    packed key with tau 0, less the bias."""
+    qexp = tuple(qexp)
+    if len(qexp) != nslots:
+        raise ValueError(f"q-exponent vector has length {len(qexp)}, expected {nslots}")
+    return sum(_check_exponent(x) << (_BITS * s) for s, x in enumerate(qexp))
+
+
+def _pack(nslots: int, key) -> int:
+    """The packed key of ``(qexp, tau)``, each exponent checked."""
+    try:
+        qexp, tau = key
+    except (TypeError, ValueError):
+        raise TypeError(f"phase key must be a (q-exponents, tau) pair, got {key!r}") from None
+    return _offset(nslots, qexp) + (_check_exponent(tau) << (_BITS * nslots)) + _LAYOUT[nslots][0]
+
+
+def _unpack(nslots: int, k: int) -> tuple:
+    """The ``(qexp, tau)`` tuple of a valid packed key."""
+    qexp = tuple(((k >> (_BITS * s)) & _FIELD) - _HALF for s in range(nslots))
+    return qexp, (k >> (_BITS * nslots)) - _HALF
+
+
+def _product_terms(nslots: int, pairs) -> dict:
     """Canonical terms of the sum of ``s * o * q^shift`` over ``pairs``.
 
-    ``pairs`` holds ``(s, o, shift)``: two term maps and a q-exponent
-    vector, or None for no shift.  Each output key accumulates unreduced
-    ``(a, b, d)`` ints (numerators add over a shared denominator,
-    otherwise cross-multiply) and becomes one QQi with one gcd at the
-    end; keys that sum to exactly zero are dropped.  Reducing once is
-    exact because the canonical form of a Gaussian rational is unique.
+    ``pairs`` holds ``(s, o, shift)``: two term maps and a packed offset
+    (``_offset``), or None for no shift.  A key is ``k1 + shift + k2 -
+    bias``, checked once per output key: an invalid sum has a guard bit
+    set, so it never merges with a valid key.  Each output key
+    accumulates unreduced ``(a, b, d)`` ints (numerators add over a
+    shared denominator, otherwise cross-multiply) and becomes one QQi
+    with one gcd at the end; keys that sum to exactly zero are dropped.
+    Reducing once is exact because the canonical form of a Gaussian
+    rational is unique.
     """
+    bias, guard = _LAYOUT[nslots]
     acc: dict = {}
     get = acc.get
     for s, o, shift in pairs:
-        for (e1, t1), c1 in s.items():
-            if shift is not None:
-                e1 = tuple(map(add, e1, shift))
+        off = -bias if shift is None else shift - bias
+        for k1, c1 in s.items():
+            k1 += off
             a1, b1, d1 = c1.a, c1.b, c1.d
-            for (e2, t2), c2 in o.items():
-                key = (tuple(map(add, e1, e2)), t1 + t2)
+            for k2, c2 in o.items():
+                key = k1 + k2
                 a2, b2 = c2.a, c2.b
                 a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2.d
                 cur = get(key)
@@ -191,11 +289,17 @@ def _product_terms(pairs) -> dict:
                     cur[0] = cur[0] * d + a * e
                     cur[1] = cur[1] * d + b * e
                     cur[2] = e * d
-    return {k: _reduced(a, b, d) for k, (a, b, d) in acc.items() if a or b}
+    out = {}
+    for k, (a, b, d) in acc.items():
+        if k & guard:
+            raise PhaseRangeError(_RANGE)
+        if a or b:
+            out[k] = _reduced(a, b, d)
+    return out
 
 
 def _phase_product(p: "Phase", o: "Phase", shift) -> "Phase":
-    """The phase ``p * o * q^shift``; ``shift`` is a q-exponent vector or None.
+    """The phase ``p * o * q^shift``; ``shift`` is a packed offset or None.
 
     Two single-term phases give one term in one step: the keys add, with
     the reordering shift s(a, b) of a monomial product folded in, and the
@@ -208,17 +312,19 @@ def _phase_product(p: "Phase", o: "Phase", shift) -> "Phase":
         raise ValueError("phase slot count mismatch")
     s, t = p.terms, o.terms
     if len(s) == 1 and len(t) == 1:
-        ((e1, t1), c1), = s.items()
-        ((e2, t2), c2), = t.items()
-        e = map(add, e1, e2)
-        key = (tuple(e if shift is None else map(add, e, shift)), t1 + t2)
+        (k1, c1), = s.items()
+        (k2, c2), = t.items()
+        bias, guard = _LAYOUT[nslots]
+        key = k1 + k2 - bias if shift is None else k1 + k2 + shift - bias
+        if key & guard:
+            raise PhaseRangeError(_RANGE)
         a, b, c, f = c1.a, c1.b, c2.a, c2.b
         return _canonical(nslots, {key: _reduced(a * c - b * f, a * f + b * c, c1.d * c2.d)})
-    return _canonical(nslots, _product_terms(((s, t, shift),)))
+    return _canonical(nslots, _product_terms(nslots, ((s, t, shift),)))
 
 
 def _canonical(nslots: int, terms: dict) -> "Phase":
-    """Wrap ``terms`` that are already canonical (no zero coefficient)."""
+    """Wrap packed ``terms`` that are already canonical (no zero coefficient)."""
     p = object.__new__(Phase)
     p.nslots = nslots
     p.terms = terms
@@ -228,16 +334,27 @@ def _canonical(nslots: int, terms: dict) -> "Phase":
 class Phase:
     """Finite formal sum ``sum c * q^e * tau^t`` over a fixed slot count.
 
-    ``terms`` maps ``(qexp, tau)`` with ``qexp`` a tuple of length
-    ``nslots`` to a nonzero :class:`QQi`.  The canonical form (merged
-    keys, no zero coefficients) makes ``==`` the ring equality.
+    ``Phase(nslots, {(qexp, tau): c})`` takes ``qexp`` a tuple of
+    ``nslots`` ints, ``tau`` an int, every exponent in [-2^62, 2^62), and
+    ``c`` a :class:`QQi`; zero coefficients are dropped.  ``terms`` maps
+    each packed key (see the module docstring) to its nonzero
+    coefficient, and ``items()`` gives the ``((qexp, tau), c)`` view.  The
+    canonical form (merged keys, no zero coefficients) makes ``==`` the
+    ring equality.
     """
 
     __slots__ = ("nslots", "terms")
 
     def __init__(self, nslots: int, terms: dict | None = None):
+        _layout(nslots)
+        packed = {}
+        for key, c in (terms or {}).items():
+            nonzero = _check_coefficient(c)
+            k = _pack(nslots, key)  # a zero term's key is checked too
+            if nonzero:
+                packed[k] = c
         self.nslots = nslots
-        self.terms = _clean(terms) if terms else {}
+        self.terms = packed
 
     # -- constructors ------------------------------------------------
 
@@ -247,8 +364,8 @@ class Phase:
 
     @classmethod
     def coeff(cls, nslots: int, c: QQi) -> "Phase":
-        key = ((0,) * nslots, 0)
-        return cls(nslots, {key: c})
+        bias = _layout(nslots)[0]
+        return _canonical(nslots, {bias: c} if _check_coefficient(c) else {})
 
     @classmethod
     def unit(cls, nslots: int, slot: int, power: int = 1, c: QQi = _QQI_ONE) -> "Phase":
@@ -291,37 +408,58 @@ class Phase:
         return self.add(other.neg())
 
     def neg(self) -> "Phase":
-        return Phase(self.nslots, {k: -c for k, c in self.terms.items()})
+        return _canonical(self.nslots, {k: -c for k, c in self.terms.items()})
 
     def mul(self, other: "Phase") -> "Phase":
         return _phase_product(self, other, None)
 
     def shift(self, e) -> "Phase":
         """Multiply by the unit monomial ``q^e``: add ``e`` to every q-exponent."""
-        return _canonical(
-            self.nslots,
-            {(tuple(map(add, k, e)), t): c for (k, t), c in self.terms.items()},
-        )
+        return self._shifted(_offset(self.nslots, e))
+
+    def _shifted(self, off: int) -> "Phase":
+        """Multiply by the unit monomial whose packed offset is ``off``."""
+        guard = _LAYOUT[self.nslots][1]
+        out = {}
+        for k, c in self.terms.items():
+            k += off
+            if k & guard:
+                raise PhaseRangeError(_RANGE)
+            out[k] = c
+        return _canonical(self.nslots, out)
 
     def conjugate(self) -> "Phase":
-        # q units are unimodular (exponent flips); tau is real (exponent kept)
-        return Phase(
-            self.nslots,
-            {(tuple(-x for x in e), t): c.conjugate() for (e, t), c in self.terms.items()},
-        )
+        # q units are unimodular (exponent flips); tau is real (exponent kept):
+        # each q field f becomes 2*2^62 - f, and the tau field stays
+        n = self.nslots
+        bias, guard = _LAYOUT[n]
+        low = (1 << (_BITS * n)) - 1
+        flip = 2 * (bias & low)
+        out = {}
+        for k, c in self.terms.items():
+            q = k & low
+            k += flip - q - q
+            if k & guard:
+                raise PhaseRangeError(_RANGE)
+            out[k] = _qqi(c.a, -c.b, c.d)
+        return _canonical(n, out)
 
     def invert(self) -> "Phase":
         """Inverse of a single-term phase; general sums are not units."""
         if len(self.terms) != 1:
             raise ValueError("only monomial phases are invertible")
-        ((e, t), c), = self.terms.items()
-        return Phase(self.nslots, {(tuple(-x for x in e), -t): c.inverse()})
+        (k, c), = self.terms.items()
+        bias, guard = _LAYOUT[self.nslots]
+        k = 2 * bias - k  # every field f becomes 2*2^62 - f
+        if k & guard:
+            raise PhaseRangeError(_RANGE)
+        return _canonical(self.nslots, {k: c.inverse()})
 
     def __pow__(self, k: int) -> "Phase":
         if k < 0:
             return self.invert() ** (-k)
         if len(self.terms) == 1:
-            ((e, t), c), = self.terms.items()
+            ((e, t), c), = self.items()
             return Phase(self.nslots, {(tuple(x * k for x in e), t * k): c**k})
         out = Phase.one(self.nslots)
         for _ in range(k):
@@ -330,12 +468,18 @@ class Phase:
 
     # -- predicates and conversion -----------------------------------
 
+    def items(self):
+        """The terms as ``((qexp, tau), c)`` pairs, in storage order."""
+        n = self.nslots
+        for k, c in self.terms.items():
+            yield _unpack(n, k), c
+
     def is_zero(self) -> bool:
         return not self.terms
 
     def is_one(self) -> bool:
-        key = ((0,) * self.nslots, 0)
-        return len(self.terms) == 1 and self.terms.get(key) == _QQI_ONE
+        t = self.terms
+        return len(t) == 1 and t.get(_LAYOUT[self.nslots][0]) == _QQI_ONE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Phase):
@@ -348,7 +492,7 @@ class Phase:
     def evaluate(self, unit_values, tau_value: float) -> complex:
         """Substitute numeric values for the q units and tau."""
         total = 0j
-        for (e, t), c in self.terms.items():
+        for (e, t), c in self.items():
             val = c.evaluate()
             for s, p in enumerate(e):
                 if p:
@@ -362,7 +506,8 @@ class Phase:
         if not self.terms:
             return "0"
         parts = []
-        for (e, t), c in sorted(self.terms.items()):
+        # by the (qexp, tau) tuple: packed-int order compares tau first
+        for (e, t), c in sorted(self.items()):
             factors = []
             for s, p in enumerate(e):
                 if p == 1:

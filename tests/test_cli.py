@@ -411,6 +411,54 @@ def test_invalid_values_name_their_path(tmp_path, command, extra, message):
     assert "Traceback" not in proc.stderr
 
 
+# phase keys are packed, so every phase exponent must lie in [-2^62, 2^62)
+BOUND = 1 << 62
+RANGE_ERROR = "phase exponent outside the packed range [-2^62, 2^62)"
+
+
+def _omega_term(**fields):
+    value = [{"exponents": [0, 0, 0], **fields}]
+    return {**Q3_CONFIG, "char_range": 1, "omega_overrides": [{"sigma": [1], "pi": [1], "value": value}]}
+
+
+@pytest.mark.parametrize(
+    "fields, path, value",
+    [
+        ({"phase_exponents": [BOUND, 0, 0]}, "phase_exponents", BOUND),
+        ({"phase_exponents": [0, 0, -BOUND - 1]}, "phase_exponents", -BOUND - 1),
+        ({"tau": BOUND}, "tau", BOUND),
+        ({"tau": -BOUND - 1}, "tau", -BOUND - 1),
+    ],
+)
+def test_phase_exponent_outside_the_range_names_its_path(tmp_path, fields, path, value):
+    cfg = _omega_term(**fields)
+    proc = run_cli("check-factor-system", "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == (
+        f"omega_overrides[0].value[0].{path}: {RANGE_ERROR}: {value}"
+    )
+    assert "Traceback" not in proc.stderr
+
+
+def test_phase_exponents_inside_the_range_are_read(tmp_path):
+    cfg = {**_omega_term(phase_exponents=[BOUND - 1, 0, 0]), "gen_degree": 1}
+    proc = run_cli("check-factor-system", "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["counterexamples"][0]["rhs"] == f"[q12^{BOUND - 1}]"
+
+
+def test_range_error_mid_run_is_an_input_error(tmp_path):
+    # q13^(2^62 - 1)*u1 is a unit, so the image parses, but applying the
+    # automorphism to u1^2 forms q13^(2^63 - 2)
+    image = {"exponents": [1, 0, 0], "phase_exponents": [0, BOUND - 1, 0]}
+    cfg = {**Q3_CONFIG, "char_range": 1,
+           "automorphism": {"images": {"1": [image], "2": [{"exponents": [0, 1, 0]}]}}}
+    proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"] == RANGE_ERROR
+    assert "Traceback" not in proc.stderr
+
+
 class TestLiftDerivation:
     def test_gauge_family_passes(self, tmp_path):
         cfg = dict(Q3_CONFIG)
