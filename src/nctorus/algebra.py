@@ -46,16 +46,22 @@ polynomial product, and a 1 x 1 matrix product, whose factor is that
 object by identity returns the other factor.  This is exact because 1 is
 the two-sided identity and values are immutable; the twist check runs
 first, so the unit of another twist still raises ``TwistMismatchError``,
-and the unit of an equal twist built apart takes the monomial lane.
+and the unit of an equal twist built apart takes the monomial lane.  The
+phase layer shares its unit too: ``tw.one``'s phase is the one
+``Phase.one(nslots)``, ``_coerce_phase`` swaps any phase equal to 1
+over the twist's slot count for it (after that slot-count test, so a
+phase over another slot count still fails the constructor), and a
+phase product by it returns the other factor (``phases`` module
+docstring, Lanes).
 
 Dense lane: the general polynomial product groups its term pairs by
 output monomial and hands each group to one kernel
 (``phases._product_terms``), with s(a, b) folded into the phase keys;
-``Phase.mul`` uses the same kernel.  Coefficients accumulate per key
-as unreduced integers (a, b, d) and each output coefficient is reduced
-with one gcd.  This is exact because the canonical form of a Gaussian
-rational is unique: reducing once at the end gives the same value as
-reducing after every product and sum.
+``Phase.mul`` uses the same kernel for two multi-term phases.
+Coefficients accumulate per key as unreduced integers (a, b, d) and each
+output coefficient is reduced with one gcd.  This is exact because the
+canonical form of a Gaussian rational is unique: reducing once at the
+end gives the same value as reducing after every product and sum.
 """
 
 from __future__ import annotations
@@ -188,12 +194,25 @@ def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
 
 def _coerce_phase(twist: TwistMatrix, c) -> Phase | None:
     if isinstance(c, Phase):
+        # a phase over another slot count stays itself, so it still fails
+        # the slot check of whatever it reaches
+        if c.nslots == twist.nslots and c.is_one():
+            return Phase.one(c.nslots)
         return c
     if isinstance(c, QQi):
         return Phase.coeff(twist.nslots, c)
     if isinstance(c, (int, Fraction)):
         return Phase.coeff(twist.nslots, QQi(c))
     return None
+
+
+def _check_exponents(n: int, a: tuple) -> tuple:
+    """``a`` itself if it holds ``n`` ints (bool is not one)."""
+    if any(isinstance(x, bool) or not isinstance(x, int) for x in a):
+        raise TypeError(f"exponent vector must be a tuple of ints, got {a!r}")
+    if len(a) != n:
+        raise ValueError(f"exponent vector {a} has length {len(a)}, expected {n}")
+    return a
 
 
 def _dense_product(twist: TwistMatrix, xs: dict, ys: dict) -> "TwistedPoly":
@@ -234,12 +253,9 @@ class TwistedPoly:
         n, nslots = twist.n, twist.nslots
         out = {}
         for a, p in (terms or {}).items():
-            if not isinstance(a, tuple) or any(
-                isinstance(x, bool) or not isinstance(x, int) for x in a
-            ):
+            if not isinstance(a, tuple):
                 raise TypeError(f"exponent vector must be a tuple of ints, got {a!r}")
-            if len(a) != n:
-                raise ValueError(f"exponent vector {a} has length {len(a)}, expected {n}")
+            _check_exponents(n, a)
             if not isinstance(p, Phase):
                 raise TypeError(f"coefficient must be a Phase, got {type(p).__name__}")
             if p.nslots != nslots:
@@ -264,19 +280,19 @@ class TwistedPoly:
         p = _coerce_phase(twist, c)
         if p is None:
             raise TypeError(f"cannot use {type(c).__name__} as scalar")
-        if p.is_one():
+        # only the unit of the twist's own slot count: any other phase
+        # reaches the constructor's slot check
+        if p is Phase.one(twist.nslots):
             return twist.one
         return cls(twist, {(0,) * twist.n: p})
 
     @classmethod
     def monomial(cls, twist: TwistMatrix, exponents, c=_QQI_ONE) -> "TwistedPoly":
-        exponents = tuple(int(x) for x in exponents)
-        if len(exponents) != twist.n:
-            raise ValueError("exponent vector has wrong length")
+        exponents = _check_exponents(twist.n, tuple(exponents))
         p = _coerce_phase(twist, c)
         if p is None:
             raise TypeError(f"cannot use {type(c).__name__} as coefficient")
-        if not any(exponents) and p.is_one():
+        if p is Phase.one(twist.nslots) and not any(exponents):
             return twist.one
         return cls(twist, {exponents: p})
 

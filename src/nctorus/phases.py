@@ -32,6 +32,24 @@ one ``key & guard`` decides exactness, and a key that fails it raises
 key from a tuple checks each exponent's range directly, and so does
 ``__pow__``, which scales exponents and cannot scale a packed key.
 
+Lanes: every phase product is one call of ``_phase_product``, which
+picks the cheapest exact way to form it.  Unit lane: each slot count has
+one shared unit ``Phase.one(nslots)``, built by ``_layout`` with that
+slot count's layout constants; ``coeff`` of 1, the conjugate and the
+inverse of the unit, and a single-term product that comes out as 1 all
+return it, and a product by it (after the slot-count check, with no
+shift) returns the other operand.  This is exact because 1 is the
+two-sided identity and phases are never changed after they are built.
+Monomial lane: two single-term phases give the one term whose key is
+the sum of the keys.  Single-term lane: a single-term phase times a
+multi-term one moves every term of the other by the same key offset and
+multiplies its coefficient by the same Gaussian rational, in one pass
+with no accumulator.  This is exact because k -> k + k1 (+ shift) is
+one-to-one, so no two output keys meet, and QQ(i) has no zero divisors,
+so no output coefficient is zero: each input term gives its own
+canonical output term.  Every key is still tested against the guard
+bits.  Two multi-term phases run the dense kernel ``_product_terms``.
+
 Coefficients are :class:`QQi` values ``(a + b*i)/d`` kept as three ints
 in lowest terms, so every ring operation is integer arithmetic with at
 most one gcd; ``evaluate`` stays the only numeric boundary.
@@ -182,9 +200,10 @@ _HALF = 1 << 62  # the bias of one field, and the bound of the exponent range
 
 _RANGE = "phase exponent outside the packed range [-2^62, 2^62)"
 
-# nslots -> (bias, guard): the packed zero vector and the guard bit of every
-# field.  Layout constants only; ``_layout`` fills an entry when the first
-# phase over that slot count is built, so the lanes read it by subscript.
+# nslots -> (bias, guard, one): the packed zero vector, the guard bit of
+# every field and the shared unit phase.  ``_layout`` fills an entry when
+# the first phase over that slot count is built, so the lanes read it by
+# subscript.
 _LAYOUT: dict = {}
 
 
@@ -193,7 +212,7 @@ class PhaseRangeError(ValueError):
 
 
 def _layout(nslots: int) -> tuple:
-    """The ``(bias, guard)`` of ``nslots``, added to the table on first use.
+    """The ``(bias, guard, one)`` of ``nslots``, added to the table on first use.
 
     A slot count that is not a plain int is checked even when found,
     since ``True`` and ``1.0`` hash like ``1``.
@@ -206,10 +225,9 @@ def _layout(nslots: int) -> tuple:
             raise ValueError(f"slot count must be non-negative, got {nslots}")
     if lay is None:
         fields = range(nslots + 1)
-        lay = _LAYOUT[nslots] = (
-            sum(_HALF << (_BITS * f) for f in fields),
-            sum(1 << (_BITS * f + _BITS - 1) for f in fields),
-        )
+        bias = sum(_HALF << (_BITS * f) for f in fields)
+        guard = sum(1 << (_BITS * f + _BITS - 1) for f in fields)
+        lay = _LAYOUT[nslots] = (bias, guard, _canonical(nslots, {bias: _QQI_ONE}))
     return lay
 
 
@@ -266,7 +284,7 @@ def _product_terms(nslots: int, pairs) -> dict:
     Reducing once is exact because the canonical form of a Gaussian
     rational is unique.
     """
-    bias, guard = _LAYOUT[nslots]
+    bias, guard, _ = _LAYOUT[nslots]
     acc: dict = {}
     get = acc.get
     for s, o, shift in pairs:
@@ -298,28 +316,66 @@ def _product_terms(nslots: int, pairs) -> dict:
     return out
 
 
+def _scaled_terms(c1: QQi, off: int, terms: dict, guard: int) -> dict:
+    """Canonical terms of ``c1 * q^off * terms`` for a key offset ``off``.
+
+    The single-term lane: each key moves by ``off`` and each coefficient
+    is one Gaussian-rational product, so no two output keys meet and no
+    product is zero.  Each key is checked against the guard bits.
+    """
+    a1, b1, d1 = c1.a, c1.b, c1.d
+    out = {}
+    for k, c in terms.items():
+        k += off
+        if k & guard:
+            raise PhaseRangeError(_RANGE)
+        a2, b2 = c.a, c.b
+        out[k] = _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c.d)
+    return out
+
+
 def _phase_product(p: "Phase", o: "Phase", shift) -> "Phase":
     """The phase ``p * o * q^shift``; ``shift`` is a packed offset or None.
 
-    Two single-term phases give one term in one step: the keys add, with
-    the reordering shift s(a, b) of a monomial product folded in, and the
-    coefficient is one Gaussian-rational product.  Nothing can cancel,
+    With no shift, a product by the shared unit of the slot count (by
+    identity, after the slot check) returns the other operand.  Two
+    single-term phases give one term in one step: the keys add, with the
+    reordering shift s(a, b) of a monomial product folded in, and the
+    coefficient is one Gaussian-rational product; a result of 1 is the
+    shared unit.  A single-term phase times any other moves each term of
+    the other in one pass (``_scaled_terms``).  Nothing can cancel,
     because QQ(i) has no zero divisors.  Every other pair of phases runs
     the dense kernel.
     """
     nslots = p.nslots
     if o.nslots != nslots:
         raise ValueError("phase slot count mismatch")
+    bias, guard, one = _LAYOUT[nslots]
+    if shift is None:
+        if p is one:
+            return o
+        if o is one:
+            return p
+        off = -bias
+    else:
+        off = shift - bias
     s, t = p.terms, o.terms
-    if len(s) == 1 and len(t) == 1:
+    if len(s) == 1:
         (k1, c1), = s.items()
+        if len(t) != 1:
+            return _canonical(nslots, _scaled_terms(c1, k1 + off, t, guard))
         (k2, c2), = t.items()
-        bias, guard = _LAYOUT[nslots]
-        key = k1 + k2 - bias if shift is None else k1 + k2 + shift - bias
+        key = k1 + k2 + off
         if key & guard:
             raise PhaseRangeError(_RANGE)
         a, b, c, f = c1.a, c1.b, c2.a, c2.b
-        return _canonical(nslots, {key: _reduced(a * c - b * f, a * f + b * c, c1.d * c2.d)})
+        a, b, d = a * c - b * f, a * f + b * c, c1.d * c2.d
+        if not b and a == d and key == bias:
+            return one
+        return _canonical(nslots, {key: _reduced(a, b, d)})
+    if len(t) == 1:
+        (k2, c2), = t.items()
+        return _canonical(nslots, _scaled_terms(c2, k2 + off, s, guard))
     return _canonical(nslots, _product_terms(nslots, ((s, t, shift),)))
 
 
@@ -360,12 +416,15 @@ class Phase:
 
     @classmethod
     def one(cls, nslots: int) -> "Phase":
-        return cls.coeff(nslots, _QQI_ONE)
+        """The shared unit of ``nslots``: one object per slot count."""
+        return _layout(nslots)[2]
 
     @classmethod
     def coeff(cls, nslots: int, c: QQi) -> "Phase":
-        bias = _layout(nslots)[0]
-        return _canonical(nslots, {bias: c} if _check_coefficient(c) else {})
+        bias, _, one = _layout(nslots)
+        if not _check_coefficient(c):
+            return _canonical(nslots, {})
+        return one if c == _QQI_ONE else _canonical(nslots, {bias: c})
 
     @classmethod
     def unit(cls, nslots: int, slot: int, power: int = 1, c: QQi = _QQI_ONE) -> "Phase":
@@ -432,7 +491,9 @@ class Phase:
         # q units are unimodular (exponent flips); tau is real (exponent kept):
         # each q field f becomes 2*2^62 - f, and the tau field stays
         n = self.nslots
-        bias, guard = _LAYOUT[n]
+        bias, guard, one = _LAYOUT[n]
+        if self is one:
+            return one
         low = (1 << (_BITS * n)) - 1
         flip = 2 * (bias & low)
         out = {}
@@ -448,8 +509,10 @@ class Phase:
         """Inverse of a single-term phase; general sums are not units."""
         if len(self.terms) != 1:
             raise ValueError("only monomial phases are invertible")
+        bias, guard, one = _LAYOUT[self.nslots]
+        if self is one:
+            return one
         (k, c), = self.terms.items()
-        bias, guard = _LAYOUT[self.nslots]
         k = 2 * bias - k  # every field f becomes 2*2^62 - f
         if k & guard:
             raise PhaseRangeError(_RANGE)
@@ -478,8 +541,11 @@ class Phase:
         return not self.terms
 
     def is_one(self) -> bool:
+        bias, _, one = _LAYOUT[self.nslots]
+        if self is one:
+            return True
         t = self.terms
-        return len(t) == 1 and t.get(_LAYOUT[self.nslots][0]) == _QQI_ONE
+        return len(t) == 1 and t.get(bias) == _QQI_ONE
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Phase):

@@ -37,6 +37,10 @@ from conftest import pythagorean_column
 # before, and those two read 0: a product formed outside the helper, or an
 # extra one per term, still fails a pin.  Each pin below lowered both from
 # the old ``Phase.mul`` count to 0 and pins the helper at or below it.
+# ``phases._product_terms`` counts the dense kernel: a product of a
+# single-term phase and a multi-term one is built in one pass inside the
+# helper, and a product by the shared unit phase returns the other factor,
+# so only products of two multi-term phases reach the kernel.
 
 # verify_axioms on the q3torus demo system.  Every product on this
 # workload multiplies two monomials: one Phase.mul and one QQi product per
@@ -52,8 +56,10 @@ from conftest import pythagorean_column
 # factor, in the 1 x 1 matrix lane before any entry product: on a cleft
 # system omega is 1 and gamma_sigma(1) is 1, so most products had a unit
 # factor.  1,255 products and 1,495 helper calls before the unit lane.
+# Every phase here is a single term, so the dense kernel never runs.
 EXPECTED = {
     "_phase_product": 504,
+    "_product_terms": 0,
     "TwistedPoly.__mul__": 281,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -72,8 +78,10 @@ EXPECTED = {
 # system that extraction built: TwistedPoly.__mul__ 1,573 -> 1,548, and
 # 1,667 phase products (Phase.mul, QQi.__mul__) -> 1,602 helper calls.
 # The unit lane: 1,548 -> 883 products and 1,602 -> 510 helper calls.
+# Every phase here is a single term, so the dense kernel never runs.
 EXPECTED_LIFT = {
     "_phase_product": 510,
+    "_product_terms": 0,
     "TwistedPoly.__mul__": 883,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -84,9 +92,11 @@ EXPECTED_LIFT = {
 # the cocycle identity at rho = 0, where d_rho = 1, lost its Kronecker
 # product with I_1: 5,120 / 6,040 / 6,040 before.  Phase.mul and
 # QQi.__mul__ 5,999 / 5,999 before the helper.  The unit lane: 5,079 ->
-# 5,037 products and 5,999 -> 5,728 helper calls.
+# 5,037 products and 5,999 -> 5,728 helper calls.  Every phase here is a
+# single term, so the dense kernel never runs.
 EXPECTED_D2 = {
     "_phase_product": 5728,
+    "_product_terms": 0,
     "TwistedPoly.__mul__": 5037,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -101,9 +111,12 @@ EXPECTED_D2 = {
 # scaled by its phase; and a product of multi-term phases runs one kernel
 # on integers instead of a QQi product per term pair: 701 / 749 / 1,988
 # before.  Phase.mul and QQi.__mul__ 509 / 149 before the helper.  The
-# unit lane: 413 -> 308 products and 509 -> 380 helper calls.
+# unit lane: 413 -> 308 products and 509 -> 380 helper calls.  The
+# single-term lane: 260 -> 1 kernel calls, since nearly every dense product
+# has a single-term factor.
 EXPECTED_DENSE = {
     "_phase_product": 380,
+    "_product_terms": 1,
     "TwistedPoly.__mul__": 308,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -117,8 +130,10 @@ EXPECTED_DENSE = {
 # 401 / 379 / 79 before.  Phase.mul and QQi.__mul__ 331 / 79 before the
 # helper.  The unit lane: 331 -> 266 helper calls; the product count stays,
 # since a product by the unit is still a call of ``TwistedPoly.__mul__``.
+# The single-term lane: 202 -> 28 kernel calls.
 EXPECTED_CURVATURE = {
     "_phase_product": 266,
+    "_product_terms": 28,
     "TwistedPoly.__mul__": 365,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
@@ -140,10 +155,12 @@ def counts(monkeypatch):
     for cls, attr in ((TwistedPoly, "__mul__"), (Phase, "mul"), (QQi, "__mul__")):
         name = f"{cls.__name__}.{attr}"
         monkeypatch.setattr(cls, attr, counting(name, cls.__dict__[attr]))
-    # algebra imports the helper by name, so both references are wrapped
-    product = counting("_phase_product", phases._phase_product)
-    for module in (phases, algebra):
-        monkeypatch.setattr(module, "_phase_product", product)
+    # algebra imports the helper and the kernel by name, so both references
+    # of each are wrapped
+    for name in ("_phase_product", "_product_terms"):
+        wrapped = counting(name, getattr(phases, name))
+        for module in (phases, algebra):
+            monkeypatch.setattr(module, name, wrapped)
     return counts
 
 
@@ -178,6 +195,37 @@ def test_every_unit_operand_of_the_axioms_is_the_shared_one(monkeypatch):
 
     assert report.passed and report.checks == 512
     assert unshared == []
+
+
+# The same for phases: a 1 that is not the shared ``Phase.one`` of its slot
+# count misses the unit lane of ``_phase_product``.  On the axioms and on the
+# lift every phase operand equal to 1 is the shared one.
+def _unshared_unit_phases(monkeypatch, run):
+    unshared = []
+    product = phases._phase_product
+
+    def watching(p, o, shift):
+        for x in (p, o):
+            if x is not Phase.one(x.nslots) and x.is_one():
+                unshared.append(x)
+        return product(p, o, shift)
+
+    for module in (phases, algebra):
+        monkeypatch.setattr(module, "_phase_product", watching)
+    run()
+    return unshared
+
+
+def test_every_unit_phase_operand_of_the_axioms_is_the_shared_one(monkeypatch):
+    def run():
+        report = verify_axioms(from_cleft(q3_action()), char_range=2, gen_degree=2)
+        assert report.passed and report.checks == 512
+
+    assert _unshared_unit_phases(monkeypatch, run) == []
+
+
+def test_every_unit_phase_operand_of_the_lift_is_the_shared_one(monkeypatch):
+    assert _unshared_unit_phases(monkeypatch, _q3_lift) == []
 
 
 def _q3_lift():
