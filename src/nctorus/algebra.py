@@ -15,9 +15,15 @@ as the bit offset of its packed key field (``phases`` module docstring),
 so ``_reorder_shift`` returns s(a, b) as a packed offset and the product
 adds it straight to the phase keys.  The star and the
 monomial inverse use the diagonal case: star(u^a) = q^s(a, a) * u^(-a),
-since u^(-a) * u^a = q^s(-a, a) * u^0 and s(-a, a) = -s(a, a).
-Coefficients never touch floating point; ``evaluate`` is the one
-numeric boundary.
+since u^(-a) * u^a = q^s(-a, a) * u^0 and s(-a, a) = -s(a, a).  The
+commutator form c(a, b) = s(a, b) - s(b, a) gives u^a u^b = q^c(a, b)
+u^b u^a; it is bilinear and antisymmetric, slot q_{ji} gets
+a_j*b_i - a_i*b_j, and ``_commutator_shift`` returns it packed.  It is
+the one place the exchange phases are formed: ``exchange_phase`` is
+q^c(e_k, e_l), centrality is c(a, e_k) = 0, and conjugation by a unit
+monomial is u^m u^a u^-m = q^c(m, a) u^a (``factor_system`` module
+docstring).  Coefficients never touch floating point; ``evaluate`` is
+the one numeric boundary.
 
 Canonical form (merged exponents, no zero coefficients) makes ``==``
 the algebra equality, which all verifiers downstream rely on.  Values
@@ -185,11 +191,40 @@ def _reorder_shift(twist: TwistMatrix, a, b):
     return e or None
 
 
+def _commutator_shift(twist: TwistMatrix, a, b):
+    """The commutator form c(a, b) = s(a, b) - s(b, a) of u^a u^b =
+    q^c(a, b) u^b u^a as a packed offset, or None if c is 0.
+
+    Slot q_{ji} gets a_j*b_i - a_i*b_j for each i > j.  Each product is
+    range checked as in ``_reorder_shift``, so each field is a difference
+    of two fields of that form and lies in (-2^63, 2^63): a key bias + c
+    stays inside the packed-key argument (``phases`` module docstring),
+    and a field outside [-2^62, 2^62) fails the guard test of whatever
+    key adds it.  No field reaches 2^63, so the offset is 0 exactly when
+    every field is.
+    """
+    e = 0
+    for i, j, shift in twist.reorder:
+        p, r = a[i] * b[j], a[j] * b[i]
+        if p or r:
+            if not (-_HALF < p <= _HALF and -_HALF < r <= _HALF):
+                raise PhaseRangeError(f"{_RANGE}: commutator exponents {-p}, {r}")
+            e += (r - p) << shift
+    return e or None
+
+
+def _unit_vector(n: int, k: int, power: int = 1) -> tuple:
+    """The exponent vector of u_k^power among n generators."""
+    e = [0] * n
+    e[k] = power
+    return tuple(e)
+
+
 def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
-    """The formal unit for lambda_{kl} in u_k u_l = lambda_{kl} u_l u_k."""
-    if k < l:
-        return Phase.unit(twist.nslots, twist.slot(k, l))
-    return Phase.unit(twist.nslots, twist.slot(l, k), -1)
+    """The formal unit q^c(e_k, e_l) for lambda_{kl} in u_k u_l = lambda_{kl} u_l u_k."""
+    off = _commutator_shift(twist, _unit_vector(twist.n, k), _unit_vector(twist.n, l))
+    one = Phase.one(twist.nslots)
+    return one if off is None else one._shifted(off)
 
 
 def _coerce_phase(twist: TwistMatrix, c) -> Phase | None:
@@ -298,9 +333,7 @@ class TwistedPoly:
 
     @classmethod
     def generator(cls, twist: TwistMatrix, k: int, power: int = 1) -> "TwistedPoly":
-        e = [0] * twist.n
-        e[k] = power
-        return cls.monomial(twist, e)
+        return cls.monomial(twist, _unit_vector(twist.n, k, power))
 
     # -- ring operations ---------------------------------------------
 

@@ -24,9 +24,11 @@ Lift lane: a cocycle value x is checked central without forming a
 product.  c u^a u_k and u_k c u^a are the monomial u^(a+e_k) with the
 phases c q^s(a, e_k) and c q^s(e_k, a), and a -> a + e_k is one to
 one, so x commutes with u_k exactly when the integer vectors s(a, e_k)
-and s(e_k, a) agree for every exponent a of x.  This is exact because
-the q units are free: a nonzero phase times q^v determines v.  The
-isometry adjoints s(sigma)* are read from the family's own cache.
+and s(e_k, a) agree, that is when the commutator form c(a, e_k) is 0
+(``algebra`` module docstring), for every exponent a of x.  This is
+exact because the q units are free: a nonzero phase times q^v
+determines v.  The isometry adjoints s(sigma)* are read from the
+family's own cache.
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
@@ -42,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, _reorder_shift
+from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, _commutator_shift, _unit_vector
 from .dynamics import (
     Character,
     TorusAction,
@@ -80,15 +82,15 @@ class WitnessError(ValueError):
 
 
 def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
-    """x commutes with every u_k of B0: s(a, e_k) = s(e_k, a) for every
-    exponent a of x (the lift lane of the module docstring)."""
+    """x commutes with every u_k of B0: c(a, e_k) = 0 for every exponent a
+    of x (the lift lane of the module docstring)."""
     tw = action.twist
     if x.twist != tw:
         raise TwistMismatchError("operands have different twist matrices")
     for k in action.base:
-        e = tuple(int(j == k) for j in range(tw.n))
+        e = _unit_vector(tw.n, k)
         for a in x.terms:
-            if _reorder_shift(tw, a, e) != _reorder_shift(tw, e, a):
+            if _commutator_shift(tw, a, e) is not None:
                 return False
     return True
 
@@ -267,6 +269,28 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
     return report
 
 
+def _staircase(u: TwoCocycle, values: dict, sig: Character) -> TwistedPoly:
+    """The candidate cochain at ``sig``, filling ``values`` along its path.
+
+    c(sig) = u(sig - e_j, e_j)* c(sig - e_j) for the last nonzero
+    coordinate j of sig when it is positive, u(sig, e_j) c(sig + e_j) when
+    it is negative.  A module function, so no closure refers back to
+    itself and the solved cocycle is freed by reference counting.
+    """
+    cached = values.get(sig)
+    if cached is not None:
+        return cached
+    j = max(i for i in range(len(sig)) if sig[i] != 0)
+    e = _unit_vector(len(sig), j)
+    if sig[j] > 0:
+        prev = char_add(sig, _unit_vector(len(sig), j, -1))
+        val = u.value(prev, e).star() * _staircase(u, values, prev)
+    else:
+        val = u.value(sig, e) * _staircase(u, values, char_add(sig, e))
+    values[sig] = val
+    return val
+
+
 def solve_coboundary(u: TwoCocycle, char_range=2):
     """Trivialize a central 2-cocycle or certify an obstruction.
 
@@ -301,29 +325,8 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     one = TwistedPoly.one(action.twist)
 
     values: dict = {char_zero(d): one}
-
-    def unit_vec(j: int) -> Character:
-        e = [0] * d
-        e[j] = 1
-        return tuple(e)
-
-    def cochain(sig: Character) -> TwistedPoly:
-        cached = values.get(sig)
-        if cached is not None:
-            return cached
-        j = max(i for i in range(d) if sig[i] != 0)
-        e = unit_vec(j)
-        if sig[j] > 0:
-            prev = char_add(sig, tuple(-x for x in e))
-            val = u.value(prev, e).star() * cochain(prev)
-        else:
-            nxt = char_add(sig, e)
-            val = u.value(sig, e) * cochain(nxt)
-        values[sig] = val
-        return val
-
     for sig in char_box(d, 2 * radius):
-        cochain(sig)
+        _staircase(u, values, sig)
 
     for sigma in char_box(d, radius):
         delta_sigma = u.delta(sigma)

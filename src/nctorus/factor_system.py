@@ -42,6 +42,22 @@ the twist was checked when the image was built.  An
 forms, stored only once the column passes, so gamma_sigma, omega, the
 cocycle values and the lifts stop recomputing adjoints.
 
+Conjugation lane: when s(sigma) is a 1 x 1 column with one term, c u^m
+(``IsometryFamily.unit_exponent``; every column of
+``from_cleft_generators`` is one), gamma_sigma and Delta_sigma are read
+off the commutator form c(a, b) of the twist (``algebra`` module
+docstring) instead of conjugating each generator by s(sigma).  This is
+exact: phases are central, and the family's check s* s = 1 reads
+c-bar c = 1, so s x s* = u^m x u^-m and s* x s = u^-m x u^m.  As
+u^m u^a = q^c(m, a) u^a u^m, gamma_sigma sends u_k^+-1 to
+q^c(m, +-e_k) u_k^+-1 with unit s s* = 1, and Delta_sigma sends it to
+q^c(+-e_k, m) u_k^+-1, since c(-m, a) = c(a, m).  ``from_cleft`` still
+builds gamma_sigma through the ``MatrixMorphism`` constructor, so its
+scope checks run.  ``Automorphism.inner`` builds its legs Ad u^+-m the
+same way.  Every 1 x 1 isometry column has this shape, as the twisted
+group ring of Z^n over a domain has only monomial units; columns with
+d_sigma > 1 and every transported system keep ``from_map``.
+
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
 set of fixed-algebra monomials; that suffices because every law is
@@ -53,7 +69,15 @@ from __future__ import annotations
 from functools import partial
 from typing import Callable
 
-from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, exchange_phase
+from .algebra import (
+    PolyMatrix,
+    TwistedPoly,
+    TwistMismatchError,
+    _commutator_shift,
+    _poly,
+    _unit_vector,
+    exchange_phase,
+)
 from .dynamics import (
     Character,
     GradedElement,
@@ -68,6 +92,7 @@ from .dynamics import (
     matrix_in_base_algebra,
     resolve_chars,
 )
+from .phases import Phase
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -86,6 +111,28 @@ def _on_generators(action: TorusAction, f: Callable) -> tuple[dict, dict]:
     return (
         {k: f(TwistedPoly.generator(tw, k)) for k in action.base},
         {k: f(TwistedPoly.generator(tw, k, -1)) for k in action.base},
+    )
+
+
+def _monomial_conjugation(action: TorusAction, m: tuple, inverse: bool = False) -> tuple[dict, dict]:
+    """The images of every u_k^+-1 of B0 under Ad u^m, or under Ad u^-m
+    when ``inverse``, read off the commutator form (module docstring).
+
+    u^m u^a u^-m = q^c(m, a) u^a, and u^-m u^a u^m = q^c(a, m) u^a since
+    c(-m, a) = c(a, m): the inverse swaps the arguments.
+    """
+    tw = action.twist
+    one = Phase.one(tw.nslots)
+
+    def image(k: int, power: int) -> TwistedPoly:
+        e = _unit_vector(tw.n, k, power)
+        off = _commutator_shift(tw, e, m) if inverse else _commutator_shift(tw, m, e)
+        # an exponent vector of ints and a phase over the twist's slot count
+        return _poly(tw, {e: one if off is None else one._shifted(off)})
+
+    return (
+        {k: image(k, 1) for k in action.base},
+        {k: image(k, -1) for k in action.base},
     )
 
 
@@ -296,15 +343,19 @@ class Automorphism:
 
     @classmethod
     def inner(cls, action: TorusAction, a: TwistedPoly) -> "Automorphism":
-        """Conjugation by an invertible monomial a of the fixed algebra."""
+        """Conjugation by an invertible monomial a = c u^m of the fixed algebra.
+
+        The phase c cancels, so the legs are Ad u^m and Ad u^-m, read off
+        the commutator form.
+        """
         if not in_base_algebra(action, a):
             raise ScopeError("conjugating element must lie in the fixed algebra")
-        a_inv = a.inverse_monomial()
-
-        def leg(u, u_inv):
-            return AlgebraMorphism(action, *_on_generators(action, lambda x: u * x * u_inv))
-
-        return cls(leg(a, a_inv), leg(a_inv, a))
+        a.inverse_monomial()  # raises unless a is an invertible monomial
+        (m,) = a.terms
+        return cls(
+            AlgebraMorphism(action, *_monomial_conjugation(action, m)),
+            AlgebraMorphism(action, *_monomial_conjugation(action, m, inverse=True)),
+        )
 
     def apply(self, x: TwistedPoly) -> TwistedPoly:
         return self.fwd.apply(x)
@@ -390,6 +441,19 @@ class IsometryFamily(CharacterFamily):
             return PolyMatrix.from_scalar(cleft_generator(action, char))
 
         return cls(action, fn)
+
+    def unit_exponent(self, char: Character) -> tuple | None:
+        """m if s(char) is a 1 x 1 column c u^m with one term, else None.
+
+        The check s* s = 1 gives c c-bar = 1, so Ad s(char) = Ad u^m.
+        """
+        sm = self(char)
+        if sm.rows == sm.cols == 1:
+            terms = sm.entries[0][0].terms
+            if len(terms) == 1:
+                (m,) = terms
+                return m
+        return None
 
     def _check(self, char: Character, m: PolyMatrix) -> None:
         for row in m.entries:
@@ -483,12 +547,22 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
 
     The isometry family checks s(sigma)* s(sigma) = 1, so every
     gamma_sigma = Ad s(sigma) is a unital *-morphism with unit
-    s(sigma) s(sigma)*.
+    s(sigma) s(sigma)*.  That of a unit-monomial column is read off the
+    commutator form (the conjugation lane of the module docstring).
     """
     if s is None:
         s = IsometryFamily.from_cleft_generators(action)
 
     def gamma_fn(char: Character) -> MatrixMorphism:
+        m = s.unit_exponent(char)
+        if m is not None:
+            images, inv_images = _monomial_conjugation(action, m)
+            return MatrixMorphism(
+                action,
+                PolyMatrix.identity(action.twist, 1),  # s s* = c c-bar u^m u^-m = 1
+                {k: PolyMatrix.from_scalar(v) for k, v in images.items()},
+                {k: PolyMatrix.from_scalar(v) for k, v in inv_images.items()},
+            )
         sm = s(char)
         sa = s.adjoint(char)
         return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
@@ -675,6 +749,10 @@ def frohlich_morphism(fs: FactorSystem, char: Character) -> AlgebraMorphism:
     isometries.
     """
     action = fs.action
+    m = None if fs.isometries is None else fs.isometries.unit_exponent(char)
+    if m is not None:
+        # s* u^a s = q^c(a, m) u^a for s = c u^m
+        return AlgebraMorphism(action, *_monomial_conjugation(action, m, inverse=True))
     return AlgebraMorphism(action, *_on_generators(action, lambda b: frohlich_map(fs, char, b)))
 
 

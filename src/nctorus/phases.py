@@ -21,9 +21,12 @@ vector), so the q-exponents and the tau exponent all add in one integer
 addition, and a shift adds an offset (a valid key less the bias).
 Every key the code forms is a sum of at most three valid keys with the
 extra biases taken off, or, in conjugation and inversion, has fields
-``2 * 2^62 - f`` for valid fields f; either way every field total lies
-in [-2^63, 2^64).  If all the totals lie in [0, 2^63), no field carries
-into the next and the int is the packing of the exponent vector it
+``2 * 2^62 - f`` for valid fields f, or, for a commutator phase
+(``algebra._commutator_shift``), is bias + (s1 - s2) for two reordering
+offsets whose fields each lie in [-2^62, 2^62), so its fields lie in
+(-2^62, 3 * 2^62); either way every field total lies in [-2^63,
+2^64).  If all the totals lie in [0, 2^63), no field carries into the
+next and the int is the packing of the exponent vector it
 stands for.  Otherwise the lowest field that leaves that range receives
 no carry from below and shows its guard bit (a negative top field makes
 the whole int negative, whose two's-complement guard bits are set).  So

@@ -1,4 +1,6 @@
+import gc
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -13,6 +15,7 @@ from nctorus.cohomology import (
     lift_via_cohomology,
     pointwise_ratio,
     solve_coboundary,
+    trivialize,
     updated_witness,
     verify_cocycle,
 )
@@ -173,6 +176,24 @@ class TestCocycleLaws:
 
 
 class TestSolveCoboundary:
+    @pytest.mark.parametrize("coords", [(2,), (1, 2)])
+    def test_solved_cocycle_is_freed_by_reference_counting(self, q3_twist, coords):
+        # the staircase recursion holds no reference back to itself, so the
+        # cocycle, its values and its system die with their last reference
+        action = TorusAction(q3_twist, coords)
+        fs = from_cleft(action)
+        beta = diagonal_beta(action, 7)
+        gc.disable()
+        try:
+            u = extract_cocycle(fs, beta, constant_witness(fs), 1)
+            ref = weakref.ref(u)
+            outcome = trivialize(u, 1)
+            assert outcome.solved is not None
+            del u, outcome
+            assert ref() is None
+        finally:
+            gc.enable()
+
     def test_trivial_input(self, q3_action, one):
         u = TwoCocycle(q3_action, lambda s, p: one)
         cochain = solve_coboundary(u, 2)

@@ -57,10 +57,13 @@ from conftest import pythagorean_column
 # system omega is 1 and gamma_sigma(1) is 1, so most products had a unit
 # factor.  1,255 products and 1,495 helper calls before the unit lane.
 # Every phase here is a single term, so the dense kernel never runs.
+# gamma_sigma of a unit-monomial column is read off the commutator form,
+# with no conjugation of the generators by s(sigma) and unit 1: 504 -> 432
+# helper calls and 281 -> 209 products.
 EXPECTED = {
-    "_phase_product": 504,
+    "_phase_product": 432,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 281,
+    "TwistedPoly.__mul__": 209,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -79,10 +82,12 @@ EXPECTED = {
 # 1,667 phase products (Phase.mul, QQi.__mul__) -> 1,602 helper calls.
 # The unit lane: 1,548 -> 883 products and 1,602 -> 510 helper calls.
 # Every phase here is a single term, so the dense kernel never runs.
+# gamma_sigma and Delta_sigma of the unit-monomial columns are read off the
+# commutator form: 510 -> 370 helper calls and 883 -> 723 products.
 EXPECTED_LIFT = {
-    "_phase_product": 510,
+    "_phase_product": 370,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 883,
+    "TwistedPoly.__mul__": 723,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -113,11 +118,12 @@ EXPECTED_D2 = {
 # before.  Phase.mul and QQi.__mul__ 509 / 149 before the helper.  The
 # unit lane: 413 -> 308 products and 509 -> 380 helper calls.  The
 # single-term lane: 260 -> 1 kernel calls, since nearly every dense product
-# has a single-term factor.
+# has a single-term factor.  gamma_sigma read off the commutator form:
+# 380 -> 344 helper calls and 308 -> 272 products.
 EXPECTED_DENSE = {
-    "_phase_product": 380,
+    "_phase_product": 344,
     "_product_terms": 1,
-    "TwistedPoly.__mul__": 308,
+    "TwistedPoly.__mul__": 272,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -246,32 +252,38 @@ def test_lift_operation_counts(counts):
     assert counts == EXPECTED_LIFT
 
 
-# The same lift builds each morphism with ``MatrixMorphism.from_map`` once:
-# the automorphism keeps the system it transported, so the conjugacy check
+# The same lift builds each morphism once, counted at the constructor, so
+# a morphism built with ``MatrixMorphism.from_map``, read off the
+# commutator form or built as an ``AlgebraMorphism`` counts alike: 18
+# gamma_sigma (13 of the system, 5 transported), 5 Delta_sigma, the
+# identity, and the two legs of the automorphism and of its inverse check.
+# The automorphism keeps the system it transported, so the conjugacy check
 # of the materialized lift reads the transported gamma_sigma that extraction
-# built instead of building all 5 on the box again: 23 before.  And each
+# built instead of building all 5 on the box again: 23 ``from_map`` calls
+# before that, and 18 before gamma_sigma of the system's unit-monomial
+# columns was read off the commutator form, which leaves 5.  And each
 # cocycle value is checked central once, by its family, and verify_cocycle
 # records that verdict: 90 ``_is_central`` calls for 65 values before.
-EXPECTED_FROM_MAP = 18
+EXPECTED_MORPHISMS = 28
 
 
 def test_lift_builds_each_morphism_and_checks_each_value_once(monkeypatch):
     built, central = [], []
-    from_map, is_central = MatrixMorphism.from_map, cohomology._is_central
+    init, is_central = MatrixMorphism.__init__, cohomology._is_central
 
-    def counting_from_map(action, f):
-        built.append(action)
-        return from_map(action, f)
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
 
     def counting_is_central(action, x):
         central.append(x)
         return is_central(action, x)
 
-    monkeypatch.setattr(MatrixMorphism, "from_map", staticmethod(counting_from_map))
+    monkeypatch.setattr(MatrixMorphism, "__init__", counting_init)
     monkeypatch.setattr(cohomology, "_is_central", counting_is_central)
     outcome = _q3_lift()
 
-    assert len(built) == EXPECTED_FROM_MAP
+    assert len(built) == EXPECTED_MORPHISMS
     assert len(central) == len(outcome.cocycle._u._cache) == 65
 
 
