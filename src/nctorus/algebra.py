@@ -555,7 +555,12 @@ class PolyMatrix:
 
     @classmethod
     def from_scalar(cls, poly: TwistedPoly) -> "PolyMatrix":
-        return cls(poly.twist, [[poly]])
+        # one entry over its own twist: nothing for the constructor to check
+        m = object.__new__(cls)
+        m.twist = poly.twist
+        m.entries = ((poly,),)
+        m.rows = m.cols = 1
+        return m
 
     # -- algebra -------------------------------------------------------
 

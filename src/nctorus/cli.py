@@ -350,7 +350,7 @@ def parse_synthetic_cocycle(action: TorusAction, cfg: dict) -> TwoCocycle:
 
     def fn(sigma, pi_):
         power = sum(sigma[i] * m[i][j] * pi_[j] for i in range(d) for j in range(d))
-        return TwistedPoly.scalar(tw, unit**power)
+        return TwistedPoly.scalar(tw, _at("cocycle.bilinear_exponents", pow, unit, power))
 
     return TwoCocycle(action, fn)
 

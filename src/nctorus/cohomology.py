@@ -27,8 +27,12 @@ one, so x commutes with u_k exactly when the integer vectors s(a, e_k)
 and s(e_k, a) agree, that is when the commutator form c(a, e_k) is 0
 (``algebra`` module docstring), for every exponent a of x.  This is
 exact because the q units are free: a nonzero phase times q^v
-determines v.  The isometry adjoints s(sigma)* are read from the
-family's own cache.
+determines v.  A one-term value x = c q^e tau^t u^a is checked unitary
+without a product too: x* x = |c|^2 tau^(2t), since the q^e cancel
+against their conjugates and star(u^a) u^a = q^(s(a, a) + s(-a, a)) = 1
+as s(-a, a) = -s(a, a).  So x is unitary exactly when t = 0 and a^2 + b^2
+= d^2 for c = (a + bi)/d; any other value forms x* x.  The isometry
+adjoints s(sigma)* are read from the family's own cache.
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
@@ -95,6 +99,17 @@ def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
     return True
 
 
+def _is_unitary(x: TwistedPoly) -> bool:
+    """x* x = 1; for one term c q^e tau^t u^a that is |c| = 1 and t = 0
+    (the lift lane of the module docstring), with no product formed."""
+    if len(x.terms) == 1:
+        (p,) = x.terms.values()
+        if len(p.terms) == 1:
+            ((_, t), c), = p.items()
+            return t == 0 and c.a * c.a + c.b * c.b == c.d * c.d
+    return x.star() * x == x.twist.one
+
+
 class CocycleValues(CharacterFamily):
     """Values u(sigma, pi) of a 2-cocycle, each checked central and unitary."""
 
@@ -103,7 +118,7 @@ class CocycleValues(CharacterFamily):
     def _check(self, key, val: TwistedPoly) -> None:
         if not _is_central(self.action, val):
             raise WitnessError(f"cocycle value at {key} is not central")
-        if val.star() * val != TwistedPoly.one(self.action.twist):
+        if not _is_unitary(val):
             raise WitnessError(f"cocycle value at {key} is not unitary")
 
 

@@ -58,6 +58,14 @@ same way.  Every 1 x 1 isometry column has this shape, as the twisted
 group ring of Z^n over a domain has only monomial units; columns with
 d_sigma > 1 and every transported system keep ``from_map``.
 
+Scalar lane: a morphism whose unit is the 1 x 1 identity (its entry is
+the twist's shared 1) sends a scalar p, one term at exponent 0, to [[p]]:
+a unital morphism fixes phases, so gamma(p 1) = p gamma(1) = p, the value
+the loop builds as the unit scaled by p.  The constructor decides whether
+the unit qualifies and keeps the exponent 0 as the lane's key, so
+``apply`` tests one dict key.  A unit of size d_sigma > 1, or any other
+argument, takes the loop.
+
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
 set of fixed-algebra monomials; that suffices because every law is
@@ -150,7 +158,7 @@ class MatrixMorphism:
     d = 1 case.
     """
 
-    __slots__ = ("action", "dim", "images", "inv_images", "_unit", "_powers", "_monomials")
+    __slots__ = ("action", "dim", "images", "inv_images", "_unit", "_powers", "_monomials", "_scalar")
 
     def __init__(self, action: TorusAction, unit: PolyMatrix, images: dict, inv_images: dict):
         tw = action.twist
@@ -170,7 +178,11 @@ class MatrixMorphism:
         self.inv_images = dict(inv_images)
         self._unit = unit
         self._powers: dict = {}
-        self._monomials: dict = {(0,) * tw.n: unit}
+        zero = (0,) * tw.n
+        self._monomials: dict = {zero: unit}
+        # the scalar lane's key: the exponent of 1 when the unit is I_1, else None
+        one = unit.rows == unit.cols == 1 and unit.entries[0][0] is tw.one
+        self._scalar = zero if one else None
 
     @staticmethod
     def from_map(action: TorusAction, f: Callable) -> "MatrixMorphism":
@@ -208,8 +220,12 @@ class MatrixMorphism:
         tw = self.action.twist
         if x.twist is not tw and x.twist != tw:
             raise TwistMismatchError("argument over a different twist matrix")
+        terms = x.terms
+        if self._scalar in terms and len(terms) == 1:
+            # scalar lane: a unital morphism fixes phases, gamma(p 1) = p
+            return PolyMatrix.from_scalar(x)
         total = None
-        for a, phase in x.terms.items():
+        for a, phase in terms.items():
             term = self._monomial(a)
             if not phase.is_one():
                 term = term.scaled(phase)

@@ -33,7 +33,10 @@ the whole int negative, whose two's-complement guard bits are set).  So
 one ``key & guard`` decides exactness, and a key that fails it raises
 :class:`PhaseRangeError` instead of aliasing another key.  Packing a
 key from a tuple checks each exponent's range directly, and so does
-``__pow__``, which scales exponents and cannot scale a packed key.
+``__pow__``, which checks every k*e_s and k*t before it forms
+``bias + k * (key - bias)``: key - bias is the sum of e_s * 2^(64 s), so
+k times it is the sum of k*e_s * 2^(64 s), and adding the bias packs that
+vector exactly once every k*e_s is in range.
 
 Lanes: every phase product is one call of ``_phase_product``, which
 picks the cheapest exact way to form it.  Unit lane: each slot count has
@@ -52,6 +55,10 @@ one-to-one, so no two output keys meet, and QQ(i) has no zero divisors,
 so no output coefficient is zero: each input term gives its own
 canonical output term.  Every key is still tested against the guard
 bits.  Two multi-term phases run the dense kernel ``_product_terms``.
+Power lane: a single-term phase raised to k is the one term c^k q^(k e)
+tau^(k t), its key scaled as above, and ``QQi.__pow__`` squares
+repeatedly, so the cost is about log2 |k| Gaussian-rational products, not
+k of them; a result of 1 is the shared unit.  A power of a sum loops.
 
 Coefficients are :class:`QQi` values ``(a + b*i)/d`` kept as three ints
 in lowest terms, so every ring operation is integer arithmetic with at
@@ -123,9 +130,14 @@ class QQi:
     def __pow__(self, k: int) -> "QQi":
         if k < 0:
             return self.inverse() ** (-k)
-        out = _QQI_ONE
-        for _ in range(k):
-            out = out * self
+        # repeated squaring: at most 2 log2(k) products
+        out, base = _QQI_ONE, self
+        while k:
+            if k & 1:
+                out = base if out is _QQI_ONE else out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def conjugate(self) -> "QQi":
@@ -525,8 +537,18 @@ class Phase:
         if k < 0:
             return self.invert() ** (-k)
         if len(self.terms) == 1:
+            # one-term lane: every k*e is checked before any arithmetic, so
+            # the scaled key packs k*e exactly (module docstring, Lanes)
             ((e, t), c), = self.items()
-            return Phase(self.nslots, {(tuple(x * k for x in e), t * k): c**k})
+            for x in e + (t,):
+                _check_exponent(x * k)
+            bias, _, one = _LAYOUT[self.nslots]
+            (key,) = self.terms
+            key = bias + k * (key - bias)
+            c = c**k
+            if key == bias and c == _QQI_ONE:
+                return one
+            return _canonical(self.nslots, {key: c})
         out = Phase.one(self.nslots)
         for _ in range(k):
             out = out.mul(self)

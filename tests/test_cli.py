@@ -459,6 +459,28 @@ def test_range_error_mid_run_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+
+def _synthetic(bilinear):
+    return {"n": 2, "theta": [["0", "1/5"], ["-1/5", "0"]], "acting_coords": [1, 2],
+            "char_range": 1, "cocycle": {"slot": [1, 2], "bilinear_exponents": bilinear}}
+
+
+# A power of a unit phase scales its exponent in one step, so a huge entry
+# costs no more than a small one; run_cli's timeout turns a hang into a failure.
+def test_huge_synthetic_power_in_range_finishes(tmp_path):
+    cfg = _synthetic([[1 << 40, 1], [1, 0]])
+    proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["checks"] == 892
+
+
+def test_synthetic_power_outside_the_range_names_its_path(tmp_path):
+    cfg = _synthetic([[1 << 61, 0], [0, 0]])
+    proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+    assert proc.returncode == 2
+    assert json.loads(proc.stdout)["error"].startswith(f"cocycle.bilinear_exponents: {RANGE_ERROR}")
+    assert "Traceback" not in proc.stderr
+
 class TestLiftDerivation:
     def test_gauge_family_passes(self, tmp_path):
         cfg = dict(Q3_CONFIG)

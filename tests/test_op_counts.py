@@ -7,6 +7,7 @@ unit phase multiplied in again) fails here without relying on timing.
 A pin may be lowered when a change removes products; it is never raised.
 """
 
+import json
 from fractions import Fraction
 from pathlib import Path
 
@@ -84,10 +85,13 @@ EXPECTED = {
 # Every phase here is a single term, so the dense kernel never runs.
 # gamma_sigma and Delta_sigma of the unit-monomial columns are read off the
 # commutator form: 510 -> 370 helper calls and 883 -> 723 products.
+# Each of the 65 cocycle values is one term with |c| = 1 and no tau, so
+# its unitarity is read off the coefficient with no product x* x:
+# 723 -> 658 products.
 EXPECTED_LIFT = {
     "_phase_product": 370,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 723,
+    "TwistedPoly.__mul__": 658,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -98,9 +102,12 @@ EXPECTED_LIFT = {
 # product with I_1: 5,120 / 6,040 / 6,040 before.  Phase.mul and
 # QQi.__mul__ 5,999 / 5,999 before the helper.  The unit lane: 5,079 ->
 # 5,037 products and 5,999 -> 5,728 helper calls.  Every phase here is a
-# single term, so the dense kernel never runs.
+# single term, so the dense kernel never runs.  gamma_0, the one morphism
+# here whose unit is I_1 (d_0 = 1), sends a scalar p to [[p]] instead of
+# scaling its unit by p: 56 such scalars, 5,728 -> 5,672 helper calls.
+# The gamma_sigma with d_sigma = 2 keep the loop.
 EXPECTED_D2 = {
-    "_phase_product": 5728,
+    "_phase_product": 5672,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 5037,
     "Phase.mul": 0,
@@ -119,9 +126,11 @@ EXPECTED_D2 = {
 # unit lane: 413 -> 308 products and 509 -> 380 helper calls.  The
 # single-term lane: 260 -> 1 kernel calls, since nearly every dense product
 # has a single-term factor.  gamma_sigma read off the commutator form:
-# 380 -> 344 helper calls and 308 -> 272 products.
+# 380 -> 344 helper calls and 308 -> 272 products.  gamma_sigma, whose
+# unit is I_1, sends the three-term scalar H(pi) of the cocycle derivative
+# to [[H(pi)]] instead of scaling its unit by it: 344 -> 324 helper calls.
 EXPECTED_DENSE = {
-    "_phase_product": 344,
+    "_phase_product": 324,
     "_product_terms": 1,
     "TwistedPoly.__mul__": 272,
     "Phase.mul": 0,
@@ -345,6 +354,39 @@ def test_curvature_sweep_operation_counts(counts):
 
     assert report.passed and report.checks == 13 and flat
     assert counts == EXPECTED_CURVATURE
+
+
+# ``lift`` of a synthetic cocycle u(sigma, pi) = q12^(sigma^T M pi) on the
+# rank-2 action of the two-generator torus, r = 1: every value is a unit
+# phase raised to an integer power, checked central and unitary, and the
+# box sweep and the solve, which stops at the obstruction, multiply them.  A one-term power scales its
+# packed key and squares its coefficient, so QQi.__mul__ counts about
+# log2 |k| products per power instead of |k|; each value is unitary by its
+# coefficient, with no product x* x.  Before both lanes: 1,789 helper
+# calls, 1,855 products and 1,412 QQi.__mul__; now 900, 1,486 and 640.
+SYNTHETIC_CONFIG = {
+    "n": 2,
+    "theta": [["0", "1/5"], ["-1/5", "0"]],
+    "acting_coords": [1, 2],
+    "char_range": 1,
+    "cocycle": {"slot": [1, 2], "bilinear_exponents": [[2, 1], [-1, 3]]},
+}
+EXPECTED_SYNTHETIC = {
+    "_phase_product": 900,
+    "_product_terms": 0,
+    "TwistedPoly.__mul__": 1486,
+    "Phase.mul": 0,
+    "QQi.__mul__": 640,
+}
+
+
+def test_synthetic_cocycle_lift_operation_counts(counts, tmp_path):
+    path = tmp_path / "cocycle.json"
+    path.write_text(json.dumps(SYNTHETIC_CONFIG))
+    counts.update(dict.fromkeys(counts, 0))
+    # the antisymmetric part [[0, 1], [-1, 0]] is an obstruction: exit 1
+    assert main(["lift", "--config", str(path), "--json"]) == 1
+    assert counts == EXPECTED_SYNTHETIC
 
 
 # The seeded re-check of ``lift`` and ``lift-derivation`` (six sample
