@@ -145,17 +145,25 @@ def inner_product(action: TorusAction, x: TwistedPoly, y: TwistedPoly) -> Twiste
     return fixed_part(action, x.star() * y)
 
 
-def cleft_generator(action: TorusAction, char: Character) -> TwistedPoly:
-    """Unitary monomial of weight char: the ordered product of u_j^(char_j).
-
-    Normalized so the trivial character gives 1.
-    """
+def placed(action: TorusAction, char: Character) -> tuple:
+    """The exponent vector M char: char at the acting coordinates, 0 elsewhere."""
     if len(char) != action.d:
         raise ValueError("character has wrong rank")
     e = [0] * action.twist.n
     for j, c in zip(action.coords, char):
+        if type(c) is not int:  # bool is not one
+            raise TypeError(f"character must be a tuple of ints, got {tuple(char)!r}")
         e[j] = c
-    return TwistedPoly.monomial(action.twist, e)
+    return tuple(e)
+
+
+def cleft_generator(action: TorusAction, char: Character) -> TwistedPoly:
+    """Unitary monomial of weight char: the ordered product of u_j^(char_j),
+    that is u^(M char).
+
+    Normalized so the trivial character gives 1.
+    """
+    return TwistedPoly.monomial(action.twist, placed(action, char))
 
 
 def is_equivariant(action: TorusAction, x: TwistedPoly, char: Character) -> bool:

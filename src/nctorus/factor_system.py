@@ -43,7 +43,7 @@ forms, stored only once the column passes, so gamma_sigma, omega, the
 cocycle values and the lifts stop recomputing adjoints.
 
 Conjugation lane: when s(sigma) is a 1 x 1 column with one term, c u^m
-(``IsometryFamily.unit_exponent``; every column of
+(``IsometryFamily.unit_term``; every column of
 ``from_cleft_generators`` is one), gamma_sigma and Delta_sigma are read
 off the commutator form c(a, b) of the twist (``algebra`` module
 docstring) instead of conjugating each generator by s(sigma).  This is
@@ -57,6 +57,21 @@ scope checks run.  ``Automorphism.inner`` builds its legs Ad u^+-m the
 same way.  Every 1 x 1 isometry column has this shape, as the twisted
 group ring of Z^n over a domain has only monomial units; columns with
 d_sigma > 1 and every transported system keep ``from_map``.
+
+Generator columns: ``IsometryFamily.unit_term(sigma)`` gives (m, c) for
+a one-term column c u^m, read off the checked column; the default family
+of ``from_cleft_generators`` answers (M sigma, 1) from sigma alone, as
+its column u^(M sigma) is built so (``dynamics.placed``).  So its
+gamma_sigma, Delta_sigma and omega never form s(sigma).  When sigma, pi
+and sigma+pi have one-term columns and m_{sigma+pi} = m_sigma + m_pi,
+u^m_sigma u^m_pi = q^s(m_sigma, m_pi) u^m_{sigma+pi}, u^m (u^m)* = 1 and
+phases are central, so
+
+    omega(sigma, pi) = c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi)
+
+at exponent 0 (``algebra._reorder_shift`` forms s), one shared [[1]] when
+it is 1: always on a rank-1 generator system, as L is strictly lower
+triangular.  Every other omega keeps the product and its scope check.
 
 Scalar lane: a morphism whose unit is the 1 x 1 identity (its entry is
 the twist's shared 1) sends a scalar p, one term at exponent 0, to [[p]]:
@@ -75,6 +90,7 @@ multiplicative and linear in the algebra argument.
 from __future__ import annotations
 
 from functools import partial
+from operator import add
 from typing import Callable
 
 from .algebra import (
@@ -83,6 +99,7 @@ from .algebra import (
     TwistMismatchError,
     _commutator_shift,
     _poly,
+    _reorder_shift,
     _unit_vector,
     exchange_phase,
 )
@@ -98,9 +115,10 @@ from .dynamics import (
     in_base_algebra,
     is_equivariant,
     matrix_in_base_algebra,
+    placed,
     resolve_chars,
 )
-from .phases import Phase
+from .phases import Phase, _phase_product
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -433,7 +451,8 @@ class IsometryFamily(CharacterFamily):
 
     ``adjoint(char)`` serves the s(char)* that the isometry check forms,
     stored only after the last check passes, so a column that fails its
-    check leaves no adjoint behind either.
+    check leaves no adjoint behind either.  ``unit_term(char)`` gives
+    (m, c) for a one-term column c u^m (generator columns, module docstring).
     """
 
     __slots__ = ("_adjoints",)
@@ -453,22 +472,22 @@ class IsometryFamily(CharacterFamily):
 
     @classmethod
     def from_cleft_generators(cls, action: TorusAction) -> "IsometryFamily":
-        def fn(char: Character) -> PolyMatrix:
-            return PolyMatrix.from_scalar(cleft_generator(action, char))
+        return _GeneratorColumns(
+            action, lambda char: PolyMatrix.from_scalar(cleft_generator(action, char))
+        )
 
-        return cls(action, fn)
+    def unit_term(self, char: Character) -> tuple | None:
+        """(m, c) if s(char) is a 1 x 1 column c u^m with one term, else None.
 
-    def unit_exponent(self, char: Character) -> tuple | None:
-        """m if s(char) is a 1 x 1 column c u^m with one term, else None.
-
-        The check s* s = 1 gives c c-bar = 1, so Ad s(char) = Ad u^m.
+        Read off the checked column: s* s = 1 gives c c-bar = 1, so
+        Ad s(char) = Ad u^m.
         """
         sm = self(char)
         if sm.rows == sm.cols == 1:
             terms = sm.entries[0][0].terms
             if len(terms) == 1:
-                (m,) = terms
-                return m
+                (term,) = terms.items()
+                return term
         return None
 
     def _check(self, char: Character, m: PolyMatrix) -> None:
@@ -484,6 +503,16 @@ class IsometryFamily(CharacterFamily):
         if char == char_zero(self.action.d) and m != one:
             raise ValueError("isometry family must send the trivial character to 1")
         self._adjoints[tuple(char)] = adj
+
+
+class _GeneratorColumns(IsometryFamily):
+    """Columns u^(M sigma) (``cleft_generator``), whose one term is
+    (M sigma, 1) by construction, so ``unit_term`` builds no column."""
+
+    __slots__ = ()
+
+    def unit_term(self, char: Character) -> tuple:
+        return placed(self.action, char), Phase.one(self.action.twist.nslots)
 
 
 class PartialIsometryFamily(CharacterFamily):
@@ -535,6 +564,11 @@ class FactorSystem:
         omega_fn: Callable[[Character, Character], PolyMatrix],
         isometries: IsometryFamily | None = None,
     ):
+        if isometries is not None and isometries.action != action:
+            other = isometries.action
+            # equal coordinates print alike, so name what differs
+            where = "another twist" if other.coords == action.coords else repr(other)
+            raise ValueError(f"isometry family is over {where}, but the factor system is over {action!r}")
         self.action = action
         self.isometries = isometries
         self._gamma = CharacterFamily(action, gamma_fn)
@@ -563,19 +597,22 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
 
     The isometry family checks s(sigma)* s(sigma) = 1, so every
     gamma_sigma = Ad s(sigma) is a unital *-morphism with unit
-    s(sigma) s(sigma)*.  That of a unit-monomial column is read off the
-    commutator form (the conjugation lane of the module docstring).
+    s(sigma) s(sigma)*.  gamma_sigma and omega of one-term columns are
+    read off the twist (conjugation lane and generator columns, module
+    docstring); every other value is formed from s.
     """
     if s is None:
         s = IsometryFamily.from_cleft_generators(action)
+    tw = action.twist
+    unit, one = PolyMatrix.identity(tw, 1), Phase.one(tw.nslots)
 
     def gamma_fn(char: Character) -> MatrixMorphism:
-        m = s.unit_exponent(char)
-        if m is not None:
-            images, inv_images = _monomial_conjugation(action, m)
+        term = s.unit_term(char)
+        if term is not None:
+            images, inv_images = _monomial_conjugation(action, term[0])
             return MatrixMorphism(
                 action,
-                PolyMatrix.identity(action.twist, 1),  # s s* = c c-bar u^m u^-m = 1
+                unit,  # s s* = c c-bar u^m u^-m = 1
                 {k: PolyMatrix.from_scalar(v) for k, v in images.items()},
                 {k: PolyMatrix.from_scalar(v) for k, v in inv_images.items()},
             )
@@ -584,7 +621,19 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
         return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
-        m = s(sigma).kron(s(pi_)) * s.adjoint(char_add(sigma, pi_))
+        sp = char_add(sigma, pi_)
+        ts = s.unit_term(sigma)
+        tp = None if ts is None else s.unit_term(pi_)
+        tsp = None if tp is None else s.unit_term(sp)
+        if tsp is not None and tsp[0] == tuple(map(add, ts[0], tp[0])):
+            # c u^a c' u^b (c'' u^(a+b))* = c c' c''-bar q^s(a, b)
+            off = _reorder_shift(tw, ts[0], tp[0])
+            if ts[1] is one and tp[1] is one and tsp[1] is one:
+                c = one if off is None else one._shifted(off)
+            else:
+                c = _phase_product(_phase_product(ts[1], tp[1], off), tsp[1].conjugate(), None)
+            return unit if c is one else PolyMatrix.from_scalar(TwistedPoly.scalar(tw, c))
+        m = s(sigma).kron(s(pi_)) * s.adjoint(sp)
         if not matrix_in_base_algebra(action, m):
             raise ScopeError(f"cocycle value at {(sigma, pi_)} leaves the fixed algebra")
         return m
@@ -765,10 +814,10 @@ def frohlich_morphism(fs: FactorSystem, char: Character) -> AlgebraMorphism:
     isometries.
     """
     action = fs.action
-    m = None if fs.isometries is None else fs.isometries.unit_exponent(char)
-    if m is not None:
+    term = None if fs.isometries is None else fs.isometries.unit_term(char)
+    if term is not None:
         # s* u^a s = q^c(a, m) u^a for s = c u^m
-        return AlgebraMorphism(action, *_monomial_conjugation(action, m, inverse=True))
+        return AlgebraMorphism(action, *_monomial_conjugation(action, term[0], inverse=True))
     return AlgebraMorphism(action, *_on_generators(action, lambda b: frohlich_map(fs, char, b)))
 
 

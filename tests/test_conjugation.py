@@ -169,14 +169,14 @@ def test_only_unit_monomial_columns_take_the_closed_form(monkeypatch, q3_action)
     for char in chars:
         from_cleft(q3_action).gamma(char)
     assert built == []
-    # the d = 2 column keeps from_map, and so does its s(0) = 1
+    # the d = 2 column keeps from_map, except at its one-term s(0) = 1
     fs = from_cleft(q3_action, pythagorean_column(q3_action))
     for char in chars:
         fs.gamma(char)
     assert len(built) == len(chars) - 1
     column = pythagorean_column(q3_action)
-    assert column.unit_exponent((1,)) is None
-    assert column.unit_exponent((0,)) == (0, 0, 0)
+    assert column.unit_term((1,)) is None
+    assert column.unit_term((0,)) == ((0, 0, 0), Phase.one(q3_action.twist.nslots))
 
 
 # ---------------------------------------------------------------------------

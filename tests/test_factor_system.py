@@ -10,6 +10,7 @@ from nctorus.dynamics import TorusAction, cleft_generator
 from nctorus.factor_system import (
     AlgebraMorphism,
     Automorphism,
+    FactorSystem,
     IsometryFamily,
     MatrixMorphism,
     PartialIsometryFamily,
@@ -394,3 +395,23 @@ class TestMorphismValidation:
         assert m.images[0] == PolyMatrix.from_scalar(q3_gens[0].scale(half))
         assert m.inv_images[1] == PolyMatrix.from_scalar(q3_gens[1].star().scale(half))
         assert m.apply(TwistedPoly.one(q3_twist)) == m.unit()
+
+
+# An isometry family over another action would give gamma_sigma = Ad s(sigma)
+# of that action: u2 acting instead of u3 on the same twist passed all 98
+# axiom checks at r = 1 while not being the cleft system of u3.
+def test_isometry_family_over_another_action_is_rejected(q3_twist):
+    u3, u2 = TorusAction(q3_twist, (2,)), TorusAction(q3_twist, (1,))
+    s = IsometryFamily.from_cleft_generators(u2)
+    named = r"over TorusAction\(T\^1 scaling u2\), but the factor system is over TorusAction\(T\^1 scaling u3\)"
+    with pytest.raises(ValueError, match=named):
+        from_cleft(u3, s)
+    good = from_cleft(u3)
+    with pytest.raises(ValueError, match=named):
+        FactorSystem(u3, good.gamma, good.omega, isometries=s)
+    # actions that differ only in the twist print alike
+    other = TorusAction(TwistMatrix([[0, 0, 0], [0, 0, 0], [0, 0, 0]]), (2,))
+    with pytest.raises(ValueError, match="over another twist, but the factor system is over"):
+        from_cleft(u3, IsometryFamily.from_cleft_generators(other))
+    # an equal action built apart is the same action
+    assert from_cleft(TorusAction(q3_twist, (2,)), IsometryFamily.from_cleft_generators(u3))

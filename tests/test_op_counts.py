@@ -8,12 +8,13 @@ A pin may be lowered when a change removes products; it is never raised.
 """
 
 import json
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from nctorus import algebra, cli, cohomology, phases
+from nctorus import cli, cohomology, phases
 from nctorus.algebra import TwistedPoly
 from nctorus.cli import _curvature_sweep, main
 from nctorus.cohomology import LiftedAutomorphism, lift_via_cohomology
@@ -60,11 +61,14 @@ from conftest import pythagorean_column
 # Every phase here is a single term, so the dense kernel never runs.
 # gamma_sigma of a unit-monomial column is read off the commutator form,
 # with no conjugation of the generators by s(sigma) and unit 1: 504 -> 432
-# helper calls and 281 -> 209 products.
+# helper calls and 281 -> 209 products.  The default family answers
+# ``unit_term`` from sigma alone and omega is read off the twist, so no
+# column is built, checked or adjoined: 432 -> 312 helper calls and
+# 209 -> 72 products.
 EXPECTED = {
-    "_phase_product": 432,
+    "_phase_product": 312,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 209,
+    "TwistedPoly.__mul__": 72,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -87,11 +91,13 @@ EXPECTED = {
 # commutator form: 510 -> 370 helper calls and 883 -> 723 products.
 # Each of the 65 cocycle values is one term with |c| = 1 and no tau, so
 # its unitarity is read off the coefficient with no product x* x:
-# 723 -> 658 products.
+# 723 -> 658 products.  gamma_sigma, Delta_sigma and omega of the default
+# family build no column (the cocycle values still do): 370 -> 262 helper
+# calls and 658 -> 533 products.
 EXPECTED_LIFT = {
-    "_phase_product": 370,
+    "_phase_product": 262,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 658,
+    "TwistedPoly.__mul__": 533,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -105,11 +111,13 @@ EXPECTED_LIFT = {
 # single term, so the dense kernel never runs.  gamma_0, the one morphism
 # here whose unit is I_1 (d_0 = 1), sends a scalar p to [[p]] instead of
 # scaling its unit by p: 56 such scalars, 5,728 -> 5,672 helper calls.
-# The gamma_sigma with d_sigma = 2 keep the loop.
+# The gamma_sigma with d_sigma = 2 keep the loop.  omega(0, 0) of the
+# one-term column s(0) = 1 is read off the twist, with no product:
+# 5,037 -> 5,036 products.  Every other omega keeps the product.
 EXPECTED_D2 = {
     "_phase_product": 5672,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 5037,
+    "TwistedPoly.__mul__": 5036,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -129,10 +137,12 @@ EXPECTED_D2 = {
 # 380 -> 344 helper calls and 308 -> 272 products.  gamma_sigma, whose
 # unit is I_1, sends the three-term scalar H(pi) of the cocycle derivative
 # to [[H(pi)]] instead of scaling its unit by it: 344 -> 324 helper calls.
+# gamma_sigma and omega of the default family build no column: 324 -> 280
+# helper calls and 272 -> 219 products.
 EXPECTED_DENSE = {
-    "_phase_product": 324,
+    "_phase_product": 280,
     "_product_terms": 1,
-    "TwistedPoly.__mul__": 272,
+    "TwistedPoly.__mul__": 219,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -155,9 +165,32 @@ EXPECTED_CURVATURE = {
 }
 
 
-@pytest.fixture
-def counts(monkeypatch):
-    """Calls of each ring product since the fixture was requested."""
+# the helper and the kernel, taken before any test wraps them
+HELPERS = {name: getattr(phases, name) for name in ("_phase_product", "_product_terms")}
+
+
+def _references(fn) -> list:
+    """(module, attribute) of every loaded ``nctorus`` module attribute that is ``fn``."""
+    return [
+        (module, attr)
+        for name, module in list(sys.modules.items())
+        if name == "nctorus" or name.startswith("nctorus.")
+        for attr, value in list(vars(module).items())
+        if value is fn
+    ]
+
+
+def _wrap_helper(monkeypatch, name: str, wrapped) -> None:
+    """Put ``wrapped`` in place of every reference to the helper or kernel ``name``.
+
+    A module that imports it by name holds its own reference, so the
+    references are found by a scan, not listed.
+    """
+    for module, attr in _references(HELPERS[name]):
+        monkeypatch.setattr(module, attr, wrapped)
+
+
+def _count_products(monkeypatch) -> dict:
     counts = dict.fromkeys(EXPECTED, 0)
 
     def counting(name, fn):
@@ -170,13 +203,24 @@ def counts(monkeypatch):
     for cls, attr in ((TwistedPoly, "__mul__"), (Phase, "mul"), (QQi, "__mul__")):
         name = f"{cls.__name__}.{attr}"
         monkeypatch.setattr(cls, attr, counting(name, cls.__dict__[attr]))
-    # algebra imports the helper and the kernel by name, so both references
-    # of each are wrapped
-    for name in ("_phase_product", "_product_terms"):
-        wrapped = counting(name, getattr(phases, name))
-        for module in (phases, algebra):
-            monkeypatch.setattr(module, name, wrapped)
+    for name, fn in HELPERS.items():
+        _wrap_helper(monkeypatch, name, counting(name, fn))
     return counts
+
+
+@pytest.fixture
+def counts(monkeypatch):
+    """Calls of each ring product since the fixture was requested."""
+    return _count_products(monkeypatch)
+
+
+def test_the_counts_fixture_leaves_no_unwrapped_reference():
+    found = {name: {m.__name__ for m, _ in _references(fn)} for name, fn in HELPERS.items()}
+    assert {"nctorus.phases", "nctorus.algebra", "nctorus.factor_system"} <= found["_phase_product"]
+    assert {"nctorus.phases", "nctorus.algebra"} <= found["_product_terms"]
+    with pytest.MonkeyPatch.context() as mp:
+        _count_products(mp)
+        assert [_references(fn) for fn in HELPERS.values()] == [[], []]
 
 
 def q3_action():
@@ -190,6 +234,8 @@ def test_verify_axioms_operation_counts(counts):
 
     assert report.passed and report.checks == 512
     assert counts == EXPECTED
+    # the generator family answered every question without a column
+    assert fs.isometries._cache == {} and fs.isometries._adjoints == {}
 
 
 # A 1 that is equal to the unit but is not ``tw.one`` misses the unit lane
@@ -225,8 +271,7 @@ def _unshared_unit_phases(monkeypatch, run):
                 unshared.append(x)
         return product(p, o, shift)
 
-    for module in (phases, algebra):
-        monkeypatch.setattr(module, "_phase_product", watching)
+    _wrap_helper(monkeypatch, "_phase_product", watching)
     run()
     return unshared
 
