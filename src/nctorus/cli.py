@@ -186,8 +186,26 @@ def parse_poly(tw: TwistMatrix, terms, where: str) -> TwistedPoly:
     return total
 
 
+def _key_ints(key: str, where: str, what: str, rank: int) -> tuple:
+    """The ints of a config key "k1,k2,...", which must be written the one way
+    ``str`` writes them: with a '+', a leading zero, a space or an '_', two keys
+    could name one value and the later one would replace the earlier."""
+    try:
+        ints = tuple(int(x) for x in key.split(","))
+    except ValueError as exc:
+        raise ConfigError(f"{where}: bad {what} key {key!r}") from exc
+    if len(ints) != rank:
+        raise ConfigError(f"{where}: {what} {key!r} has wrong rank")
+    canonical = ",".join(map(str, ints))
+    if key != canonical:
+        raise ConfigError(f"{where}[{key}]: {what} key {key!r} is not canonical; write {canonical!r}")
+    return ints
+
+
 def _gen_key(k, n: int, where: str) -> int:
-    k = _int(int(k) if isinstance(k, str) and k.lstrip("-").isdecimal() else k, where)
+    if isinstance(k, str):
+        (k,) = _key_ints(k, where, "generator", 1)
+    k = _int(k, where)
     if not 1 <= k <= n:
         raise ConfigError(f"{where}: generator index {k} out of range")
     return k - 1
@@ -239,12 +257,7 @@ def _char_table(action: TorusAction, cfg: dict, where: str) -> dict:
     """Character -> polynomial, from "k1,k2,..." keys to term lists."""
     table = {}
     for key, terms in cfg.items():
-        try:
-            char = tuple(int(x) for x in str(key).split(","))
-        except ValueError as exc:
-            raise ConfigError(f"{where}: bad character key {key!r}") from exc
-        if len(char) != action.d:
-            raise ConfigError(f"{where}: character {key!r} has wrong rank")
+        char = _key_ints(key, where, "character", action.d)
         table[char] = parse_poly(action.twist, terms, f"{where}[{key}]")
     return table
 
@@ -355,10 +368,20 @@ def parse_synthetic_cocycle(action: TorusAction, cfg: dict) -> TwoCocycle:
     return TwoCocycle(action, fn)
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, refused when a key repeats: ``json`` would keep the last value."""
+    out = {}
+    for key, value in pairs:
+        if key in out:
+            raise ConfigError(f"key {key!r} appears twice in one JSON object")
+        out[key] = value
+    return out
+
+
 def load_config(path: str) -> dict:
     text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
     try:
-        cfg = json.loads(text)
+        cfg = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
     if not isinstance(cfg, dict):

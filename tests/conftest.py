@@ -1,25 +1,47 @@
+import contextlib
+import io
 import random
+import sys
+from collections import namedtuple
 from fractions import Fraction
 
 import pytest
 
+from nctorus import cli
 from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
-from nctorus.dynamics import TorusAction
+from nctorus.dynamics import TorusAction, base_monomials
 from nctorus.factor_system import IsometryFamily, from_cleft
 from nctorus.geometry import left_inner, right_inner
 from nctorus.phases import Phase, QQi
 from nctorus.q3torus import random_rational_twist
 
+from strategies import TW3
+
+CliRun = namedtuple("CliRun", "returncode stdout stderr")
+
+
+def run_cli(*argv, stdin=None) -> CliRun:
+    """``(code, out, err)`` of ``cli.main(argv)``, run in this process.
+
+    stdin reads ``stdin`` (empty if None), stdout and stderr are captured,
+    and an argparse error's ``SystemExit`` gives its exit code.
+    """
+    out, err = io.StringIO(), io.StringIO()
+    saved, sys.stdin = sys.stdin, io.StringIO(stdin or "")
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = cli.main(list(argv))
+            except SystemExit as exc:
+                code = exc.code
+    finally:
+        sys.stdin = saved
+    return CliRun(code, out.getvalue(), err.getvalue())
+
 
 @pytest.fixture(scope="session")
 def q3_twist():
-    return TwistMatrix(
-        [
-            [0, Fraction(1, 4), Fraction(-1, 3)],
-            [Fraction(-1, 4), 0, Fraction(-1, 6)],
-            [Fraction(1, 3), Fraction(1, 6), 0],
-        ]
-    )
+    return TW3
 
 
 @pytest.fixture(scope="session")
@@ -56,6 +78,13 @@ def pythagorean_column(action: TorusAction) -> IsometryFamily:
         )
 
     return IsometryFamily(action, fn)
+
+
+def probes(action: TorusAction) -> list:
+    """1, every u_k^+-1 and every base monomial up to degree 2."""
+    tw = action.twist
+    gens = [TwistedPoly.generator(tw, k, p) for k in action.base for p in (1, -1)]
+    return [TwistedPoly.one(tw), *gens, *base_monomials(action, 2)]
 
 
 def wrong_size(char: str) -> str:

@@ -17,6 +17,8 @@ from nctorus.factor_system import from_cleft
 from nctorus.phases import Phase, QQi
 
 from conftest import pythagorean_column, random_base_poly, random_poly, theta_float
+import reference
+from strategies import TW3, polys
 
 
 def unit(tw, k, l, power=1):
@@ -53,13 +55,7 @@ def letters_product(tw, letters):
 
 @pytest.fixture(scope="module")
 def tw():
-    return TwistMatrix(
-        [
-            [0, Fraction(1, 4), Fraction(-1, 3)],
-            [Fraction(-1, 4), 0, Fraction(-1, 6)],
-            [Fraction(1, 3), Fraction(1, 6), 0],
-        ]
-    )
+    return TW3
 
 
 class TestTwistMatrix:
@@ -309,39 +305,24 @@ class TestUnitLane:
                     lhs * rhs
 
 
-# hypothesis strategies for the exact ring axioms, kept small for speed
-
-_coeffs = st.integers(min_value=-2, max_value=2)
-
-
-@st.composite
-def small_polys(draw):
-    tw = TwistMatrix([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]])
-    n_terms = draw(st.integers(min_value=1, max_value=3))
-    total = TwistedPoly.zero(tw)
-    for _ in range(n_terms):
-        exps = (draw(st.integers(-2, 2)), draw(st.integers(-2, 2)))
-        re, im = draw(_coeffs), draw(_coeffs)
-        if re == 0 and im == 0:
-            re = 1
-        total = total + TwistedPoly.monomial(tw, exps, QQi(re, im))
-    return total
+# the exact ring axioms on small polynomials over a 2 x 2 twist
+small_polys = polys(TwistMatrix([[0, Fraction(1, 3)], [Fraction(-1, 3), 0]]), phase_terms=(1, 1))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), small_polys())
+@given(small_polys, small_polys, small_polys)
 def test_associativity_property(x, y, z):
     assert (x * y) * z == x * (y * z)
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys())
+@given(small_polys, small_polys)
 def test_star_antimultiplicative_property(x, y):
     assert (x * y).star() == y.star() * x.star()
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys(), small_polys())
+@given(small_polys, small_polys)
 def test_distributivity_property(x, y):
     z = TwistedPoly.generator(x.twist, 0) + TwistedPoly.generator(x.twist, 1, -1)
     assert (x + y) * z == x * z + y * z
@@ -374,41 +355,18 @@ def test_generator_unitarity_all_twists():
 # the monomial lane: single-term and 1 x 1 products skip the general loops
 # and must return exactly what those loops return
 
-_TW3 = TwistMatrix(
-    [
-        [0, Fraction(1, 4), Fraction(-1, 3)],
-        [Fraction(-1, 4), 0, Fraction(-1, 6)],
-        [Fraction(1, 3), Fraction(1, 6), 0],
-    ]
-)
-_exps = st.tuples(*[st.integers(-3, 3)] * _TW3.n)
-
-
-@st.composite
-def lane_phases(draw):
-    """One- or two-term phases with non-unit coefficients, q units and tau powers."""
-    terms = {}
-    for _ in range(draw(st.integers(1, 2))):
-        qexp = tuple(draw(st.integers(-2, 2)) for _ in range(_TW3.nslots))
-        tau = draw(st.integers(-1, 2))
-        re, im = draw(_coeffs), draw(_coeffs)
-        terms[(qexp, tau)] = QQi(Fraction(re or 1, draw(st.integers(1, 3))), im)
-    return Phase(_TW3.nslots, terms)
-
-
-@st.composite
-def lane_monomials(draw):
-    return TwistedPoly(_TW3, {draw(_exps): draw(lane_phases())})
+# one- or two-term phases on one monomial
+monomials = polys(TW3, terms=(1, 1), phase_terms=(1, 2))
 
 
 def _far_term(x: TwistedPoly) -> TwistedPoly:
     """A unit monomial whose exponent no product with x's can collide with."""
     (a,) = x.terms
-    return TwistedPoly.monomial(_TW3, [e + 20 for e in a])
+    return TwistedPoly.monomial(TW3, [e + 20 for e in a])
 
 
 @settings(max_examples=80, deadline=None)
-@given(lane_monomials(), lane_monomials())
+@given(monomials, monomials)
 def test_monomial_lane_matches_the_general_loop(x, y):
     product = x * y
     (key,) = product.terms
@@ -416,26 +374,26 @@ def test_monomial_lane_matches_the_general_loop(x, y):
     for general in ((x + _far_term(x)) * y, x * (y + _far_term(y))):
         assert product.terms == {key: general.terms[key]}
     assert product.twist is x.twist
-    assert product == TwistedPoly(_TW3, dict(product.terms))  # canonical: nothing to filter
+    assert product == TwistedPoly(TW3, dict(product.terms))  # canonical: nothing to filter
 
 
 @settings(max_examples=60, deadline=None)
-@given(lane_monomials(), lane_monomials(), lane_monomials())
+@given(monomials, monomials, monomials)
 def test_one_by_one_lane_matches_the_general_loop(x, y, z):
-    zero = TwistedPoly.zero(_TW3)
+    zero = TwistedPoly.zero(TW3)
     lane = PolyMatrix.from_scalar(x) * PolyMatrix.from_scalar(y + z)
     # a 1 x 2 by 2 x 1 product runs the triple loop and the full constructor
-    general = PolyMatrix(_TW3, [[x, zero]]) * PolyMatrix(_TW3, [[y + z], [zero]])
+    general = PolyMatrix(TW3, [[x, zero]]) * PolyMatrix(TW3, [[y + z], [zero]])
     assert lane == general
-    assert (lane.rows, lane.cols, lane.twist) == (1, 1, _TW3)
+    assert (lane.rows, lane.cols, lane.twist) == (1, 1, TW3)
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(1, 2), st.integers(1, 3), st.integers(1, 2), st.data())
 def test_ampliate_is_the_kronecker_product_with_the_identity(rows, cols, d, data):
-    entries = [[data.draw(lane_monomials()) for _ in range(cols)] for _ in range(rows)]
-    x = PolyMatrix(_TW3, entries)
-    assert x.ampliate(d) == x.kron(PolyMatrix.identity(_TW3, d))
+    entries = [[data.draw(monomials) for _ in range(cols)] for _ in range(rows)]
+    x = PolyMatrix(TW3, entries)
+    assert x.ampliate(d) == x.kron(PolyMatrix.identity(TW3, d))
     if d == 1:
         assert x.ampliate(d) is x
 
@@ -464,84 +422,13 @@ def test_one_by_one_apply_to_matrix_is_the_block_assembly(pythagorean_system, k,
 
 
 # the dense lane: the general products run one kernel that accumulates
-# unreduced integers per output key and reduces once; the reference is the
-# schoolbook loop it replaced, which reduces after every product and sum
-
-
-def _schoolbook_phase(p: Phase, r: Phase) -> Phase:
-    out = {}
-    for (e1, t1), c1 in p.items():
-        for (e2, t2), c2 in r.items():
-            key = (tuple(x + y for x, y in zip(e1, e2)), t1 + t2)
-            c = c1 * c2
-            out[key] = c if key not in out else out[key] + c
-    return Phase(p.nslots, out)
-
-
-def _schoolbook_shift(tw, a, b):
-    """s(a, b) from the relations: u_i^x u_j^y = q_{ji}^(-x y) u_j^y u_i^x for i > j."""
-    e = [0] * tw.nslots
-    for i in range(tw.n):
-        for j in range(i):
-            e[tw.slot(j, i)] -= a[i] * b[j]
-    return e
-
-
-def _schoolbook(x: TwistedPoly, y: TwistedPoly) -> TwistedPoly:
-    tw = x.twist
-    out = {}
-    for a, pa in x.terms.items():
-        for b, pb in y.terms.items():
-            key = tuple(s + t for s, t in zip(a, b))
-            p = _schoolbook_phase(pa, pb).shift(_schoolbook_shift(tw, a, b))
-            out[key] = p if key not in out else out[key].add(p)
-    return TwistedPoly(tw, out)
-
-
-@st.composite
-def dense_phases(draw):
-    """One to three terms: small q and tau powers so keys meet, denominators 1 to 4."""
-    terms = {}
-    for _ in range(draw(st.integers(1, 3))):
-        qexp = tuple(draw(st.integers(-1, 1)) for _ in range(_TW3.nslots))
-        re, im = draw(_coeffs), draw(_coeffs)
-        terms[(qexp, draw(st.integers(0, 2)))] = QQi(
-            Fraction(re or 1, draw(st.integers(1, 4))), Fraction(im, draw(st.integers(1, 4)))
-        )
-    return Phase(_TW3.nslots, terms)
-
-
-@st.composite
-def dense_polys(draw):
-    """Two to four terms on exponents in {-1, 0, 1}^3, so term pairs share output keys."""
-    exps = st.tuples(*[st.integers(-1, 1)] * _TW3.n)
-    terms = {draw(exps): draw(dense_phases()) for _ in range(draw(st.integers(2, 4)))}
-    return TwistedPoly(_TW3, terms)
-
-
-@settings(max_examples=80, deadline=None)
-@given(dense_phases(), dense_phases())
-def test_dense_phase_product_matches_the_schoolbook_loop(p, r):
-    assert p.mul(r).terms == _schoolbook_phase(p, r).terms
-
-
-@settings(max_examples=80, deadline=None)
-@given(dense_polys(), dense_polys())
-def test_dense_lane_matches_the_schoolbook_loop(x, y):
-    # dict equality: the same keys, and every QQi in the same (a, b, d) form
-    assert (x * y).terms == _schoolbook(x, y).terms
-
-
-@settings(max_examples=60, deadline=None)
-@given(lane_monomials(), dense_polys())
-def test_one_term_by_many_terms_matches_the_schoolbook_loop(m, x):
-    assert (m * x).terms == _schoolbook(m, x).terms
-    assert (x * m).terms == _schoolbook(x, m).terms
+# unreduced integers per output key and reduces once (compared with the
+# references on the dense input class in test_monomial_core.py)
 
 
 class TestDenseLane:
     def test_phase_terms_that_cancel_are_dropped(self):
-        n = _TW3.nslots
+        n = TW3.nslots
         q_tau = Phase(n, {((1, 0, 0), 1): QQi(1)})
         one = Phase.one(n)
         product = one.add(q_tau).mul(one.sub(q_tau))
@@ -549,16 +436,16 @@ class TestDenseLane:
         assert dict(product.items()) == {((0, 0, 0), 0): QQi(1), ((2, 0, 0), 2): QQi(-1)}
 
     def test_an_output_monomial_that_cancels_is_dropped(self):
-        u1, u2 = (TwistedPoly.generator(_TW3, k) for k in (0, 1))
-        q12 = TwistedPoly.scalar(_TW3, Phase.unit(_TW3.nslots, _TW3.slot(0, 1)))
+        u1, u2 = (TwistedPoly.generator(TW3, k) for k in (0, 1))
+        q12 = TwistedPoly.scalar(TW3, Phase.unit(TW3.nslots, TW3.slot(0, 1)))
         # u1 u2 - q12 u2 u1 = 0, since u2 u1 = q12^-1 u1 u2
         product = (u1 + u2) * (u2 - q12 * u1)
         assert (1, 1, 0) not in product.terms
         assert product == u2 * u2 - q12 * u1 * u1
-        assert product.terms == _schoolbook(u1 + u2, u2 - q12 * u1).terms
+        assert product.terms == reference.poly_mul(u1 + u2, u2 - q12 * u1).terms
 
     def test_mixed_denominators_on_one_key(self):
-        n = _TW3.nslots
+        n = TW3.nslots
         q = ((1, 0, 0), 0)
         q_inv = ((-1, 0, 0), 0)
         zero = ((0, 0, 0), 0)
@@ -572,17 +459,17 @@ class TestDenseLane:
         }
 
     def test_several_term_pairs_on_one_output_monomial(self):
-        u1, u2, u3 = (TwistedPoly.generator(_TW3, k) for k in range(3))
+        u1, u2, u3 = (TwistedPoly.generator(TW3, k) for k in range(3))
         x = u1 + u2 + u3
         # u_k u_l and u_l u_k meet on every key off the diagonal
-        assert (x * x).terms == _schoolbook(x, x).terms
+        assert (x * x).terms == reference.poly_mul(x, x).terms
         assert len((x * x).terms) == 6
 
     def test_reorder_phase_lands_on_the_right_operand_order(self):
-        u1, u2 = (TwistedPoly.generator(_TW3, k) for k in (0, 1))
-        one = TwistedPoly.one(_TW3)
+        u1, u2 = (TwistedPoly.generator(TW3, k) for k in (0, 1))
+        one = TwistedPoly.one(TW3)
         # u2 u1 carries q12^-1 and u1 u2 none
         assert ((one + u2) * (one + u1)).terms[(1, 1, 0)] == Phase.unit(
-            _TW3.nslots, _TW3.slot(0, 1), -1
+            TW3.nslots, TW3.slot(0, 1), -1
         )
-        assert ((one + u1) * (one + u2)).terms[(1, 1, 0)] == Phase.one(_TW3.nslots)
+        assert ((one + u1) * (one + u2)).terms[(1, 1, 0)] == Phase.one(TW3.nslots)

@@ -8,10 +8,11 @@ from pathlib import Path
 import pytest
 
 import nctorus
-from conftest import theta_float
+from conftest import run_cli, theta_float
 
+# the liveness and closed-pipe tests run ``python -m nctorus.cli`` in a child
+# process, which imports the same package as these tests, installed or not
 CLI = [sys.executable, "-m", "nctorus.cli"]
-# the child process imports the same package as these tests, installed or not
 SRC = str(Path(nctorus.__file__).resolve().parents[1])
 ENV = {
     **os.environ,
@@ -27,11 +28,9 @@ Q3_CONFIG = {
 }
 
 
-def run_cli(*args, stdin=None):
-    proc = subprocess.run(
-        CLI + list(args), capture_output=True, text=True, input=stdin, timeout=120, env=ENV
-    )
-    return proc
+def run_module(*args):
+    """The CLI in a child process; a run past 120 s fails."""
+    return subprocess.run(CLI + list(args), capture_output=True, text=True, timeout=120, env=ENV)
 
 
 def write_config(tmp_path, payload, name="config.json"):
@@ -347,6 +346,8 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
     [
         (["--config", "-"], "[1, 2]", "config must be a JSON object"),
         ([], None, "--config is required"),
+        # json keeps the last of two equal keys, so an image would be dropped
+        (["--config", "-"], '{"n": 3, "n": 3}', "key 'n' appears twice in one JSON object"),
     ],
 )
 def test_the_config_itself_is_checked(args, stdin, error):
@@ -400,6 +401,45 @@ def test_the_config_itself_is_checked(args, stdin, error):
             {"char_range": 1, "omega_overrides": [
                 {"sigma": [1], "pi": [0], "value": [{"exponents": [0, 0, 1]}]}]},
             "omega_overrides[0].value: cocycle value leaves the fixed algebra",
+        ),
+        # "01" names u1 too: the image i*u1 under "1" was dropped for it
+        (
+            "lift",
+            {"automorphism": {"images": {
+                "1": [{"exponents": [1, 0, 0], "coeff": {"re": "0", "im": "1"}}],
+                "01": [{"exponents": [1, 0, 0]}]}}},
+            "automorphism.images[01]: generator key '01' is not canonical; write '1'",
+        ),
+        (
+            "lift",
+            {"automorphism": {"images": {" +2 ": [{"exponents": [0, 1, 0]}]}}},
+            "automorphism.images[ +2 ]: generator key ' +2 ' is not canonical; write '2'",
+        ),
+        (
+            "lift",
+            {"automorphism": {"images": {"--2": [{"exponents": [0, 1, 0]}]}}},
+            "automorphism.images: bad generator key '--2'",
+        ),
+        (
+            "lift",
+            {"automorphism": IDENTITY_AUTOMORPHISM,
+             "v_family": {"0": [{"exponents": [0, 0, 0]}], "00": [{"exponents": [0, 0, 0]}]}},
+            "v_family[00]: character key '00' is not canonical; write '0'",
+        ),
+        (
+            "lift",
+            {"automorphism": IDENTITY_AUTOMORPHISM, "v_family": {"1_0": []}},
+            "v_family[1_0]: character key '1_0' is not canonical; write '10'",
+        ),
+        (
+            "lift",
+            {"automorphism": IDENTITY_AUTOMORPHISM, "v_family": {"-0": []}},
+            "v_family[-0]: character key '-0' is not canonical; write '0'",
+        ),
+        (
+            "lift-derivation",
+            {"h_family": {"per_char": {"+1": []}}},
+            "h_family.per_char[+1]: character key '+1' is not canonical; write '1'",
         ),
     ],
 )
@@ -459,24 +499,23 @@ def test_range_error_mid_run_is_an_input_error(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
-
 def _synthetic(bilinear):
     return {"n": 2, "theta": [["0", "1/5"], ["-1/5", "0"]], "acting_coords": [1, 2],
             "char_range": 1, "cocycle": {"slot": [1, 2], "bilinear_exponents": bilinear}}
 
 
 # A power of a unit phase scales its exponent in one step, so a huge entry
-# costs no more than a small one; run_cli's timeout turns a hang into a failure.
+# costs no more than a small one; run_module's timeout turns a hang into a failure.
 def test_huge_synthetic_power_in_range_finishes(tmp_path):
     cfg = _synthetic([[1 << 40, 1], [1, 0]])
-    proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+    proc = run_module("lift", "--config", write_config(tmp_path, cfg), "--json")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["checks"] == 892
 
 
 def test_synthetic_power_outside_the_range_names_its_path(tmp_path):
     cfg = _synthetic([[1 << 61, 0], [0, 0]])
-    proc = run_cli("lift", "--config", write_config(tmp_path, cfg), "--json")
+    proc = run_module("lift", "--config", write_config(tmp_path, cfg), "--json")
     assert proc.returncode == 2
     assert json.loads(proc.stdout)["error"].startswith(f"cocycle.bilinear_exponents: {RANGE_ERROR}")
     assert "Traceback" not in proc.stderr
@@ -742,22 +781,21 @@ def test_zero_denominators_are_input_errors(tmp_path, args, named):
     assert "Traceback" not in proc.stderr
 
 
-def test_unexpected_exception_is_an_internal_error(monkeypatch, capsys):
+def test_unexpected_exception_is_an_internal_error(monkeypatch):
     from nctorus import cli
 
     def crash(args):
         raise RuntimeError("boom")
 
     monkeypatch.setattr(cli, "cmd_demo_q3torus", crash)
-    assert cli.main(["demo", "q3torus", "--json"]) == 3
-    captured = capsys.readouterr()
-    report = json.loads(captured.out)
-    assert report == {
+    proc = run_cli("demo", "q3torus", "--json")
+    assert proc.returncode == 3
+    assert json.loads(proc.stdout) == {
         "command": "demo",
         "passed": False,
         "error": "internal error: RuntimeError: boom",
     }
-    assert "RuntimeError: boom" in captured.err
+    assert "RuntimeError: boom" in proc.stderr
 
 
 class _ClosedPipe(io.TextIOBase):

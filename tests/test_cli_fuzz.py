@@ -7,31 +7,16 @@ property: every run ends in a verdict (exit 0 or 1) or an input error
 and prints one JSON report.
 """
 
-import contextlib
-import io
 import json
-import sys
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from nctorus.cli import main
+from conftest import run_cli
 
 COMMANDS = ("check-factor-system", "lift", "lift-derivation", "curvature")
 ANGLES = ("0", "1/2", "1/3", "-1/4")
 SMALL = st.integers(-1, 1)
-
-
-def run(argv, cfg):
-    """(exit code, stdout, stderr) of ``main`` reading ``cfg`` from stdin."""
-    out, err = io.StringIO(), io.StringIO()
-    stdin, sys.stdin = sys.stdin, io.StringIO(json.dumps(cfg))
-    try:
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([*argv, "--config", "-", "--json"])
-    finally:
-        sys.stdin = stdin
-    return code, out.getvalue(), err.getvalue()
 
 
 @st.composite
@@ -104,7 +89,7 @@ def configs(draw):
 @given(configs())
 def test_generated_configs_never_crash(case):
     command, cfg = case
-    code, out, err = run([command], cfg)
+    code, out, err = run_cli(command, "--config", "-", "--json", stdin=json.dumps(cfg))
     assert code in (0, 1, 2), err
     assert "Traceback" not in err
     report = json.loads(out)

@@ -22,8 +22,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
-from nctorus.dynamics import TorusAction, base_monomials, char_add, char_box, placed
+from nctorus.algebra import PolyMatrix, TwistedPoly
+from nctorus.dynamics import TorusAction, char_add, char_box, placed
 from nctorus.factor_system import (
     AlgebraMorphism,
     IsometryFamily,
@@ -34,9 +34,10 @@ from nctorus.factor_system import (
     frohlich_morphism,
 )
 from nctorus.phases import Phase, QQi
-from nctorus.q3torus import standard_angles, twist3
 
-from conftest import pythagorean_column
+from conftest import probes, pythagorean_column
+import reference
+from strategies import TW3, actions
 
 SETTINGS = settings(deadline=None, derandomize=True)
 
@@ -90,35 +91,9 @@ def _takes_closed_form(name: str, sigma, pi_) -> bool:
     return True
 
 
-@st.composite
-def twists(draw):
-    n = draw(st.sampled_from([2, 3, 4]))
-    theta = [[Fraction(0)] * n for _ in range(n)]
-    for k in range(n):
-        for l in range(k + 1, n):
-            theta[k][l] = Fraction(draw(st.integers(-6, 6)), draw(st.integers(1, 12)))
-            theta[l][k] = -theta[k][l]
-    return TwistMatrix(theta)
-
-
-@st.composite
-def actions(draw):
-    """A twist on n in {2, 3, 4} generators and a rank 1 <= d <= min(n, 3) action."""
-    tw = draw(twists())
-    d = draw(st.integers(1, min(tw.n, 3)))
-    return TorusAction(tw, draw(st.permutations(range(tw.n)))[:d])
-
-
 def chars(d: int):
     """A character in the radius-3 box."""
     return st.tuples(*[st.integers(-3, 3) for _ in range(d)])
-
-
-def _probes(action: TorusAction) -> list:
-    """1, every u_k^+-1 and every base monomial up to degree 2."""
-    tw = action.twist
-    gens = [TwistedPoly.generator(tw, k, p) for k in action.base for p in (1, -1)]
-    return [TwistedPoly.one(tw), *gens, *base_monomials(action, 2)]
 
 
 # ---------------------------------------------------------------------------
@@ -200,9 +175,8 @@ def test_closed_form_omega_matches_the_product(action, data):
 # every pair of a small box on fixed actions, so each family meets both of
 # its paths: the rank-2 action on the q3 twist has base u1, and the rank-1
 # one carries the Pythagorean column
-Q3 = twist3(*standard_angles())
-RANK2 = TorusAction(Q3, (1, 2))
-RANK1 = TorusAction(Q3, (2,))
+RANK2 = TorusAction(TW3, (1, 2))
+RANK1 = TorusAction(TW3, (2,))
 
 
 @pytest.mark.parametrize(
@@ -230,9 +204,9 @@ def test_rank_two_generator_omega_is_not_always_one():
     # s(M sigma, M pi) of u2^s2 u3^s3 and u2^p2 u3^p3 gives q23^(-s3 p2)
     fs = from_cleft(RANK2)
     assert fs.omega((0, 1), (1, 0)) == PolyMatrix.from_scalar(
-        TwistedPoly.scalar(Q3, Phase.unit(Q3.nslots, Q3.slot(1, 2), -1))
+        TwistedPoly.scalar(TW3, Phase.unit(TW3.nslots, TW3.slot(1, 2), -1))
     )
-    assert fs.omega((1, 0), (0, 1)) == PolyMatrix.identity(Q3, 1)
+    assert fs.omega((1, 0), (0, 1)) == PolyMatrix.identity(TW3, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -249,13 +223,13 @@ def test_generator_gamma_and_delta_match_conjugation_by_the_column(action, data)
     assert fs.isometries._cache == {}
     s = IsometryFamily.from_cleft_generators(action)
     sm, sa = s(sigma), s.adjoint(sigma)
-    ref = MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
+    ref = MatrixMorphism.from_map(action, lambda x: reference.gamma(sm, x))
     ref_delta = AlgebraMorphism(
         action, *_on_generators(action, lambda b: frohlich_map(fs, sigma, b))
     )
     assert gamma.unit() == ref.unit() == sm * sa
     assert gamma.equals_on_generators(ref)
     assert delta.equals_on_generators(ref_delta)
-    for x in _probes(action):
-        assert gamma.apply(x) == sm * PolyMatrix.from_scalar(x) * sa
-        assert delta.apply(x) == (sa * PolyMatrix.from_scalar(x) * sm).as_scalar()
+    for x in probes(action):
+        assert gamma.apply(x) == reference.gamma(sm, x)
+        assert delta.apply(x) == reference.gamma(sa, x).as_scalar()

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from nctorus.cli import main
+from conftest import run_cli
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -58,8 +58,8 @@ CASES = [
 
 
 @pytest.mark.parametrize("name,argv,code", CASES, ids=[c[0] for c in CASES])
-def test_cli_report_matches_golden(capsys, name, argv, code):
-    assert main(argv) == code
-    out = capsys.readouterr().out
+def test_cli_report_matches_golden(name, argv, code):
+    got, out, _ = run_cli(*argv)
+    assert got == code
     path = GOLDEN / (name if name.endswith(".txt") else f"{name}.json")
     assert out == path.read_text(encoding="utf-8")

@@ -29,6 +29,8 @@ from nctorus.factor_system import (
 )
 from nctorus.phases import Phase, QQi
 
+import reference
+
 TWIST = TwistMatrix(
     [
         [0, Fraction(1, 4), Fraction(-1, 3), Fraction(2, 5)],
@@ -40,19 +42,6 @@ TWIST = TwistMatrix(
 # u2 is acted on; u1, u3 and u4 span the fixed algebra
 ACTION = TorusAction(TWIST, (1,))
 SYSTEM = from_cleft(ACTION)
-
-
-def ref_apply(m: MatrixMorphism, x: TwistedPoly) -> PolyMatrix:
-    tw = m.action.twist
-    total = PolyMatrix.zeros(tw, m.dim, m.dim)
-    for a, phase in x.terms.items():
-        term = PolyMatrix.identity(tw, m.dim).scale_left(TwistedPoly.scalar(tw, phase))
-        for k in m.action.base:
-            image = m.images[k] if a[k] > 0 else m.inv_images[k]
-            for _ in range(abs(a[k])):
-                term = term * image
-        total = total + term
-    return total
 
 
 def fresh(m: MatrixMorphism) -> MatrixMorphism:
@@ -107,7 +96,7 @@ def base_poly(terms) -> TwistedPoly:
 def test_cleft_apply_matches_reference_fresh_and_warm(terms, sigma):
     x = base_poly(terms)
     m = fresh(SYSTEM.gamma((sigma,)))
-    want = ref_apply(m, x)
+    want = reference.apply(m, x)
     assert m.apply(x) == want
     assert m.apply(x) == want  # second call reads the cached images
 
@@ -117,7 +106,7 @@ def test_cleft_apply_matches_reference_fresh_and_warm(terms, sigma):
 def test_diagonal_2x2_apply_matches_reference(terms):
     x = base_poly(terms)
     m = diagonal_morphism()
-    want = ref_apply(m, x)
+    want = reference.apply(m, x)
     got = m.apply(x)
     assert (got.rows, got.cols) == (2, 2)
     assert got == want
@@ -147,7 +136,7 @@ def test_acting_coordinate_raises_every_call_and_is_never_cached():
         assert bad not in m._monomials
     # the in-scope term still maps as before
     u1 = TwistedPoly.generator(TWIST, 0)
-    assert m.apply(u1) == ref_apply(m, u1)
+    assert m.apply(u1) == reference.apply(m, u1)
 
 
 # ---------------------------------------------------------------------------

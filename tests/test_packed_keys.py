@@ -2,96 +2,39 @@
 
 Every ``Phase`` key ``(qexp, tau)`` is stored as one int with a 64-bit
 field per exponent (see the ``phases`` module docstring).  Here each
-operation that forms keys is compared with the tuple-key references on
-exponents that mix small values with values next to the bounds: it
-either equals the reference, or raises ``PhaseRangeError`` exactly when
-some term product the reference forms has an exponent outside the
-range.  The constructors reject malformed keys, and ``repr`` keeps the
-tuple order, which differs from packed-int order once terms differ in
-two slots and in tau.
+operation that forms keys is compared with the tuple-key references of
+``reference.py`` on the wide input class, exponents that mix small
+values with values next to the bounds: it either equals the reference,
+or raises ``PhaseRangeError`` exactly when some key the reference forms
+has an exponent outside the range.  The constructors reject malformed
+keys, and ``repr`` keeps the tuple order, which differs from packed-int
+order once terms differ in two slots and in tau.
 """
-
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from test_algebra import _schoolbook_phase
-from test_monomial_core import _ref_conjugate, ref_phase_mul, ref_star
-
-from nctorus.algebra import TwistedPoly, TwistMatrix
+from nctorus.algebra import TwistedPoly
 from nctorus.phases import Phase, PhaseRangeError, QQi
 
-B = 1 << 62  # exponents lie in [-B, B)
-
-TW3 = TwistMatrix(
-    [
-        [0, Fraction(1, 4), Fraction(-1, 3)],
-        [Fraction(-1, 4), 0, Fraction(-1, 6)],
-        [Fraction(1, 3), Fraction(1, 6), 0],
-    ]
-)
-N = TW3.nslots
+import reference
+from reference import B
+from strategies import N, TW3, WIDE, phases, polys
 
 SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 
 
-def _in_range(vectors) -> bool:
-    return all(-B <= x < B for v in vectors for x in v)
-
-
-def _keys(p: Phase):
-    return [(*e, t) for (e, t), _ in p.items()]
-
-
-def _sum(*vs):
-    return tuple(map(sum, zip(*vs)))
-
-
-def _expect(op, in_range: bool, reference):
-    """``op()`` equals ``reference()`` when every term product is in range,
-    and raises a range error when one is not."""
-    if in_range:
-        assert op() == reference()
-    else:
+def _expect(op, ref):
+    """``op()`` equals ``ref()``, or raises a range error where the reference
+    forms a key outside the range."""
+    try:
+        want = ref()
+    except reference.OutOfRange:
         with pytest.raises(PhaseRangeError):
             op()
-
-
-# ---------------------------------------------------------------------------
-# strategies: small exponents mixed with exponents next to the bounds
-# ---------------------------------------------------------------------------
-
-_small = st.integers(-2, 2)
-_exps = st.one_of(
-    _small,
-    st.sampled_from([-B, -B + 1, -B + 2, B - 3, B - 2, B - 1, B // 2, -B // 2, B // 2 - 1]),
-)
-_coeffs = st.sampled_from([QQi(1), QQi(-1), QQi(0, 1), QQi(2, -1), QQi(Fraction(1, 3), 2)])
-
-
-def phases(terms=(1, 3), nslots=N):
-    # half the keys small, so that many products stay in range
-    key = st.one_of(
-        st.tuples(st.tuples(*[_small] * nslots), _small),
-        st.tuples(st.tuples(*[_exps] * nslots), _exps),
-    )
-    return st.dictionaries(key, _coeffs, min_size=terms[0], max_size=terms[1]).map(
-        lambda t: Phase(nslots, t)
-    )
-
-
-# polynomial exponents near 2^31 and 2^32 make a_i*b_j reach and pass 2^62
-_poly_exps = st.tuples(
-    *[st.one_of(st.integers(-2, 2), st.sampled_from([1 << 31, -(1 << 31), 1 << 32, 3]))] * TW3.n
-)
-
-
-def polys(max_terms=1):
-    return st.dictionaries(_poly_exps, phases((1, 2)), min_size=1, max_size=max_terms).map(
-        lambda t: TwistedPoly(TW3, t)
-    )
+    else:
+        assert op() == want
 
 
 # ---------------------------------------------------------------------------
@@ -100,146 +43,62 @@ def polys(max_terms=1):
 
 
 @SETTINGS
-@given(phases((1, 1)), phases((1, 1)))
+@given(phases(N, "wide", (1, 1)), phases(N, "wide", (1, 1)))
 def test_monomial_lane(p, r):
-    products = [_sum(a, b) for a in _keys(p) for b in _keys(r)]
-    _expect(lambda: p.mul(r), _in_range(products), lambda: ref_phase_mul(p, r))
+    _expect(lambda: p.mul(r), lambda: reference.phase_mul(p, r))
 
 
 @SETTINGS
-@given(phases((2, 3)), phases((1, 3)))
+@given(phases(N, "wide", (2, 3)), phases(N, "wide", (1, 3)))
 def test_dense_kernel(p, r):
-    products = [_sum(a, b) for a in _keys(p) for b in _keys(r)]
-    _expect(lambda: p.mul(r), _in_range(products), lambda: _schoolbook_phase(p, r))
-    _expect(lambda: r.mul(p), _in_range(products), lambda: _schoolbook_phase(r, p))
+    _expect(lambda: p.mul(r), lambda: reference.phase_mul(p, r))
+    _expect(lambda: r.mul(p), lambda: reference.phase_mul(r, p))
 
 
 @SETTINGS
-@given(phases(), st.tuples(*[_exps] * N))
+@given(phases(N, "wide"), st.tuples(*[WIDE] * N))
 def test_shift(p, v):
-    products = [_sum(a, (*v, 0)) for a in _keys(p)]
-    unit = Phase(N, {(v, 0): QQi(1)})
-    _expect(lambda: p.shift(v), _in_range(products), lambda: ref_phase_mul(p, unit))
+    _expect(lambda: p.shift(v), lambda: reference.phase_shift(p, v))
 
 
 @SETTINGS
-@given(phases())
+@given(phases(N, "wide"))
 def test_conjugate(p):
-    products = [(*(-x for x in k[:-1]), k[-1]) for k in _keys(p)]
-    _expect(p.conjugate, _in_range(products), lambda: _ref_conjugate(p))
+    _expect(p.conjugate, lambda: reference.phase_conjugate(p))
 
 
 @SETTINGS
-@given(phases((1, 1)))
+@given(phases(N, "wide", (1, 1)))
 def test_invert(p):
-    ((e, t), c), = p.items()
-    inverse = (*(-x for x in e), -t)
-    norm = c.re * c.re + c.im * c.im
-    reference = Phase(N, {(inverse[:-1], inverse[-1]): QQi(c.re / norm, -c.im / norm)}) \
-        if _in_range([inverse]) else None
-    _expect(p.invert, _in_range([inverse]), lambda: reference)
+    _expect(p.invert, lambda: reference.phase_invert(p))
 
 
 @SETTINGS
-@given(phases((1, 2)), st.integers(-3, 3))
+@given(phases(N, "wide", (1, 2)), st.integers(-3, 3))
 def test_pow(p, k):
-    base, n = (p, k) if k >= 0 else (None, -k)
-    products = []
-    if base is None:
-        if len(p.terms) != 1:
-            with pytest.raises(ValueError, match="only monomial phases are invertible"):
-                p**k
-            return
-        ((e, t), c), = p.items()
-        products.append((*(-x for x in e), -t))
-        if not _in_range(products):
-            with pytest.raises(PhaseRangeError):
-                p**k
-            return
-        base = p.invert()
-    if len(base.terms) == 1:
-        ((e, t), c), = base.items()
-        products.append((*(x * n for x in e), t * n))
-        reference = lambda: Phase(N, {(tuple(x * n for x in e), t * n): c**n})  # noqa: E731
-        _expect(lambda: p**k, _in_range(products), reference)
+    if k < 0 and len(p.terms) != 1:
+        with pytest.raises(ValueError, match="only monomial phases are invertible"):
+            p**k
         return
-    # k products by the base, each from the merged power before it
-    ref = Phase.one(N)
-    for _ in range(n):
-        products += [_sum(a, b) for a in _keys(ref) for b in _keys(base)]
-        if not _in_range(products):
-            break
-        ref = ref_phase_mul(ref, base)
-    _expect(lambda: p**k, _in_range(products), lambda: ref)
-
-
-def _shift_vector(a, b):
-    """s(a, b), one q-exponent per slot: q_{ji} gets -a_i*b_j for i > j."""
-    e = [0] * N
-    for i in range(TW3.n):
-        for j in range(i):
-            e[TW3.slot(j, i)] = -a[i] * b[j]
-    return tuple(e)
-
-
-def _tuple_product(x: TwistedPoly, y: TwistedPoly) -> dict:
-    """x * y with tuple keys and no intermediate phase: a -> {(e, t): c}."""
-    out: dict = {}
-    for a, pa in x.terms.items():
-        for b, pb in y.terms.items():
-            s = _shift_vector(a, b)
-            mono = out.setdefault(_sum(a, b), {})
-            for (e1, t1), c1 in pa.items():
-                for (e2, t2), c2 in pb.items():
-                    key = (_sum(e1, e2, s), t1 + t2)
-                    mono[key] = mono[key] + c1 * c2 if key in mono else c1 * c2
-    return {
-        a: {k: c for k, c in terms.items() if not c.is_zero()}
-        for a, terms in out.items()
-        if any(not c.is_zero() for c in terms.values())
-    }
-
-
-def _product_keys(x: TwistedPoly, y: TwistedPoly) -> list:
-    """Every reordering exponent and every output key that x * y forms."""
-    out = []
-    for a, pa in x.terms.items():
-        for b, pb in y.terms.items():
-            s = _shift_vector(a, b)
-            out.append(s)
-            out += [_sum(e1, (*s, 0), e2) for e1 in _keys(pa) for e2 in _keys(pb)]
-    return out
+    _expect(lambda: p**k, lambda: reference.phase_pow(p, k))
 
 
 @SETTINGS
-@given(polys(1), polys(1))
+@given(polys(TW3, "wide", (1, 1), (1, 2)), polys(TW3, "wide", (1, 1), (1, 2)))
 def test_polynomial_monomial_lane(x, y):
-    _expect(
-        lambda: {a: dict(p.items()) for a, p in (x * y).terms.items()},
-        _in_range(_product_keys(x, y)),
-        lambda: _tuple_product(x, y),
-    )
+    _expect(lambda: x * y, lambda: reference.poly_mul(x, y))
 
 
 @SETTINGS
-@given(polys(3), polys(3))
+@given(polys(TW3, "wide", (1, 3), (1, 2)), polys(TW3, "wide", (1, 3), (1, 2)))
 def test_polynomial_dense_lane(x, y):
-    _expect(
-        lambda: {a: dict(p.items()) for a, p in (x * y).terms.items()},
-        _in_range(_product_keys(x, y)),
-        lambda: _tuple_product(x, y),
-    )
+    _expect(lambda: x * y, lambda: reference.poly_mul(x, y))
 
 
 @SETTINGS
-@given(polys(3))
+@given(polys(TW3, "wide", (1, 3), (1, 2)))
 def test_star(x):
-    formed = []
-    for a, p in x.terms.items():
-        s = _shift_vector(a, a)
-        conj = [(*(-v for v in k[:-1]), k[-1]) for k in _keys(p)]
-        formed += [s, *conj, *(_sum(k, (*s, 0)) for k in conj)]
-    _expect(x.star, _in_range(formed), lambda: ref_star(x))
+    _expect(x.star, lambda: reference.poly_star(x))
 
 
 # ---------------------------------------------------------------------------

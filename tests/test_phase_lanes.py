@@ -13,9 +13,8 @@ and every constructor of a 1 returns the shared unit.
 """
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
-from test_packed_keys import B, N, SETTINGS, TW3, _exps, phases
 
 from nctorus.algebra import TwistedPoly
 from nctorus.cli import parse_poly
@@ -29,10 +28,14 @@ from nctorus.phases import (
     _product_terms,
 )
 
+from reference import B
+from strategies import N, TW3, WIDE, phases
+
+SETTINGS = settings(max_examples=200, deadline=None, derandomize=True)
 ONE = Phase.one(N)
 
 # a packed shift (``phases._offset``) or None
-_shifts = st.one_of(st.none(), st.tuples(*[_exps] * N).map(lambda v: _offset(N, v)))
+_shifts = st.one_of(st.none(), st.tuples(*[WIDE] * N).map(lambda v: _offset(N, v)))
 
 
 def _both(p: Phase, o: Phase, shift):
@@ -55,7 +58,7 @@ def _both(p: Phase, o: Phase, shift):
 
 
 @SETTINGS
-@given(phases((1, 1)), phases((2, 4)), _shifts)
+@given(phases(N, "wide", (1, 1)), phases(N, "wide", (2, 4)), _shifts)
 def test_single_term_lane_matches_the_dense_kernel(single, dense, shift):
     for p, o in ((single, dense), (dense, single)):
         lane, kernel = _both(p, o, shift)
@@ -102,7 +105,7 @@ def test_the_last_keys_in_range_are_formed_on_both_paths():
 
 
 @SETTINGS
-@given(phases((1, 4)))
+@given(phases(N, "wide", (1, 4)))
 def test_a_product_by_the_unit_returns_the_other_operand(p):
     assert ONE.mul(p) is p
     assert p.mul(ONE) is p

@@ -28,14 +28,13 @@ from nctorus.factor_system import (
     from_cleft,
 )
 from nctorus.phases import Phase, PhaseRangeError, QQi
-from nctorus.q3torus import standard_angles, twist3
 
 from conftest import pythagorean_column
+import reference
+from reference import B
+from strategies import N, TW3, polys, qqis
 
 SETTINGS = settings(deadline=None, derandomize=True)
-
-B = 1 << 62  # exponents lie in [-B, B)
-N = 3  # the q3 twist's slot count
 
 # |c| = 1 for the first five, not for the rest
 _UNIMODULAR = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1), QQi(Fraction(3, 5), Fraction(4, 5))]
@@ -43,15 +42,6 @@ _COEFFS = _UNIMODULAR + [QQi(1, 1), QQi(2), QQi(Fraction(1, 3), -2)]
 
 # small exponents, and exponents whose 8th multiple is still in range
 _exps = st.one_of(st.integers(-3, 3), st.integers(-B // 8, B // 8 - 1))
-
-
-def _repeated(p: Phase, k: int) -> Phase:
-    """p^k as |k| products by p, or by p^-1 for k < 0."""
-    factor = p if k >= 0 else p.invert()
-    out = Phase.one(p.nslots)
-    for _ in range(abs(k)):
-        out = out.mul(factor)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -69,7 +59,7 @@ def _repeated(p: Phase, k: int) -> Phase:
 def test_one_term_power_matches_repeated_products(e, t, c, k):
     p = Phase(N, {(e, t): c})
     out = p**k
-    assert out == _repeated(p, k)
+    assert out == reference.phase_pow(p, k)
     if out.is_one():
         assert out is Phase.one(N)
 
@@ -121,40 +111,30 @@ def test_huge_power_of_a_unit_costs_log_k_products(monkeypatch):
     assert len(products) <= N * 2 * 62
 
 
-@SETTINGS
-@given(st.sampled_from(_COEFFS), st.integers(-12, 12))
-def test_qqi_power_matches_repeated_products(c, k):
-    factor = c if k >= 0 else c.inverse()
-    expected = QQi(1)
-    for _ in range(abs(k)):
-        expected = expected * factor
-    assert c**k == expected
+# the unimodular and other named coefficients, and any small Gaussian rational
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(
+    st.tuples(st.sampled_from(_COEFFS), st.integers(-12, 12)),
+    st.tuples(qqis, st.integers(-6, 6)),
+))
+def test_qqi_power_matches_repeated_products(case):
+    c, k = case
+    if k < 0 and c.is_zero():
+        return
+    assert c**k == reference.qqi_pow(c, k)
 
 
 # ---------------------------------------------------------------------------
 # one-term unitarity
 # ---------------------------------------------------------------------------
 
-TW = twist3(*standard_angles())
 # u1 alone generates the fixed algebra, so every u1^a is central
-ACTION = TorusAction(TW, (1, 2))
-
-_phase_terms = st.dictionaries(
-    st.tuples(st.tuples(*[st.integers(-2, 2)] * N), st.integers(-1, 1)),
-    st.sampled_from(_COEFFS),
-    min_size=1,
-    max_size=2,
-)
-_polys = st.dictionaries(
-    st.tuples(*[st.integers(-2, 2)] * TW.n),
-    _phase_terms.map(lambda t: Phase(N, t)),
-    min_size=1,
-    max_size=2,
-).map(lambda t: TwistedPoly(TW, t))
+ACTION = TorusAction(TW3, (1, 2))
+_polys = polys(TW3, terms=(1, 2), phase_terms=(1, 2), coeffs=st.sampled_from(_COEFFS))
 
 
 def _unitary_by_product(x: TwistedPoly) -> bool:
-    return x.star() * x == TwistedPoly.one(TW)
+    return reference.poly_mul(reference.poly_star(x), x) == TwistedPoly.one(TW3)
 
 
 @SETTINGS
@@ -164,7 +144,7 @@ def test_unitarity_lane_matches_the_product(x):
 
 
 def _mono(a, c=QQi(1), e=(0,) * N, t=0) -> TwistedPoly:
-    return TwistedPoly(TW, {a: Phase(N, {(e, t): c})})
+    return TwistedPoly(TW3, {a: Phase(N, {(e, t): c})})
 
 
 @pytest.mark.parametrize(
@@ -222,7 +202,7 @@ def _scalars(tw) -> list:
 
 
 def _q3():
-    return TorusAction(twist3(*standard_angles()), (2,))
+    return TorusAction(TW3, (2,))
 
 
 def _lane_morphisms():
