@@ -55,10 +55,10 @@ first, so the unit of another twist still raises ``TwistMismatchError``,
 and the unit of an equal twist built apart takes the monomial lane.  The
 phase layer shares its unit too: ``tw.one``'s phase is the one
 ``Phase.one(nslots)``, ``_coerce_phase`` swaps any phase equal to 1
-over the twist's slot count for it (after that slot-count test, so a
-phase over another slot count still fails the constructor), and a
-phase product by it returns the other factor (``phases`` module
-docstring, Lanes).
+for the shared unit of its own slot count (a 1 over another slot count
+becomes that count's unit, which the constructor's slot check still
+refuses), and a phase product by it returns the other factor
+(``phases`` module docstring, Lanes).
 
 Dense lane: the general polynomial product groups its term pairs by
 output monomial and hands each group to one kernel
@@ -229,11 +229,9 @@ def exchange_phase(twist: TwistMatrix, k: int, l: int) -> Phase:
 
 def _coerce_phase(twist: TwistMatrix, c) -> Phase | None:
     if isinstance(c, Phase):
-        # a phase over another slot count stays itself, so it still fails
+        # the unit of c's own slot count: over another count it still fails
         # the slot check of whatever it reaches
-        if c.nslots == twist.nslots and c.is_one():
-            return Phase.one(c.nslots)
-        return c
+        return Phase.one(c.nslots) if c.is_one() else c
     if isinstance(c, QQi):
         return Phase.coeff(twist.nslots, c)
     if isinstance(c, (int, Fraction)):

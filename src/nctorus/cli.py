@@ -52,7 +52,7 @@ from .factor_system import (
     verify_axioms,
 )
 from .geometry import curvature, make_module
-from .phases import Phase, QQi, _check_exponent
+from .phases import _BITS, Phase, QQi, _check_exponent
 from .q3torus import (
     all_weight_monomials,
     base_scaling_derivation,
@@ -359,31 +359,74 @@ def parse_synthetic_cocycle(action: TorusAction, cfg: dict) -> TwoCocycle:
     ):
         raise ConfigError("cocycle.bilinear_exponents must be a d x d integer matrix")
     m = [[_int(x, "cocycle.bilinear_exponents") for x in row] for row in bil]
-    unit = Phase.unit(tw.nslots, slot)
+    one, field = Phase.one(tw.nslots), _BITS * slot
 
     def fn(sigma, pi_):
         power = sum(sigma[i] * m[i][j] * pi_[j] for i in range(d) for j in range(d))
-        return TwistedPoly.scalar(tw, _at("cocycle.bilinear_exponents", pow, unit, power))
+        if not power:
+            return tw.one
+        # q_slot^power is one key shift of the shared unit, its exponent checked first
+        power = _at("cocycle.bilinear_exponents", _check_exponent, power)
+        return TwistedPoly.scalar(tw, one._shifted(power << field))
 
     return TwoCocycle(action, fn)
 
 
-def _unique_keys(pairs: list) -> dict:
-    """A JSON object, refused when a key repeats: ``json`` would keep the last value."""
-    out = {}
-    for key, value in pairs:
-        if key in out:
-            raise ConfigError(f"key {key!r} appears twice in one JSON object")
-        out[key] = value
-    return out
+class _Repeated(dict):
+    """A JSON object in which ``key`` appears twice; ``json`` would keep the last value."""
+
+    key = None
+
+
+def _repeated_key(node, where: str = ""):
+    """``(path, key)`` of the first ``_Repeated`` object in ``node``, in document
+    order; a field name joins the path with '.', a table key such as "1,0"
+    and a list index go in brackets, as the config readers write them."""
+    if isinstance(node, _Repeated):
+        return where, node.key
+    if isinstance(node, dict):
+        children = (
+            (f"{where}.{k}" if where else k, v) if k.isidentifier() else (f"{where}[{k}]", v)
+            for k, v in node.items()
+        )
+    elif isinstance(node, list):
+        children = ((f"{where}[{i}]", v) for i, v in enumerate(node))
+    else:
+        return None
+    for path, child in children:
+        found = _repeated_key(child, path)
+        if found is not None:
+            return found
+    return None
 
 
 def load_config(path: str) -> dict:
+    """The config object; a key repeated in one JSON object exits at its path.
+
+    ``json`` hands each object to the hook before its parent, so the hook
+    only marks the object, and the path is read once the whole text is."""
     text = sys.stdin.read() if path == "-" else open(path, "r", encoding="utf-8").read()
+    repeated = []
+
+    def unique_keys(pairs: list) -> dict:
+        out = {}
+        for key, value in pairs:
+            if key in out:
+                out = _Repeated(pairs)
+                out.key = key
+                repeated.append(out)
+                break
+            out[key] = value
+        return out
+
     try:
-        cfg = json.loads(text, object_pairs_hook=_unique_keys)
+        cfg = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    if repeated:
+        where, key = _repeated_key(cfg)
+        prefix = f"{where}: " if where else ""
+        raise ConfigError(f"{prefix}key {key!r} appears twice in one JSON object")
     if not isinstance(cfg, dict):
         raise ConfigError("config must be a JSON object")
     return cfg

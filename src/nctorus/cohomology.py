@@ -34,6 +34,25 @@ as s(-a, a) = -s(a, a).  So x is unitary exactly when t = 0 and a^2 + b^2
 = d^2 for c = (a + bi)/d; any other value forms x* x.  The isometry
 adjoints s(sigma)* are read from the family's own cache.
 
+Phase-ring values: when s(sigma), s(pi) and s(sigma+pi) are one-term
+columns c u^m (``IsometryFamily.unit_term``) with m_{sigma+pi} = m_pi +
+m_sigma, and v(pi), v(sigma), v(sigma+pi) and omega(pi, sigma) are 1 x 1
+scalars at u^0, ``extract_cocycle`` forms
+
+    u(sigma, pi) = v(sigma+pi) conj(v(pi) v(sigma) omega(pi, sigma)) omega_s(pi, sigma)
+
+with phase products only, and builds no column, adjoint or Kronecker
+product.  This is exact: phases are central, the unital morphisms
+gamma_pi = Ad s(pi) and beta^-1 fix them, the star of a phase at u^0 is
+its conjugate, and s(sigma+pi)* s(pi) s(sigma) = c_pi c_sigma
+c-bar_{sigma+pi} q^s(m_pi, m_sigma), the omega_s(pi, sigma) that
+``factor_system._column_omega`` reads off the columns.  The outer factor
+comes from the columns, not from the system's omega: an omega override
+keeps its parent's isometries, so the two differ there.  A factor that is
+the shared unit phase costs no product.  Witnesses are read at pi, sigma,
+sigma+pi, sized by ``unit_term`` without building a one-term column; any
+other shape takes the generic formula.
+
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
 fails raises :class:`WitnessError`.  So :func:`verify_cocycle` records
@@ -64,11 +83,13 @@ from .factor_system import (
     FactorSystem,
     IsotypicLift,
     PartialIsometryFamily,
+    _column_omega,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
     verify_conjugacy,
 )
+from .phases import Phase, _phase_product
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -87,16 +108,41 @@ class WitnessError(ValueError):
 
 def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
     """x commutes with every u_k of B0: c(a, e_k) = 0 for every exponent a
-    of x (the lift lane of the module docstring)."""
+    of x (the lift lane of the module docstring); the exponent 0 is central
+    with no form read."""
     tw = action.twist
     if x.twist != tw:
         raise TwistMismatchError("operands have different twist matrices")
-    for k in action.base:
-        e = _unit_vector(tw.n, k)
-        for a in x.terms:
-            if _commutator_shift(tw, a, e) is not None:
-                return False
+    moving = [a for a in x.terms if any(a)]
+    if moving:
+        for k in action.base:
+            e = _unit_vector(tw.n, k)
+            for a in moving:
+                if _commutator_shift(tw, a, e) is not None:
+                    return False
     return True
+
+
+def _scalar_phase(m: PolyMatrix) -> Phase | None:
+    """p if m is the 1 x 1 scalar [[p u^0]], else None."""
+    if m.rows == m.cols == 1:
+        terms = m.entries[0][0].terms
+        if len(terms) == 1:
+            (a, p), = terms.items()
+            if not any(a):
+                return p
+    return None
+
+
+def _phase_chain(*factors):
+    """The product of the phases ``factors``, left to right; a factor that is
+    the shared unit phase is skipped, so it costs no product."""
+    one = Phase.one(factors[0].nslots)
+    out = one
+    for f in factors:
+        if f is not one:
+            out = f if out is one else _phase_product(out, f, None)
+    return out
 
 
 def _is_unitary(x: TwistedPoly) -> bool:
@@ -228,15 +274,28 @@ def extract_cocycle(
     s = fs.isometries
     binv = beta.inverse()
 
-    def witness(char: Character) -> PolyMatrix:
-        # a value may read characters off the box; s(char) has d_char rows
-        d = s(char).rows
-        return v.sized(char, d, d)
+    def witness(char: Character) -> tuple:
+        # a value may read characters off the box; s(char) has d_char rows,
+        # and a one-term column is 1 x 1, so its column is not built
+        term = s.unit_term(char)
+        d = 1 if term is not None else s(char).rows
+        return term, v.sized(char, d, d)
 
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        product = twisted_product(fs, pi_, witness(pi_), sigma, witness(sigma))
-        inner = binv.apply_matrix(witness(sp) * product.adjoint())
+        tp, vp = witness(pi_)
+        ts, vs = witness(sigma)
+        tsp, vsp = witness(sp)
+        outer = _column_omega(tw, tp, ts, tsp)  # omega_s(pi, sigma), from the columns
+        if outer is not None:
+            p, o, w = _scalar_phase(vp), _scalar_phase(vs), _scalar_phase(vsp)
+            om = _scalar_phase(fs.omega(pi_, sigma))
+            if p is not None and o is not None and w is not None and om is not None:
+                # phase-ring values (module docstring): v(sigma+pi) P-bar omega_s(pi, sigma)
+                bar = _phase_chain(p, o, om).conjugate()
+                return TwistedPoly.scalar(tw, _phase_chain(w, bar, outer))
+        product = twisted_product(fs, pi_, vp, sigma, vs)
+        inner = binv.apply_matrix(vsp * product.adjoint())
         return (s.adjoint(sp) * inner * s(pi_).kron(s(sigma))).as_scalar()
 
     return TwoCocycle(action, value_fn, delta_fn=lambda c: frohlich_morphism(fs, c))

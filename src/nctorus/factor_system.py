@@ -69,9 +69,11 @@ phases are central, so
 
     omega(sigma, pi) = c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi)
 
-at exponent 0 (``algebra._reorder_shift`` forms s), one shared [[1]] when
-it is 1: always on a rank-1 generator system, as L is strictly lower
-triangular.  Every other omega keeps the product and its scope check.
+at exponent 0, formed by ``_column_omega`` with s from
+``algebra._reorder_shift`` (``cohomology.extract_cocycle`` reads its
+outer factor with the same helper), one shared [[1]] when it is 1: always
+on a rank-1 generator system, as L is strictly lower triangular.  Every
+other omega keeps the product and its scope check.
 
 Scalar lane: a morphism whose unit is the 1 x 1 identity (its entry is
 the twist's shared 1) sends a scalar p, one term at exponent 0, to [[p]]:
@@ -592,6 +594,24 @@ class FactorSystem:
         return FactorSystem(self.action, self.gamma, omega_fn, self.isometries)
 
 
+def _column_omega(tw, ts, tp, tsp) -> Phase | None:
+    """omega(sigma, pi) = c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi) from
+    the ``unit_term`` answers (m, c) at sigma, pi and sigma+pi, or None
+    unless all three are one-term columns whose exponents add (generator
+    columns, module docstring).
+
+    c u^a c' u^b (c'' u^(a+b))* = c c' c''-bar q^s(a, b); when all three
+    coefficients are the shared unit phase, no product is formed.
+    """
+    if ts is None or tp is None or tsp is None or tsp[0] != tuple(map(add, ts[0], tp[0])):
+        return None
+    one = Phase.one(tw.nslots)
+    off = _reorder_shift(tw, ts[0], tp[0])
+    if ts[1] is one and tp[1] is one and tsp[1] is one:
+        return one if off is None else one._shifted(off)
+    return _phase_product(_phase_product(ts[1], tp[1], off), tsp[1].conjugate(), None)
+
+
 def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSystem:
     """Factor system of a cleft action from its equivariant isometries.
 
@@ -625,13 +645,8 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
         ts = s.unit_term(sigma)
         tp = None if ts is None else s.unit_term(pi_)
         tsp = None if tp is None else s.unit_term(sp)
-        if tsp is not None and tsp[0] == tuple(map(add, ts[0], tp[0])):
-            # c u^a c' u^b (c'' u^(a+b))* = c c' c''-bar q^s(a, b)
-            off = _reorder_shift(tw, ts[0], tp[0])
-            if ts[1] is one and tp[1] is one and tsp[1] is one:
-                c = one if off is None else one._shifted(off)
-            else:
-                c = _phase_product(_phase_product(ts[1], tp[1], off), tsp[1].conjugate(), None)
+        c = _column_omega(tw, ts, tp, tsp)
+        if c is not None:
             return unit if c is one else PolyMatrix.from_scalar(TwistedPoly.scalar(tw, c))
         m = s(sigma).kron(s(pi_)) * s.adjoint(sp)
         if not matrix_in_base_algebra(action, m):

@@ -7,6 +7,8 @@ over terms, a key of a term product is the sum of the keys, the reorder
 vector s(a, b) is read off the relations, and every Gaussian rational
 product is the component formula.  Only the public ``Phase`` and ``QQi``
 constructors are used, so no shortcut of the implementation is trusted.
+Matrices are built entry by entry from the polynomial references, and
+``cocycle_value`` forms the obstruction cocycle by its defining formula.
 
 Phase exponents must lie in [-2^62, 2^62).  Each key a reference forms
 is checked against that range, and one outside it raises
@@ -187,3 +189,74 @@ def gamma(s: PolyMatrix, x: TwistedPoly) -> PolyMatrix:
     Delta_sigma(x) = s* x s is ``gamma(s.adjoint(), x)``.
     """
     return s * PolyMatrix.from_scalar(x) * s.adjoint()
+
+
+# ---------------------------------------------------------------------------
+# matrices and the obstruction cocycle
+# ---------------------------------------------------------------------------
+
+
+def poly_add(x: TwistedPoly, y: TwistedPoly) -> TwistedPoly:
+    """Terms on one monomial add up, key by key."""
+    tw = x.twist
+    out: dict = {}
+    for z in (x, y):
+        for a, p in z.terms.items():
+            out.setdefault(a, []).extend(_flat(p))
+    return TwistedPoly(tw, {a: _phase(tw.nslots, flat) for a, flat in out.items()})
+
+
+def mat_mul(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
+    """(x y)[i][j] = sum over k of x[i][k] y[k][j]."""
+    tw = x.twist
+    rows = []
+    for i in range(x.rows):
+        row = []
+        for j in range(y.cols):
+            acc = TwistedPoly(tw, {})
+            for k in range(x.cols):
+                acc = poly_add(acc, poly_mul(x.entries[i][k], y.entries[k][j]))
+            row.append(acc)
+        rows.append(row)
+    return PolyMatrix(tw, rows)
+
+
+def mat_adjoint(x: PolyMatrix) -> PolyMatrix:
+    """x*[i][j] = star(x[j][i])."""
+    return PolyMatrix(x.twist, [[poly_star(x.entries[j][i]) for j in range(x.rows)]
+                                for i in range(x.cols)])
+
+
+def kron(x: PolyMatrix, y: PolyMatrix) -> PolyMatrix:
+    """x indexes the outer tensor leg: (x ox y)[i y.rows + k][j y.cols + l] = x[i][j] y[k][l]."""
+    return PolyMatrix(x.twist, [
+        [poly_mul(x.entries[i][j], y.entries[k][l]) for j in range(x.cols) for l in range(y.cols)]
+        for i in range(x.rows) for k in range(y.rows)
+    ])
+
+
+def entrywise(f, x: PolyMatrix, d: int) -> PolyMatrix:
+    """f applied to each entry of x, f's d x d value indexing the outer leg:
+    result[s1 x.rows + r][s2 x.cols + c] = f(x[r][c])[s1][s2]."""
+    blocks = [[f(x.entries[r][c]) for c in range(x.cols)] for r in range(x.rows)]
+    return PolyMatrix(x.twist, [
+        [blocks[r][c].entries[s1][s2] for s2 in range(d) for c in range(x.cols)]
+        for s1 in range(d) for r in range(x.rows)
+    ])
+
+
+def cocycle_value(fs, beta, v, sigma, pi_) -> TwistedPoly:
+    """u(sigma, pi) = s(sigma+pi)* beta^-1(v(sigma+pi) P*) s(pi) s(sigma), with
+    P = (v(pi) ox 1) gamma_pi(v(sigma)) omega(pi, sigma) and gamma_pi = Ad s(pi),
+    every product formed; omega is the system's own, overrides included."""
+    tw = fs.action.twist
+    s = fs.isometries
+    sp = tuple(a + b for a, b in zip(sigma, pi_))
+    vp, vs, vsp = v(pi_), v(sigma), v(sp)
+    col = s(pi_)
+    d = col.rows
+    gamma_vs = entrywise(lambda x: mat_mul(mat_mul(col, PolyMatrix.from_scalar(x)), mat_adjoint(col)),
+                         vs, d)
+    p = mat_mul(mat_mul(kron(vp, PolyMatrix.identity(tw, vs.rows)), gamma_vs), fs.omega(pi_, sigma))
+    inner = entrywise(lambda x: apply(beta.inv, x), mat_mul(vsp, mat_adjoint(p)), beta.inv.dim)
+    return mat_mul(mat_mul(mat_adjoint(s(sp)), inner), kron(col, s(sigma))).as_scalar()

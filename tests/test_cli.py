@@ -348,6 +348,11 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
         ([], None, "--config is required"),
         # json keeps the last of two equal keys, so an image would be dropped
         (["--config", "-"], '{"n": 3, "n": 3}', "key 'n' appears twice in one JSON object"),
+        # the repeated key is named at its config path, in the readers' notation
+        (["--config", "-"], '{"automorphism": {"images": {"1": [], "1": []}}}',
+         "automorphism.images: key '1' appears twice in one JSON object"),
+        (["--config", "-"], '{"v_family": {"1": [{"exponents": [0], "exponents": [1]}]}}',
+         "v_family[1][0]: key 'exponents' appears twice in one JSON object"),
     ],
 )
 def test_the_config_itself_is_checked(args, stdin, error):

@@ -15,13 +15,12 @@ verifier's sweep.
 """
 
 import json
-from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from nctorus import report
-from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix
+from nctorus.algebra import PolyMatrix, TwistedPoly
 from nctorus.cohomology import TwoCocycle, verify_cocycle
 from nctorus.derivations import (
     HFamily,
@@ -41,19 +40,14 @@ from nctorus.factor_system import (
 from nctorus.phases import QQi
 from nctorus.q3torus import base_scaling_derivation
 
+from strategies import TW3
+
 GOLDEN = Path(__file__).parent / "golden" / "failure_order.json"
 BOX = [(0,), (1,), (-1,)]
 
 
 def _system():
-    twist = TwistMatrix(
-        [
-            [0, Fraction(1, 4), Fraction(-1, 3)],
-            [Fraction(-1, 4), 0, Fraction(-1, 6)],
-            [Fraction(1, 3), Fraction(1, 6), 0],
-        ]
-    )
-    return from_cleft(TorusAction(twist, (2,)))
+    return from_cleft(TorusAction(TW3, (2,)))
 
 
 def _scaled_u1(fs, c):

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from nctorus import cli, cohomology, phases
-from nctorus.algebra import TwistedPoly
+from nctorus.algebra import PolyMatrix, TwistedPoly
 from nctorus.cli import _curvature_sweep, main
 from nctorus.cohomology import LiftedAutomorphism, lift_via_cohomology
 from nctorus.derivations import Derivation, HFamily, LiftedDerivation, verify_lift_conditions
@@ -93,11 +93,15 @@ EXPECTED = {
 # its unitarity is read off the coefficient with no product x* x:
 # 723 -> 658 products.  gamma_sigma, Delta_sigma and omega of the default
 # family build no column (the cocycle values still do): 370 -> 262 helper
-# calls and 658 -> 533 products.
+# calls and 658 -> 533 products.  Every witness here is the scalar 1 and
+# every column a generator column, so each cocycle value is formed in the
+# phase ring, with no column, adjoint or Kronecker product and no product
+# by the shared unit phase: 262 -> 142 helper calls and 533 -> 396
+# products, and no ``PolyMatrix.kron`` (65 before).
 EXPECTED_LIFT = {
-    "_phase_product": 262,
+    "_phase_product": 142,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 533,
+    "TwistedPoly.__mul__": 396,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -301,9 +305,18 @@ def _q3_lift():
     return outcome
 
 
-def test_lift_operation_counts(counts):
+def test_lift_operation_counts(counts, monkeypatch):
+    krons = []
+    kron = PolyMatrix.kron
+
+    def counting_kron(self, other):
+        krons.append(other)
+        return kron(self, other)
+
+    monkeypatch.setattr(PolyMatrix, "kron", counting_kron)
     _q3_lift()
     assert counts == EXPECTED_LIFT
+    assert krons == []
 
 
 # The same lift builds each morphism once, counted at the constructor, so
@@ -409,6 +422,8 @@ def test_curvature_sweep_operation_counts(counts):
 # log2 |k| products per power instead of |k|; each value is unitary by its
 # coefficient, with no product x* x.  Before both lanes: 1,789 helper
 # calls, 1,855 products and 1,412 QQi.__mul__; now 900, 1,486 and 640.
+# q12^power is one key shift of the shared unit phase, and a power of 0 is
+# the shared 1, so no coefficient is raised to a power: QQi.__mul__ 640 -> 0.
 SYNTHETIC_CONFIG = {
     "n": 2,
     "theta": [["0", "1/5"], ["-1/5", "0"]],
@@ -421,7 +436,7 @@ EXPECTED_SYNTHETIC = {
     "_product_terms": 0,
     "TwistedPoly.__mul__": 1486,
     "Phase.mul": 0,
-    "QQi.__mul__": 640,
+    "QQi.__mul__": 0,
 }
 
 
