@@ -423,6 +423,8 @@ def load_config(path: str) -> dict:
         cfg = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"malformed JSON: {exc}") from exc
+    except RecursionError as exc:  # a text nested past the recursion limit
+        raise ConfigError("malformed JSON: nested too deeply to read") from exc
     if repeated:
         where, key = _repeated_key(cfg)
         prefix = f"{where}: " if where else ""

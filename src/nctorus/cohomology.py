@@ -55,11 +55,18 @@ other shape takes the generic formula.
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
-fails raises :class:`WitnessError`.  So :func:`verify_cocycle` records
-those two verdicts for every value it reads instead of deciding them
-again, and its report counts them as before.  Extraction and the
-materialized lift share one transported system, the one that
-``apply_automorphism`` keeps on beta, with its gamma caches.
+fails raises :class:`WitnessError`, and :func:`verify_cocycle` records
+those verdicts instead of deciding them again.  The materialized lift
+reads extraction's transported system (kept on beta) and proves its
+witness from the generators: when, at every sigma of the box,
+gamma_sigma and gamma'_sigma pass ``MatrixMorphism.respects_relations``
+and v* v = gamma_sigma(1), v v* = gamma'_sigma(1), the maps
+b -> v gamma_sigma(b) v* and b -> v* gamma'_sigma(b) v are multiplicative
+(gamma(b) gamma(1) = gamma(b)) and phase-linear, like gamma'_sigma and
+gamma_sigma, so agreement at 1 and u_k^+-1 gives agreement on every
+monomial, and ``verify_conjugacy`` runs at degree 1.  A failed
+hypothesis, or gen_degree 0, runs it at the caller's degree, so the
+verdict is the full sweep's; the cocycle law is swept either way.
 """
 
 from __future__ import annotations
@@ -463,6 +470,17 @@ def updated_witness(
     return PartialIsometryFamily(fs.action, fn)
 
 
+def _certifies(fs: FactorSystem, fs2: FactorSystem, v: PartialIsometryFamily, sigma) -> bool:
+    """The generator certificate's hypotheses at sigma: gamma_sigma and
+    gamma'_sigma pass ``respects_relations``, v* v = gamma_sigma(1) and
+    v v* = gamma'_sigma(1), read in ``verify_conjugacy``'s order."""
+    g, g2 = fs.gamma(sigma), fs2.gamma(sigma)
+    vs = v.sized(sigma, g2.dim, g.dim)
+    vsa = vs.adjoint()
+    return (g.respects_relations() and g2.respects_relations()
+            and vsa * vs == g.unit() and vs * vsa == g2.unit())
+
+
 class LiftedAutomorphism(IsotypicLift):
     """Equivariant automorphism of the whole algebra extending beta.
 
@@ -482,7 +500,11 @@ class LiftedAutomorphism(IsotypicLift):
     ):
         if fs.isometries is None:
             raise ValueError("lifting requires an isometry realization")
-        rep = verify_conjugacy(fs, apply_automorphism(fs, beta), v, char_range, gen_degree)
+        fs2 = apply_automorphism(fs, beta)
+        chars = resolve_chars(fs.action, char_range)
+        if gen_degree >= 1 and all(_certifies(fs, fs2, v, c) for c in chars):
+            gen_degree = 1  # the generator certificate (module docstring)
+        rep = verify_conjugacy(fs, fs2, v, char_range, gen_degree)
         if not rep.passed:
             raise WitnessError(
                 f"witness does not intertwine the factor systems: {rep.failures[0]}"

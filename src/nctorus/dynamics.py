@@ -176,7 +176,11 @@ def base_monomials(action: TorusAction, gen_degree: int) -> list[TwistedPoly]:
 
     The identity checks in the verifiers quantify over this finite set;
     it generates the fixed algebra, and every law being checked is
-    multiplicative and linear, so the restriction loses nothing.
+    multiplicative and linear, so the restriction loses nothing when the
+    morphisms in the laws are multiplicative.  ``cohomology.LiftedAutomorphism``
+    checks that (``MatrixMorphism.respects_relations``) and then reads
+    degree 1 only; the report sweeps still enumerate every monomial up to
+    gen_degree.
     """
     out = []
     base = action.base

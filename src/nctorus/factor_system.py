@@ -190,6 +190,8 @@ class MatrixMorphism:
         for k in action.base:
             named += [(tw.gen_name(k), images[k]), (f"{tw.gen_name(k)}^-1", inv_images[k])]
         for name, m in named:
+            if (m.rows, m.cols) != (unit.rows, unit.rows):
+                raise ValueError(f"image of {name} is not {unit.rows} x {unit.rows}")
             if not matrix_in_base_algebra(action, m):
                 raise ScopeError(f"image of {name} leaves the fixed algebra")
         self.action = action
@@ -278,9 +280,15 @@ class MatrixMorphism:
         return self._unit
 
     def respects_relations(self) -> bool:
-        """Generator images satisfy the exchange relations and invert to the unit."""
+        """``apply`` is multiplicative: the generator images satisfy the
+        exchange relations, u_k u_k^-1 and u_k^-1 u_k map to the unit, and
+        the unit is idempotent and absorbs every generator image on both
+        sides (a unit I_1 forms no product for the last two)."""
         tw = self.action.twist
         unit = self.unit()
+        gens = (*self.images.values(), *self.inv_images.values())
+        if unit * unit != unit or any(unit * m != m or m * unit != m for m in gens):
+            return False
         for i, k in enumerate(self.action.base):
             for l in self.action.base[i + 1 :]:
                 lam = exchange_phase(tw, k, l)
@@ -288,7 +296,8 @@ class MatrixMorphism:
                 rhs = (self.images[l] * self.images[k]).scaled(lam)
                 if lhs != rhs:
                     return False
-            if self.images[k] * self.inv_images[k] != unit:
+            img, inv = self.images[k], self.inv_images[k]
+            if img * inv != unit or inv * img != unit:
                 return False
         return True
 

@@ -353,6 +353,9 @@ def test_non_object_config_values_name_their_path(tmp_path, command, extra, path
          "automorphism.images: key '1' appears twice in one JSON object"),
         (["--config", "-"], '{"v_family": {"1": [{"exponents": [0], "exponents": [1]}]}}',
          "v_family[1][0]: key 'exponents' appears twice in one JSON object"),
+        # nested past the recursion limit: json raises RecursionError, not a decode error
+        pytest.param(["--config", "-"], '{"n": ' + "[" * 100_000 + "]" * 100_000 + "}",
+                     "malformed JSON: nested too deeply to read", id="nested-too-deeply"),
     ],
 )
 def test_the_config_itself_is_checked(args, stdin, error):

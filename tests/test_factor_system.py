@@ -339,6 +339,13 @@ class TestMorphismValidation:
         swapped = AlgebraMorphism(q3_action, {0: u2, 1: u1})
         assert not swapped.respects_relations()
 
+    def test_relation_breaking_automorphism_is_rejected(self, q3_action, q3_gens):
+        # the swap u1 <-> u2 is its own inverse, so only the relation check refuses it
+        u1, u2, _ = q3_gens
+        swap = AlgebraMorphism(q3_action, {0: u2, 1: u1})
+        with pytest.raises(ValueError, match="automorphism violates the defining relations"):
+            Automorphism(swap, swap)
+
     def test_diagonal_is_star_morphism(self, q3_action, q3_twist):
         w = {0: Phase.coeff(q3_twist.nslots, QQi(0, -1))}
         beta = Automorphism.diagonal(q3_action, w)
@@ -372,6 +379,15 @@ class TestMorphismValidation:
         with pytest.raises(ValueError, match=r"automorphism is not a \*-morphism"):
             Automorphism(fwd, inv)
         Automorphism(fwd, inv, check=False)  # unchecked construction stays possible
+
+    def test_constructor_rejects_an_image_of_another_size(self, q3_action):
+        # the relation check multiplies every image by the unit, so sizes must agree
+        tw = q3_action.twist
+        one, two = PolyMatrix.identity(tw, 1), PolyMatrix.identity(tw, 2)
+        with pytest.raises(ValueError, match="image of u1 is not 1 x 1"):
+            MatrixMorphism(q3_action, one, {0: two, 1: one}, {0: one, 1: one})
+        with pytest.raises(ValueError, match="image of 1 is not 1 x 1"):
+            MatrixMorphism(q3_action, PolyMatrix.zeros(tw, 1, 2), {0: one, 1: one}, {0: one, 1: one})
 
     def test_constructor_rejects_a_missing_generator(self, q3_action, q3_gens):
         one = PolyMatrix.identity(q3_action.twist, 1)

@@ -97,11 +97,17 @@ EXPECTED = {
 # every column a generator column, so each cocycle value is formed in the
 # phase ring, with no column, adjoint or Kronecker product and no product
 # by the shared unit phase: 262 -> 142 helper calls and 533 -> 396
-# products, and no ``PolyMatrix.kron`` (65 before).
+# products, and no ``PolyMatrix.kron`` (65 before).  The materialized
+# lift's witness is certified from the generators: every gamma_sigma and
+# gamma'_sigma on the box passes the relation check and each v(sigma) is a
+# partial isometry, so its conjugation laws run at 1 and u_k^+-1 and no
+# monomial image of degree 2 is formed; the relation check now forms
+# u_k^-1 u_k too, on both legs of the automorphism: 142 -> 136 helper calls
+# and 396 -> 380 products.
 EXPECTED_LIFT = {
-    "_phase_product": 142,
+    "_phase_product": 136,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 396,
+    "TwistedPoly.__mul__": 380,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
