@@ -49,9 +49,10 @@ c-bar_{sigma+pi} q^s(m_pi, m_sigma), the omega_s(pi, sigma) that
 ``factor_system._column_omega`` reads off the columns.  The outer factor
 comes from the columns, not from the system's omega: an omega override
 keeps its parent's isometries, so the two differ there.  A factor that is
-the shared unit phase costs no product.  Witnesses are read at pi, sigma,
-sigma+pi, sized by ``unit_term`` without building a one-term column; any
-other shape takes the generic formula.
+the shared unit phase costs no product.  Each witness is read once per
+cocycle, sized by ``unit_term`` without building a one-term column; any
+other shape takes the generic formula.  ``verify_cocycle`` decides the
+identity of one-term values in the phase ring (``factor_system``, one-term lane).
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
@@ -91,12 +92,15 @@ from .factor_system import (
     IsotypicLift,
     PartialIsometryFamily,
     _column_omega,
+    _phase_times,
+    _term,
+    _term_product,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
     verify_conjugacy,
 )
-from .phases import Phase, _phase_product
+from .phases import Phase
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -132,24 +136,8 @@ def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
 
 def _scalar_phase(m: PolyMatrix) -> Phase | None:
     """p if m is the 1 x 1 scalar [[p u^0]], else None."""
-    if m.rows == m.cols == 1:
-        terms = m.entries[0][0].terms
-        if len(terms) == 1:
-            (a, p), = terms.items()
-            if not any(a):
-                return p
-    return None
-
-
-def _phase_chain(*factors):
-    """The product of the phases ``factors``, left to right; a factor that is
-    the shared unit phase is skipped, so it costs no product."""
-    one = Phase.one(factors[0].nslots)
-    out = one
-    for f in factors:
-        if f is not one:
-            out = f if out is one else _phase_product(out, f, None)
-    return out
+    t = _term(m)
+    return None if t is None or any(t[0]) else t[1]
 
 
 def _is_unitary(x: TwistedPoly) -> bool:
@@ -288,19 +276,21 @@ def extract_cocycle(
         d = 1 if term is not None else s(char).rows
         return term, v.sized(char, d, d)
 
+    witnesses = CharacterFamily(action, witness)  # read once per character
+
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        tp, vp = witness(pi_)
-        ts, vs = witness(sigma)
-        tsp, vsp = witness(sp)
+        tp, vp = witnesses(pi_)
+        ts, vs = witnesses(sigma)
+        tsp, vsp = witnesses(sp)
         outer = _column_omega(tw, tp, ts, tsp)  # omega_s(pi, sigma), from the columns
         if outer is not None:
             p, o, w = _scalar_phase(vp), _scalar_phase(vs), _scalar_phase(vsp)
             om = _scalar_phase(fs.omega(pi_, sigma))
             if p is not None and o is not None and w is not None and om is not None:
                 # phase-ring values (module docstring): v(sigma+pi) P-bar omega_s(pi, sigma)
-                bar = _phase_chain(p, o, om).conjugate()
-                return TwistedPoly.scalar(tw, _phase_chain(w, bar, outer))
+                bar = _phase_times(_phase_times(p, o), om).conjugate()
+                return TwistedPoly.scalar(tw, _phase_times(_phase_times(w, bar), outer))
         product = twisted_product(fs, pi_, vp, sigma, vs)
         inner = binv.apply_matrix(vsp * product.adjoint())
         return (s.adjoint(sp) * inner * s(pi_).kron(s(sigma))).as_scalar()
@@ -328,12 +318,21 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
     zero = char_zero(action.d)
 
     def cocycle_pair(sigma, pi_):
-        return sigma, pi_, u.delta(sigma), u.value(sigma, pi_), char_add(sigma, pi_)
+        delta_sigma, u_sp = u.delta(sigma), u.value(sigma, pi_)
+        # the one-term lane (``factor_system`` module docstring) when Delta_sigma has the unit I_1
+        t = _term(u_sp) if delta_sigma._scalar is not None else None
+        return sigma, pi_, delta_sigma, u_sp, char_add(sigma, pi_), t
 
-    def cocycle_identity(sigma, pi_, delta_sigma, u_sp, sp, rho):
-        lhs = u.value(sp, rho) * u_sp
-        rhs = u.value(sigma, char_add(pi_, rho)) * delta_sigma.apply(u.value(pi_, rho))
-        return lhs, rhs
+    def cocycle_identity(sigma, pi_, delta_sigma, u_sp, sp, t, rho):
+        x = u.value(sp, rho)
+        z = u.value(sigma, char_add(pi_, rho))
+        y = u.value(pi_, rho)
+        if t is not None:
+            tx, ty, tz = _term(x), _term(y), _term(z)
+            ty = None if ty is None else delta_sigma._image(ty)
+            if None not in (tx, ty, tz) and _term_product(tw, tx, t) == _term_product(tw, tz, ty):
+                return True, True
+        return x * u_sp, z * delta_sigma.apply(y)
 
     def checked(value):  # decided by CocycleValues._check when u.value read it
         return True, True

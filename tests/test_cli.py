@@ -331,6 +331,8 @@ def test_box_parameters_must_be_non_negative_integers(tmp_path, command, extra, 
         ("lift", {"cocycle": {"slot": [1, 2], "bilinear_exponents": 5}},
          "cocycle.bilinear_exponents must be a d x d integer matrix"),
         ("lift-derivation", {"h_family": {}}, "h_family needs per_char or linear_scalar"),
+        ("check-factor-system", {"n": "3"}, "n: expected integer, got '3'"),
+        ("check-factor-system", {"acting_coords": [True]}, "acting_coords: expected integer, got True"),
     ],
 )
 def test_non_object_config_values_name_their_path(tmp_path, command, extra, path):

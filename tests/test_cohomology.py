@@ -23,6 +23,7 @@ from nctorus.dynamics import TorusAction, char_add, char_box, grade, is_equivari
 from nctorus.factor_system import (
     Automorphism,
     PartialIsometryFamily,
+    apply_automorphism,
     frohlich_morphism,
     from_cleft,
 )
@@ -73,6 +74,13 @@ class TestExtraction:
         for s in char_box(1, 2):
             for p in char_box(1, 2):
                 assert u.value(s, p) == one
+
+    def test_a_system_without_isometries_is_refused(self, q3_system, q3_action):
+        # a transported system keeps no isometry family; the identity with the
+        # witness gamma_sigma(1) passes the conjugacy check, so the refusal raises
+        fs = apply_automorphism(q3_system, diagonal_beta(q3_action, 3))
+        with pytest.raises(ValueError, match="cocycle extraction requires an isometry realization"):
+            extract_cocycle(fs, Automorphism.identity(q3_action), constant_witness(fs), 1)
 
     def test_diagonal_beta_collapses(self, q3_system, q3_action, one):
         u = extract_cocycle(q3_system, diagonal_beta(q3_action, 5), constant_witness(q3_system), 2)
@@ -394,6 +402,11 @@ class TestMaterializedLift:
         for _ in range(10):
             x = random_poly(rng, q3_twist, 5, 3)
             assert lift.apply(x) == full_diagonal(x)
+
+    def test_a_system_without_isometries_is_not_lifted(self, q3_system, q3_action):
+        fs = apply_automorphism(q3_system, diagonal_beta(q3_action, 3))
+        with pytest.raises(ValueError, match="lifting requires an isometry realization"):
+            LiftedAutomorphism(fs, Automorphism.identity(q3_action), constant_witness(fs), 1, 1)
 
     def test_bad_witness_is_rejected(self, q3_system, q3_action, q3_gens, one=None):
         one_poly = TwistedPoly.one(q3_gens[0].twist)

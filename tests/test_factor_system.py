@@ -346,6 +346,11 @@ class TestMorphismValidation:
         with pytest.raises(ValueError, match="automorphism violates the defining relations"):
             Automorphism(swap, swap)
 
+    def test_inner_automorphism_needs_an_element_of_the_fixed_algebra(self, q3_action, q3_gens):
+        # u3 carries the acting coordinate, so it is not in B0
+        with pytest.raises(ScopeError, match="conjugating element must lie in the fixed algebra"):
+            Automorphism.inner(q3_action, q3_gens[2])
+
     def test_diagonal_is_star_morphism(self, q3_action, q3_twist):
         w = {0: Phase.coeff(q3_twist.nslots, QQi(0, -1))}
         beta = Automorphism.diagonal(q3_action, w)

@@ -64,9 +64,11 @@ from conftest import pythagorean_column
 # helper calls and 281 -> 209 products.  The default family answers
 # ``unit_term`` from sigma alone and omega is read off the twist, so no
 # column is built, checked or adjoined: 432 -> 312 helper calls and
-# 209 -> 72 products.
+# 209 -> 72 products.  The coaction intertwining and the cocycle identity
+# of one-term data are decided in the phase ring: a product by the shared
+# unit phase is skipped, not called, so 312 -> 264 helper calls.
 EXPECTED = {
-    "_phase_product": 312,
+    "_phase_product": 264,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 72,
     "Phase.mul": 0,
@@ -103,11 +105,15 @@ EXPECTED = {
 # partial isometry, so its conjugation laws run at 1 and u_k^+-1 and no
 # monomial image of degree 2 is formed; the relation check now forms
 # u_k^-1 u_k too, on both legs of the automorphism: 142 -> 136 helper calls
-# and 396 -> 380 products.
+# and 396 -> 380 products.  The relation check no longer forms u_k^-1 u_k,
+# as a one-sided inverse under an absorbing unit is two-sided: 380 -> 356
+# products and 136 -> 112 helper calls.  The cocycle identity of one-term
+# values is decided in the phase ring, with no polynomial product:
+# 356 -> 106 products.
 EXPECTED_LIFT = {
-    "_phase_product": 136,
+    "_phase_product": 112,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 380,
+    "TwistedPoly.__mul__": 106,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
@@ -430,6 +436,8 @@ def test_curvature_sweep_operation_counts(counts):
 # calls, 1,855 products and 1,412 QQi.__mul__; now 900, 1,486 and 640.
 # q12^power is one key shift of the shared unit phase, and a power of 0 is
 # the shared 1, so no coefficient is raised to a power: QQi.__mul__ 640 -> 0.
+# The cocycle identity of one-term values is decided in the phase ring: the
+# same helper calls, and 1,486 -> 28 polynomial products.
 SYNTHETIC_CONFIG = {
     "n": 2,
     "theta": [["0", "1/5"], ["-1/5", "0"]],
@@ -440,7 +448,7 @@ SYNTHETIC_CONFIG = {
 EXPECTED_SYNTHETIC = {
     "_phase_product": 900,
     "_product_terms": 0,
-    "TwistedPoly.__mul__": 1486,
+    "TwistedPoly.__mul__": 28,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
 }
