@@ -34,25 +34,12 @@ as s(-a, a) = -s(a, a).  So x is unitary exactly when t = 0 and a^2 + b^2
 = d^2 for c = (a + bi)/d; any other value forms x* x.  The isometry
 adjoints s(sigma)* are read from the family's own cache.
 
-Phase-ring values: when s(sigma), s(pi) and s(sigma+pi) are one-term
-columns c u^m (``IsometryFamily.unit_term``) with m_{sigma+pi} = m_pi +
-m_sigma, and v(pi), v(sigma), v(sigma+pi) and omega(pi, sigma) are 1 x 1
-scalars at u^0, ``extract_cocycle`` forms
-
-    u(sigma, pi) = v(sigma+pi) conj(v(pi) v(sigma) omega(pi, sigma)) omega_s(pi, sigma)
-
-with phase products only, and builds no column, adjoint or Kronecker
-product.  This is exact: phases are central, the unital morphisms
-gamma_pi = Ad s(pi) and beta^-1 fix them, the star of a phase at u^0 is
-its conjugate, and s(sigma+pi)* s(pi) s(sigma) = c_pi c_sigma
-c-bar_{sigma+pi} q^s(m_pi, m_sigma), the omega_s(pi, sigma) that
-``factor_system._column_omega`` reads off the columns.  The outer factor
-comes from the columns, not from the system's omega: an omega override
-keeps its parent's isometries, so the two differ there.  A factor that is
-the shared unit phase costs no product.  Each witness is read once per
-cocycle, sized by ``unit_term`` without building a one-term column; any
-other shape takes the generic formula.  ``verify_cocycle`` decides the
-identity of one-term values in the phase ring (``factor_system``, one-term lane).
+Cocycle values of a generator family with scalar witnesses are formed
+in the phase ring, with no column, adjoint or Kronecker product (the
+table of monomial systems in the ``factor_system`` module docstring);
+each witness is read once per cocycle, sized by the placement on such a
+family.  ``verify_cocycle`` decides the identity of one-term values in
+the phase ring (``factor_system``, one-term lane).
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
@@ -91,7 +78,7 @@ from .factor_system import (
     FactorSystem,
     IsotypicLift,
     PartialIsometryFamily,
-    _column_omega,
+    _GeneratorColumns,
     _phase_times,
     _term,
     _term_product,
@@ -268,27 +255,30 @@ def extract_cocycle(
         raise ValueError("cocycle extraction requires an isometry realization")
     s = fs.isometries
     binv = beta.inverse()
+    one = Phase.one(tw.nslots)
+    placement = s.placement if isinstance(s, _GeneratorColumns) else None
 
     def witness(char: Character) -> tuple:
         # a value may read characters off the box; s(char) has d_char rows,
-        # and a one-term column is 1 x 1, so its column is not built
-        term = s.unit_term(char)
-        d = 1 if term is not None else s(char).rows
-        return term, v.sized(char, d, d)
+        # and a generator column is 1 x 1, so it is not built
+        if placement is not None:
+            return placement(char), v.sized(char, 1, 1)
+        d = s(char).rows
+        return None, v.sized(char, d, d)
 
     witnesses = CharacterFamily(action, witness)  # read once per character
 
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        tp, vp = witnesses(pi_)
-        ts, vs = witnesses(sigma)
-        tsp, vsp = witnesses(sp)
-        outer = _column_omega(tw, tp, ts, tsp)  # omega_s(pi, sigma), from the columns
-        if outer is not None:
+        mp, vp = witnesses(pi_)
+        ms, vs = witnesses(sigma)
+        _, vsp = witnesses(sp)
+        if placement is not None:
             p, o, w = _scalar_phase(vp), _scalar_phase(vs), _scalar_phase(vsp)
             om = _scalar_phase(fs.omega(pi_, sigma))
             if p is not None and o is not None and w is not None and om is not None:
-                # phase-ring values (module docstring): v(sigma+pi) P-bar omega_s(pi, sigma)
+                # v(sigma+pi) P-bar omega_s(pi, sigma), omega_s read off the columns
+                _, outer = _term_product(tw, (mp, one), (ms, one))
                 bar = _phase_times(_phase_times(p, o), om).conjugate()
                 return TwistedPoly.scalar(tw, _phase_times(_phase_times(w, bar), outer))
         product = twisted_product(fs, pi_, vp, sigma, vs)

@@ -41,38 +41,40 @@ the constructor keeps the exponent 0 as its key).  An
 :class:`IsometryFamily` keeps the s(sigma)* its isometry check forms,
 stored only once the column passes.
 
-Conjugation lane: when s(sigma) is a 1 x 1 column with one term, c u^m
-(``IsometryFamily.unit_term``; every column of
-``from_cleft_generators`` is one), gamma_sigma and Delta_sigma are read
-off the commutator form c(a, b) of the twist (``algebra`` module
-docstring) instead of conjugating each generator by s(sigma).  This is
-exact: phases are central, and the family's check s* s = 1 reads
-c-bar c = 1, so s x s* = u^m x u^-m and s* x s = u^-m x u^m.  As
-u^m u^a = q^c(m, a) u^a u^m, gamma_sigma sends u_k^+-1 to
-q^c(m, +-e_k) u_k^+-1 with unit s s* = 1, and Delta_sigma sends it to
-q^c(+-e_k, m) u_k^+-1, since c(-m, a) = c(a, m).  ``from_cleft`` still
-builds gamma_sigma through the ``MatrixMorphism`` constructor, so its
-scope checks run.  ``Automorphism.inner`` builds its legs Ad u^+-m the
-same way.  Every 1 x 1 isometry column has this shape, as the twisted
-group ring of Z^n over a domain has only monomial units; columns with
-d_sigma > 1 and every transported system keep ``from_map``.
+Monomial systems: the default family of ``from_cleft_generators``
+(``_GeneratorColumns``) has the columns s(sigma) = u^(M sigma), where M
+places sigma at the acting coordinates (``dynamics.placed``).  Every
+coefficient is 1 and M is linear, so ``from_cleft``,
+``frohlich_morphism`` and ``cohomology.extract_cocycle`` test once per
+system whether s is that family, and then read its values off the
+twist's reordering form s(a, b) and commutator form c(a, b) (``algebra``
+module docstring) with no column built:
 
-Generator columns: ``IsometryFamily.unit_term(sigma)`` gives (m, c) for
-a one-term column c u^m, read off the checked column; the default family
-of ``from_cleft_generators`` answers (M sigma, 1) from sigma alone, as
-its column u^(M sigma) is built so (``dynamics.placed``).  So its
-gamma_sigma, Delta_sigma and omega never form s(sigma).  When sigma, pi
-and sigma+pi have one-term columns and m_{sigma+pi} = m_sigma + m_pi,
-u^m_sigma u^m_pi = q^s(m_sigma, m_pi) u^m_{sigma+pi}, u^m (u^m)* = 1 and
-phases are central, so
+    object            closed form                              applies to
+    gamma_sigma       u_k^+-1 -> q^c(M sigma, +-e_k) u_k^+-1,  the generator family
+                      unit 1
+    Delta_sigma       u_k^+-1 -> q^c(+-e_k, M sigma) u_k^+-1   the generator family
+    Ad u^+-m          the two maps above with M sigma = m      ``Automorphism.inner``
+    omega(sigma, pi)  q^s(M sigma, M pi)                       the generator family
+    omega(0, 0)       1                                        every family
+    u(sigma, pi)      v(sigma+pi) conj(v(pi) v(sigma)          the generator family, when
+                      omega(pi, sigma)) q^s(M pi, M sigma)     the four factors are 1 x 1
+                                                               scalars at u^0
 
-    omega(sigma, pi) = c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi)
-
-at exponent 0, formed by ``_column_omega`` with s from
-``algebra._reorder_shift`` (``cohomology.extract_cocycle`` reads its
-outer factor with the same helper), one shared [[1]] when it is 1: always
-on a rank-1 generator system, as L is strictly lower triangular.  Every
-other omega keeps the product and its scope check.
+Every other value, of every other family and of every transported
+system, is the generic product.  Each closed form is exact because
+phases are central and u^a u^b = q^s(a, b) u^(a+b) = q^c(a, b) u^b u^a:
+u^m u^a u^-m = q^c(m, a) u^a, and u^-m u^a u^m = q^c(a, m) u^a as
+c(-m, a) = c(a, m); the unit is u^m u^-m = 1; M(sigma+pi) = M sigma +
+M pi and u^m (u^m)* = 1 give s(sigma) s(pi) s(sigma+pi)* =
+q^s(M sigma, M pi), which is 1 on every rank-1 system, as L is strictly
+lower triangular; the family check makes s(0) = 1; and a phase c of an
+inner c u^m cancels.  For u, the unital morphisms gamma_pi and beta^-1
+fix phases and the star of a phase at u^0 is its conjugate; the outer
+factor s(sigma+pi)* s(pi) s(sigma) is read off the columns, not off the
+system's omega, which an omega override changes while it keeps its
+parent's isometries.  ``from_cleft`` still builds gamma_sigma through
+the ``MatrixMorphism`` constructor, so its scope checks run.
 
 One-term lane: the coaction intertwining and cocycle identity of
 ``verify_axioms``, and the cocycle identity of ``verify_cocycle``, are
@@ -508,8 +510,7 @@ class IsometryFamily(CharacterFamily):
 
     ``adjoint(char)`` serves the s(char)* that the isometry check forms,
     stored only after the last check passes, so a column that fails its
-    check leaves no adjoint behind either.  ``unit_term(char)`` gives
-    (m, c) for a one-term column c u^m (generator columns, module docstring).
+    check leaves no adjoint behind either.
     """
 
     __slots__ = ("_adjoints",)
@@ -533,14 +534,6 @@ class IsometryFamily(CharacterFamily):
             action, lambda char: PolyMatrix.from_scalar(cleft_generator(action, char))
         )
 
-    def unit_term(self, char: Character) -> tuple | None:
-        """(m, c) if s(char) is a 1 x 1 column c u^m with one term, else None.
-
-        Read off the checked column: s* s = 1 gives c c-bar = 1, so
-        Ad s(char) = Ad u^m.
-        """
-        return _term(self(char))
-
     def _check(self, char: Character, m: PolyMatrix) -> None:
         for row in m.entries:
             for e in row:
@@ -557,13 +550,14 @@ class IsometryFamily(CharacterFamily):
 
 
 class _GeneratorColumns(IsometryFamily):
-    """Columns u^(M sigma) (``cleft_generator``), whose one term is
-    (M sigma, 1) by construction, so ``unit_term`` builds no column."""
+    """Columns u^(M sigma) (``cleft_generator``): the monomial systems of the
+    module docstring, whose values are read off ``placement`` with no column."""
 
     __slots__ = ()
 
-    def unit_term(self, char: Character) -> tuple:
-        return placed(self.action, char), Phase.one(self.action.twist.nslots)
+    def placement(self, char: Character) -> tuple:
+        """M char, checked like the column's exponent (a character of ints)."""
+        return placed(self.action, char)
 
 
 class PartialIsometryFamily(CharacterFamily):
@@ -594,6 +588,18 @@ class PartialIsometryFamily(CharacterFamily):
                 raise ValueError("witness family must send the trivial character to 1")
 
 
+class _Coactions(CharacterFamily):
+    """The gamma_sigma of a factor system, each a morphism into matrices."""
+
+    __slots__ = ()
+
+    def _check(self, char: Character, g: MatrixMorphism) -> None:
+        # AlgebraMorphism.apply gives polynomials, which the verifiers would
+        # compare with matrices and never find equal
+        if isinstance(g, AlgebraMorphism):
+            raise TypeError(f"gamma at {char} is an AlgebraMorphism; give a MatrixMorphism")
+
+
 # ---------------------------------------------------------------------------
 # the factor system itself
 # ---------------------------------------------------------------------------
@@ -622,7 +628,7 @@ class FactorSystem:
             raise ValueError(f"isometry family is over {where}, but the factor system is over {action!r}")
         self.action = action
         self.isometries = isometries
-        self._gamma = CharacterFamily(action, gamma_fn)
+        self._gamma = _Coactions(action, gamma_fn)
         self._omega = CharacterFamily(action, omega_fn)
 
     def dim(self, char: Character) -> int:
@@ -643,45 +649,27 @@ class FactorSystem:
         return FactorSystem(self.action, self.gamma, omega_fn, self.isometries)
 
 
-def _column_omega(tw, ts, tp, tsp) -> Phase | None:
-    """omega(sigma, pi) = c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi) from
-    the ``unit_term`` answers (m, c) at sigma, pi and sigma+pi, or None
-    unless all three are one-term columns whose exponents add (generator
-    columns, module docstring).
-
-    c u^a c' u^b (c'' u^(a+b))* = c c' c''-bar q^s(a, b); when all three
-    coefficients are the shared unit phase, no product is formed.
-    """
-    if ts is None or tp is None or tsp is None or tsp[0] != tuple(map(add, ts[0], tp[0])):
-        return None
-    one = Phase.one(tw.nslots)
-    off = _reorder_shift(tw, ts[0], tp[0])
-    if ts[1] is one and tp[1] is one and tsp[1] is one:
-        return one if off is None else one._shifted(off)
-    return _phase_product(_phase_product(ts[1], tp[1], off), tsp[1].conjugate(), None)
-
-
 def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSystem:
     """Factor system of a cleft action from its equivariant isometries.
 
     The isometry family checks s(sigma)* s(sigma) = 1, so every
     gamma_sigma = Ad s(sigma) is a unital *-morphism with unit
-    s(sigma) s(sigma)*.  gamma_sigma and omega of one-term columns are
-    read off the twist (conjugation lane and generator columns, module
-    docstring); every other value is formed from s.
+    s(sigma) s(sigma)*.  On the generator family gamma_sigma and omega are
+    read off the twist (monomial systems, module docstring); every other
+    family's values are formed from s.
     """
     if s is None:
         s = IsometryFamily.from_cleft_generators(action)
     tw = action.twist
     unit, one = PolyMatrix.identity(tw, 1), Phase.one(tw.nslots)
+    placement = s.placement if isinstance(s, _GeneratorColumns) else None
 
     def gamma_fn(char: Character) -> MatrixMorphism:
-        term = s.unit_term(char)
-        if term is not None:
-            images, inv_images = _monomial_conjugation(action, term[0])
+        if placement is not None:
+            images, inv_images = _monomial_conjugation(action, placement(char))
             return MatrixMorphism(
                 action,
-                unit,  # s s* = c c-bar u^m u^-m = 1
+                unit,  # s s* = u^m u^-m = 1
                 {k: PolyMatrix.from_scalar(v) for k, v in images.items()},
                 {k: PolyMatrix.from_scalar(v) for k, v in inv_images.items()},
             )
@@ -690,17 +678,12 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
         return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
-        sp = char_add(sigma, pi_)
-        ts = s.unit_term(sigma)
-        tp = None if ts is None else s.unit_term(pi_)
-        tsp = None if tp is None else s.unit_term(sp)
-        c = _column_omega(tw, ts, tp, tsp)
-        if c is not None:
+        if placement is not None:
+            _, c = _term_product(tw, (placement(sigma), one), (placement(pi_), one))
             return unit if c is one else PolyMatrix.from_scalar(TwistedPoly.scalar(tw, c))
-        m = s(sigma).kron(s(pi_)) * s.adjoint(sp)
-        if not matrix_in_base_algebra(action, m):
-            raise ScopeError(f"cocycle value at {(sigma, pi_)} leaves the fixed algebra")
-        return m
+        if not any(sigma) and not any(pi_):
+            return unit  # s(0) = 1
+        return s(sigma).kron(s(pi_)) * s.adjoint(char_add(sigma, pi_))
 
     return FactorSystem(action, gamma_fn, omega_fn, isometries=s)
 
@@ -895,10 +878,11 @@ def frohlich_morphism(fs: FactorSystem, char: Character) -> AlgebraMorphism:
     isometries.
     """
     action = fs.action
-    term = None if fs.isometries is None else fs.isometries.unit_term(char)
-    if term is not None:
-        # s* u^a s = q^c(a, m) u^a for s = c u^m
-        return AlgebraMorphism(action, *_monomial_conjugation(action, term[0], inverse=True))
+    s = fs.isometries
+    if isinstance(s, _GeneratorColumns):
+        # s* u^a s = q^c(a, M sigma) u^a for s = u^(M sigma)
+        m = s.placement(char)
+        return AlgebraMorphism(action, *_monomial_conjugation(action, m, inverse=True))
     return AlgebraMorphism(action, *_on_generators(action, lambda b: frohlich_map(fs, char, b)))
 
 

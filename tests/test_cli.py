@@ -451,6 +451,13 @@ def test_the_config_itself_is_checked(args, stdin, error):
             {"h_family": {"per_char": {"+1": []}}},
             "h_family.per_char[+1]: character key '+1' is not canonical; write '1'",
         ),
+        # u1 <-> u2: only diagonal images w_k u_k have an inverse read off them
+        (
+            "lift",
+            {"automorphism": {"images": {"1": [{"exponents": [0, 1, 0]}],
+                                         "2": [{"exponents": [1, 0, 0]}]}}},
+            "automorphism.inverse_images is required for non-diagonal images",
+        ),
     ],
 )
 def test_invalid_values_name_their_path(tmp_path, command, extra, message):

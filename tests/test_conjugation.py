@@ -1,14 +1,15 @@
 """Conjugation by a unit monomial, read off the commutator form.
 
 c(a, b) = s(a, b) - s(b, a) is the commutator form of the twist:
-u^a u^b = q^c(a, b) u^b u^a (``algebra._commutator_shift``).  For a 1 x 1
-isometry column s(sigma) = c u^m with one term, ``from_cleft`` builds
+u^a u^b = q^c(a, b) u^b u^a (``algebra._commutator_shift``).  For the
+generator columns s(sigma) = u^m, m = M sigma, ``from_cleft`` builds
 gamma_sigma = Ad s(sigma) from q^c(m, +-e_k) u_k^+-1 and
 ``frohlich_morphism`` builds Delta_sigma = Ad s(sigma)* from
-q^c(+-e_k, m) u_k^+-1.  Here each is compared with the construction it
-replaces, ``MatrixMorphism.from_map`` of the conjugation, on random
-rational twists, on columns whose coefficient c must cancel (i u^m and
-q12 u^m), and on every base monomial up to degree 2.  The commutator form
+q^c(+-e_k, m) u_k^+-1; ``Automorphism.inner`` builds Ad c u^m the same
+way, where c must cancel.  Here each is compared with
+``MatrixMorphism.from_map`` of the conjugation, on random rational
+twists and on every base monomial up to degree 2, next to the one-term
+columns c u^m (c = 1, i, q12) that form it by ``from_map``.  The commutator form
 is also checked against the products it stands for, in ``_is_central``
 and ``exchange_phase``, and at the ends of the packed range, where a
 commutator outside [-2^62, 2^62) raises ``PhaseRangeError``.
@@ -79,13 +80,17 @@ def _column(action: TorusAction, coefficient: str, shift: dict):
 
 @st.composite
 def unit_columns(draw):
-    """An action, a unit-monomial column and a character in the radius-3 box."""
+    """An action, a unit-monomial column (the generator family or a drawn one)
+    and a character in the radius-3 box."""
     action = draw(ACTIONS)
     chars = char_box(action.d, 3)
-    base_shift = st.tuples(*[st.integers(-2, 2) for _ in action.base])
-    shift = {c: draw(base_shift) for c in chars}
-    coefficient = draw(st.sampled_from(["1", "i", "q12"]))
-    return action, _column(action, coefficient, shift), draw(st.sampled_from(chars))
+    coefficient = draw(st.sampled_from(["generator", "1", "i", "q12"]))
+    if coefficient == "generator":
+        column = IsometryFamily.from_cleft_generators(action)
+    else:
+        base_shift = st.tuples(*[st.integers(-2, 2) for _ in action.base])
+        column = _column(action, coefficient, {c: draw(base_shift) for c in chars})
+    return action, column, draw(st.sampled_from(chars))
 
 
 # ---------------------------------------------------------------------------
@@ -147,14 +152,11 @@ def test_only_unit_monomial_columns_take_the_closed_form(monkeypatch, q3_action)
     for char in chars:
         from_cleft(q3_action).gamma(char)
     assert built == []
-    # the d = 2 column keeps from_map, except at its one-term s(0) = 1
+    # every other family keeps from_map, the d = 2 column at its s(0) = 1 too
     fs = from_cleft(q3_action, pythagorean_column(q3_action))
     for char in chars:
         fs.gamma(char)
-    assert len(built) == len(chars) - 1
-    column = pythagorean_column(q3_action)
-    assert column.unit_term((1,)) is None
-    assert column.unit_term((0,)) == ((0, 0, 0), Phase.one(q3_action.twist.nslots))
+    assert len(built) == len(chars)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from nctorus.algebra import PolyMatrix, TwistedPoly, TwistMatrix, TwistMismatchError
+from nctorus.derivations import Derivation, HFamily, LiftedDerivation
 from nctorus.dynamics import TorusAction, cleft_generator
 from nctorus.factor_system import (
     AlgebraMorphism,
@@ -24,6 +25,7 @@ from nctorus.factor_system import (
     verify_conjugacy,
     verify_gauge_unitary,
 )
+from nctorus.geometry import make_module
 from nctorus.phases import Phase, QQi
 from nctorus.q3torus import twist3
 
@@ -436,3 +438,54 @@ def test_isometry_family_over_another_action_is_rejected(q3_twist):
         from_cleft(u3, IsometryFamily.from_cleft_generators(other))
     # an equal action built apart is the same action
     assert from_cleft(TorusAction(q3_twist, (2,)), IsometryFamily.from_cleft_generators(u3))
+
+
+# AlgebraMorphism.apply gives the polynomial u1 where a gamma_sigma gives the
+# matrix [[u1]], so verify_axioms failed "normalization gamma_0 = id" on the
+# identity coaction (lhs u1, rhs [[u1]]) and a matrix point raised TypeError
+def test_a_gamma_that_is_an_algebra_morphism_is_refused(q3_action):
+    fs = FactorSystem(q3_action, lambda c: AlgebraMorphism.identity(q3_action),
+                      from_cleft(q3_action).omega)
+    for _ in range(2):  # refused, and so never cached
+        with pytest.raises(TypeError, match=r"gamma at \(0,\) is an AlgebraMorphism"):
+            fs.gamma((0,))
+    with pytest.raises(TypeError, match="is an AlgebraMorphism"):
+        verify_axioms(fs, 1, 1)
+
+
+class TestFamilyChecks:
+    def test_an_isometry_entry_of_another_weight_is_refused(self, q3_action, q3_twist):
+        s = IsometryFamily(q3_action, lambda c: PolyMatrix.identity(q3_twist, 1))
+        assert s((0,)) == PolyMatrix.identity(q3_twist, 1)
+        with pytest.raises(ValueError, match=r"isometry entry at \(1,\) is not equivariant"):
+            s((1,))
+
+    def test_an_isometry_family_must_send_the_trivial_character_to_1(self, q3_action, q3_twist):
+        minus_one = PolyMatrix.from_scalar(TwistedPoly.scalar(q3_twist, Phase.coeff(q3_twist.nslots, QQi(-1))))
+        s = IsometryFamily(q3_action, lambda c: minus_one)  # equivariant at 0 and s* s = 1
+        with pytest.raises(ValueError, match="must send the trivial character to 1"):
+            s((0,))
+
+    def test_a_witness_off_the_fixed_algebra_is_refused(self, q3_action, q3_gens):
+        v = PartialIsometryFamily(q3_action, lambda c: PolyMatrix.from_scalar(q3_gens[2]))
+        with pytest.raises(ScopeError, match=r"witness at \(1,\) leaves the fixed algebra"):
+            v((1,))
+
+
+# a transported system keeps no isometry family, so each reader of s(sigma) refuses it
+@pytest.mark.parametrize("reader, message", [
+    (lambda fs: frohlich_map(fs, (1,), TwistedPoly.generator(fs.action.twist, 0)),
+     "factor system carries no isometry realization"),
+    (lambda fs: isotypic_mul(fs, ((1,), TwistedPoly.one(fs.action.twist)),
+                             ((1,), TwistedPoly.one(fs.action.twist))),
+     "cross-check requires an isometry realization"),
+    (lambda fs: LiftedDerivation(fs, Derivation.zero(fs.action.twist, fs.action.base), HFamily.zero(fs)),
+     "lifting requires an isometry realization"),
+    (lambda fs: make_module(fs, (1,)), "module frames require an isometry realization"),
+], ids=["frohlich_map", "isotypic_mul", "LiftedDerivation", "make_module"])
+def test_a_transported_system_has_no_isometry_realization(q3_system, q3_action, reader, message):
+    beta = Automorphism.diagonal(q3_action, {0: Phase.coeff(q3_action.twist.nslots, QQi(0, 1))})
+    fs = apply_automorphism(q3_system, beta)
+    assert fs.isometries is None
+    with pytest.raises(ValueError, match=message):
+        reader(fs)

@@ -1,19 +1,18 @@
-"""Generator columns: ``unit_term`` and omega of one-term columns in closed form.
+"""Generator columns: ``placement`` and omega of monomial systems in closed form.
 
-``IsometryFamily.unit_term(sigma)`` gives (m, c) when s(sigma) is a 1 x 1
-column c u^m with one term.  The default family of
-``from_cleft_generators`` answers (M sigma, 1) from sigma alone, with no
-column; here that answer is compared with the one read off its built,
-checked column.  When sigma, pi and sigma+pi have one-term columns whose
-exponents add, ``from_cleft`` forms omega(sigma, pi) as the scalar
-c_sigma c_pi c-bar_{sigma+pi} q^s(m_sigma, m_pi) (``factor_system``
-module docstring); it is compared with the product
-s(sigma) s(pi) s(sigma+pi)* it replaces, on the generator family, on
-one-term families whose coefficient varies with sigma (i^sigma_1 and
-q12^(sigma_1^2)), on an equivariant one-term family whose exponents do
-not add (u_b^(sigma_1^2) u^(M sigma), which must keep the product) and on
-the d = 2 Pythagorean column.  gamma_sigma and Delta_sigma of the
-generator family are compared with the conjugation by the built column.
+The default family of ``from_cleft_generators`` has the columns
+s(sigma) = u^(M sigma), and ``placement(sigma)`` answers M sigma from
+sigma alone, with no column; here that answer is compared with the
+exponent of its built, checked column.  On that family ``from_cleft``
+forms omega(sigma, pi) as the scalar q^s(M sigma, M pi) (``factor_system``
+module docstring); it is compared with the product s(sigma) s(pi)
+s(sigma+pi)* it replaces.  Every other family forms that product, except
+at omega(0, 0) = 1: one-term families whose coefficient varies with sigma
+(i^sigma_1 and q12^(sigma_1^2)), an equivariant one-term family whose
+exponents do not add (u_b^(sigma_1^2) u^(M sigma)) and the d = 2
+Pythagorean column, each compared with the same product.  gamma_sigma and
+Delta_sigma of the generator family are compared with the conjugation by
+the built column.
 """
 
 from fractions import Fraction
@@ -83,12 +82,9 @@ FAMILIES = {
 
 
 def _takes_closed_form(name: str, sigma, pi_) -> bool:
-    """Whether omega(sigma, pi) of the family is read off the twist."""
-    if name == "u_b^(sigma_1^2)":
-        return sigma[0] * pi_[0] == 0
-    if name == "pythagorean":
-        return not any(sigma) and not any(pi_)
-    return True
+    """Whether omega(sigma, pi) of the family is read off the twist: on the
+    generator family only, and omega(0, 0) = 1 on every family."""
+    return name == "generator" or not any(sigma) and not any(pi_)
 
 
 def chars(d: int):
@@ -97,27 +93,27 @@ def chars(d: int):
 
 
 # ---------------------------------------------------------------------------
-# unit_term of the generator family
+# placement of the generator family
 # ---------------------------------------------------------------------------
 
 
 @SETTINGS
 @given(actions(), st.data())
-def test_generator_unit_term_matches_the_built_column(action, data):
+def test_generator_placement_matches_the_built_column(action, data):
     sigma = data.draw(chars(action.d))
     s = IsometryFamily.from_cleft_generators(action)
-    m, c = s.unit_term(sigma)
+    m = s.placement(sigma)
     assert s._cache == {}  # answered from sigma alone
     column = s(sigma)  # built and checked
     assert (column.rows, column.cols) == (1, 1)
-    assert column.entries[0][0].terms == {m: c}
-    assert IsometryFamily.unit_term(s, sigma) == (m, c)  # the reading of every other family
+    ((exponent, c),) = column.entries[0][0].terms.items()
+    assert exponent == m
     assert c is Phase.one(action.twist.nslots)
 
 
-def test_generator_unit_term_checks_the_rank(q3_action):
+def test_generator_placement_checks_the_rank(q3_action):
     with pytest.raises(ValueError, match="wrong rank"):
-        IsometryFamily.from_cleft_generators(q3_action).unit_term((1, 0))
+        IsometryFamily.from_cleft_generators(q3_action).placement((1, 0))
 
 
 # the built column rejected these through its exponent check; without a
@@ -126,7 +122,7 @@ def test_generator_unit_term_checks_the_rank(q3_action):
 def test_generator_columns_reject_a_character_that_is_not_ints(q3_action, char):
     fs = from_cleft(q3_action)
     for value in (
-        lambda: fs.isometries.unit_term(char),
+        lambda: fs.isometries.placement(char),
         lambda: fs.gamma(char),
         lambda: fs.omega(char, (1,)),
         lambda: fs.omega((1,), char),
@@ -172,9 +168,9 @@ def test_closed_form_omega_matches_the_product(action, data):
     _check_omega(action, name, sigma, pi_)
 
 
-# every pair of a small box on fixed actions, so each family meets both of
-# its paths: the rank-2 action on the q3 twist has base u1, and the rank-1
-# one carries the Pythagorean column
+# every pair of a small box on fixed actions, so each family meets omega(0, 0)
+# and its other values: the rank-2 action on the q3 twist has base u1, and
+# the rank-1 one carries the Pythagorean column
 RANK2 = TorusAction(TW3, (1, 2))
 RANK1 = TorusAction(TW3, (2,))
 

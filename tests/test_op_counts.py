@@ -61,8 +61,8 @@ from conftest import pythagorean_column
 # Every phase here is a single term, so the dense kernel never runs.
 # gamma_sigma of a unit-monomial column is read off the commutator form,
 # with no conjugation of the generators by s(sigma) and unit 1: 504 -> 432
-# helper calls and 281 -> 209 products.  The default family answers
-# ``unit_term`` from sigma alone and omega is read off the twist, so no
+# helper calls and 281 -> 209 products.  The default family answers its
+# placement M sigma from sigma alone and omega is read off the twist, so no
 # column is built, checked or adjoined: 432 -> 312 helper calls and
 # 209 -> 72 products.  The coaction intertwining and the cocycle identity
 # of one-term data are decided in the phase ring: a product by the shared
@@ -127,9 +127,9 @@ EXPECTED_LIFT = {
 # single term, so the dense kernel never runs.  gamma_0, the one morphism
 # here whose unit is I_1 (d_0 = 1), sends a scalar p to [[p]] instead of
 # scaling its unit by p: 56 such scalars, 5,728 -> 5,672 helper calls.
-# The gamma_sigma with d_sigma = 2 keep the loop.  omega(0, 0) of the
-# one-term column s(0) = 1 is read off the twist, with no product:
-# 5,037 -> 5,036 products.  Every other omega keeps the product.
+# The gamma_sigma with d_sigma = 2 keep the loop.  omega(0, 0) is the unit,
+# as every family has s(0) = 1, with no product: 5,037 -> 5,036 products.
+# Every other omega keeps the product.
 EXPECTED_D2 = {
     "_phase_product": 5672,
     "_product_terms": 0,
