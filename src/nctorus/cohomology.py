@@ -39,7 +39,8 @@ in the phase ring, with no column, adjoint or Kronecker product (the
 table of monomial systems in the ``factor_system`` module docstring);
 each witness is read once per cocycle, sized by the placement on such a
 family.  ``verify_cocycle`` decides the identity of one-term values in
-the phase ring (``factor_system``, one-term lane).
+the phase ring, reading each value's term once per sweep
+(``factor_system``, one-term lane).
 
 Each cocycle value is checked central and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
@@ -82,6 +83,7 @@ from .factor_system import (
     _phase_times,
     _term,
     _term_product,
+    _term_reader,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
@@ -313,16 +315,16 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
         t = _term(u_sp) if delta_sigma._scalar is not None else None
         return sigma, pi_, delta_sigma, u_sp, char_add(sigma, pi_), t
 
+    read = _term_reader(u.value)
+
     def cocycle_identity(sigma, pi_, delta_sigma, u_sp, sp, t, rho):
-        x = u.value(sp, rho)
-        z = u.value(sigma, char_add(pi_, rho))
-        y = u.value(pi_, rho)
+        pr = char_add(pi_, rho)
         if t is not None:
-            tx, ty, tz = _term(x), _term(y), _term(z)
-            ty = None if ty is None else delta_sigma._image(ty)
-            if None not in (tx, ty, tz) and _term_product(tw, tx, t) == _term_product(tw, tz, ty):
+            x, z, y = read(sp, rho), read(sigma, pr), read(pi_, rho)
+            y = None if y is None else delta_sigma._image(y)
+            if None not in (x, y, z) and _term_product(tw, x, t) == _term_product(tw, z, y):
                 return True, True
-        return x * u_sp, z * delta_sigma.apply(y)
+        return u.value(sp, rho) * u_sp, u.value(sigma, pr) * delta_sigma.apply(u.value(pi_, rho))
 
     def checked(value):  # decided by CocycleValues._check when u.value read it
         return True, True

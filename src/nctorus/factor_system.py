@@ -80,14 +80,16 @@ One-term lane: the coaction intertwining and cocycle identity of
 ``verify_axioms``, and the cocycle identity of ``verify_cocycle``, are
 decided in the phase ring at a point where gamma_sigma (Delta_sigma) has
 the unit [[1]] and omega(sigma, pi) (u(sigma, pi)) is one term c u^a.
-``_term`` reads that term, ``MatrixMorphism._image`` reads gamma(c u^a)
-as the cached image of u^a scaled by c, and ``_term_product`` forms
-c u^a c' u^b = c c' q^s(a, b) u^(a+b) as one term, skipping a shared unit
-phase.  These are the products the monomial lane forms, in canonical
-form, so the terms agree exactly when the matrices do.  An identity with
-a side of another shape (d_sigma > 1, more terms), or whose one-term
-sides differ, takes the ``PolyMatrix`` expression, so check counts,
-verdicts and counterexamples stay as they were.
+``_term`` reads that term, each omega or u term once per sweep
+(``_term_reader``); ``MatrixMorphism._image`` reads gamma(c u^a) as the
+cached image of u^a scaled by c, and ``_term_product`` forms c u^a c' u^b
+= c c' q^s(a, b) u^(a+b) as one term, skipping a shared unit phase, which
+both read from the layout table that built it.  These are the products
+the monomial lane forms, in canonical form, so the terms agree exactly
+when the matrices do.  An identity with a side of another shape
+(d_sigma > 1, more terms), or whose one-term sides differ, takes the
+``PolyMatrix`` expression, so check counts, verdicts and counterexamples
+stay as they were.
 
 All verifiers in this module check their laws exactly (structural
 equality of canonical forms) over a finite character box and a finite
@@ -97,7 +99,7 @@ multiplicative and linear in the algebra argument.
 
 from __future__ import annotations
 
-from functools import partial
+from functools import cache, partial
 from operator import add
 from typing import Callable
 
@@ -126,7 +128,7 @@ from .dynamics import (
     placed,
     resolve_chars,
 )
-from .phases import Phase, _phase_product
+from .phases import _LAYOUT, Phase, _phase_product
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -145,7 +147,7 @@ def _term(x) -> tuple | None:
 
 def _phase_times(p: Phase, o: Phase) -> Phase:
     """p o; a factor that is the shared unit phase costs no product."""
-    one = Phase.one(p.nslots)
+    one = _LAYOUT[p.nslots][2]  # the entry exists once a phase of nslots does
     return o if p is one else p if o is one else _phase_product(p, o, None)
 
 
@@ -153,11 +155,19 @@ def _term_product(tw, x: tuple, y: tuple) -> tuple:
     """The one term (a + b, c c' q^s(a, b)) of c u^a times c' u^b, for the terms
     x = (a, c) and y = (b, c') (one-term lane, module docstring)."""
     (a, p), (b, o) = x, y
-    if any(a) and any(b):
-        off = _reorder_shift(tw, a, b)
-        c = _phase_times(p, o) if off is None else _phase_product(p, o, off)
-        return tuple(map(add, a, b)), c
-    return (a if any(a) else b), _phase_times(p, o)
+    if not any(a):
+        return b, _phase_times(p, o)
+    if not any(b):
+        return a, _phase_times(p, o)
+    off = _reorder_shift(tw, a, b)
+    c = _phase_times(p, o) if off is None else _phase_product(p, o, off)
+    return tuple(map(add, a, b)), c
+
+
+def _term_reader(values: Callable) -> Callable:
+    """(s, p) -> ``_term(values(s, p))`` for one sweep, each pair read once; a
+    value that fails its family's check is not cached and raises at each read."""
+    return cache(lambda s, p: _term(values(s, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -296,7 +306,7 @@ class MatrixMorphism:
         img = self._terms.get(a, False)
         if img is False:
             img = self._terms[a] = _term(self._monomial(a))
-        if img is None or c is Phase.one(c.nslots):
+        if img is None or c is _LAYOUT[c.nslots][2]:
             return img
         return img[0], _phase_times(img[1], c)
 
@@ -784,15 +794,17 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
         gs, om = fs.gamma(sigma), fs.omega(sigma, pi_)
         return sigma, pi_, gs, om, char_add(sigma, pi_), lane(gs, om)
 
+    read, dim = _term_reader(fs.omega), cache(fs.dim)
+
     def cocycle_identity(sigma, pi_, gs, om_sp, sp, t, rho):
-        d, w = fs.dim(rho), fs.omega(sp, rho)
+        d = dim(rho)
         if t is not None and d == 1:
-            x, y = _term(w), _term(fs.omega(pi_, rho))
+            x, y = read(sp, rho), read(pi_, rho)
             y = None if y is None else gs._image(y)
-            z = _term(fs.omega(sigma, char_add(pi_, rho)))
+            z = read(sigma, char_add(pi_, rho))
             if None not in (x, y, z) and _term_product(tw, t, x) == _term_product(tw, y, z):
                 return True, True
-        lhs = om_sp.ampliate(d) * w
+        lhs = om_sp.ampliate(d) * fs.omega(sp, rho)
         rhs = gs.apply_to_matrix(fs.omega(pi_, rho)) * fs.omega(sigma, char_add(pi_, rho))
         return lhs, rhs
 

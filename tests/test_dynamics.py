@@ -5,6 +5,7 @@ import pytest
 
 from nctorus.algebra import TwistedPoly, TwistMatrix
 from nctorus.dynamics import (
+    GradedElement,
     TorusAction,
     char_box,
     cleft_generator,
@@ -177,3 +178,16 @@ class TestGradedElement:
         x = random_poly(rng, q3_twist, 3, 2)
         y = random_poly(rng, q3_twist, 3, 2)
         assert (grade(q3_action, x) * grade(q3_action, y)).to_poly() == x * y
+
+    def test_equality_and_repr(self, q3_action, q3_twist, gens):
+        u1, u2, u3 = gens
+        g = grade(q3_action, u3 + u1)
+        assert g == grade(q3_action, u1 + u3)
+        assert g != grade(q3_action, u2 + u3)  # the same support, another component
+        assert g != grade(q3_action, u1 + u3 * u3)  # another support
+        assert g != GradedElement(TorusAction(q3_twist, (1, 2)), g.components)
+        # a zero component is dropped, so it is equal to none
+        assert GradedElement(q3_action, {(1,): TwistedPoly.zero(q3_twist)}) == GradedElement(q3_action, {})
+        assert g.__eq__(u1 + u3) is NotImplemented
+        assert repr(GradedElement(q3_action, {})) == "{0}"
+        assert repr(g) == "{(0,): u1, (1,): u3}"

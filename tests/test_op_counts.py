@@ -17,7 +17,7 @@ import pytest
 from nctorus import cli, cohomology, phases
 from nctorus.algebra import PolyMatrix, TwistedPoly
 from nctorus.cli import _curvature_sweep, main
-from nctorus.cohomology import LiftedAutomorphism, lift_via_cohomology
+from nctorus.cohomology import LiftedAutomorphism, TwoCocycle, lift_via_cohomology
 from nctorus.derivations import Derivation, HFamily, LiftedDerivation, verify_lift_conditions
 from nctorus.dynamics import TorusAction
 from nctorus.factor_system import (
@@ -116,6 +116,20 @@ EXPECTED_LIFT = {
     "TwistedPoly.__mul__": 106,
     "Phase.mul": 0,
     "QQi.__mul__": 0,
+}
+
+# Lookups on the one-term lane's path, for the runs of EXPECTED and
+# EXPECTED_LIFT, each from a fresh action: ``phases._layout``, the checked
+# table read behind ``Phase.one``, and ``TwoCocycle.value``.  The lane reads
+# the shared unit phase straight from the layout table, which the phase's
+# own construction filled, and reads each omega or u term of the cocycle
+# identity once per sweep (``factor_system._term_reader``), so what is left
+# is read once per value or per system, not once per identity.  Before:
+# _layout 2,346 on the axioms and 1,028 on the lift, and TwoCocycle.value
+# 459 on the lift.
+EXPECTED_LOOKUPS = {
+    "axioms": {"_layout": 41, "TwoCocycle.value": 0},
+    "lift": {"_layout": 263, "TwoCocycle.value": 149},
 }
 
 # verify_axioms on the d = 2 Pythagorean column system (d_sigma = 2 for
@@ -364,6 +378,36 @@ def test_lift_builds_each_morphism_and_checks_each_value_once(monkeypatch):
 
     assert len(built) == EXPECTED_MORPHISMS
     assert len(central) == len(outcome.cocycle._u._cache) == 65
+
+
+def _count_lookups(run) -> dict:
+    counts = dict.fromkeys(("_layout", "TwoCocycle.value"), 0)
+    layout, value = phases._layout, TwoCocycle.value
+    # no module holds the table reader by name, so wrapping it here sees every call
+    assert [module.__name__ for module, _ in _references(layout)] == ["nctorus.phases"]
+
+    def counting_layout(nslots):
+        counts["_layout"] += 1
+        return layout(nslots)
+
+    def counting_value(self, sigma, pi_):
+        counts["TwoCocycle.value"] += 1
+        return value(self, sigma, pi_)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(phases, "_layout", counting_layout)
+        mp.setattr(TwoCocycle, "value", counting_value)
+        run()
+    return counts
+
+
+def test_the_one_term_lane_reads_no_lookup_per_identity():
+    def axioms():
+        report = verify_axioms(from_cleft(q3_action()), char_range=2, gen_degree=2)
+        assert report.passed and report.checks == 512
+
+    got = {"axioms": _count_lookups(axioms), "lift": _count_lookups(_q3_lift)}
+    assert got == EXPECTED_LOOKUPS
 
 
 def test_matrix_valued_axioms_operation_counts(counts):

@@ -206,6 +206,10 @@ def _systems():
             from_cleft(q3_rank2), ((1, 0), (0, 1), PolyMatrix.from_scalar(u1.scale(i)))), 1),
         "two-term-override": (lambda: _overridden(
             from_cleft(q3), ((1,), (1,), PolyMatrix.from_scalar(u1 + u2))), 2),
+        # pairs outside the box, read only as omega(sigma+pi, rho) and omega(sigma, pi+rho),
+        # each the mirror of a pair read the other way
+        "out-of-box-override": (lambda: _overridden(
+            from_cleft(q3), ((3,), (-1,), _scalar(tw, i)), ((1,), (3,), PolyMatrix.from_scalar(u1))), 2),
         "drifting-coaction": (lambda: drifting_system(q3), 2),
         "pythagorean": (lambda: from_cleft(q3, pythagorean_column(q3)), 1),
     }
@@ -214,7 +218,7 @@ def _systems():
 SYSTEMS = _systems()
 # systems whose laws fail somewhere: the comparison then covers counterexamples
 FAILING = {"scalar-override", "rank2-scalar-override", "monomial-override",
-           "rank2-monomial-override", "two-term-override", "drifting-coaction"}
+           "rank2-monomial-override", "two-term-override", "out-of-box-override", "drifting-coaction"}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -225,6 +229,25 @@ def test_axioms_report_matches_the_matrix_sides(name):
 
     assert _summary(got) == _summary(want)
     assert want.passed == (name not in FAILING)
+
+
+def test_a_failing_omega_raises_at_the_identitys_first_read():
+    # omega((4,), (2,)) and omega((2,), (4,)) lie outside the box and are first read,
+    # both, by the identity at sigma = pi = rho = (2,), in that order
+    q3 = TorusAction(TW3, (2,))
+    base = from_cleft(q3)
+
+    def omega_fn(sigma, pi_):
+        if (sigma, pi_) in (((4,), (2,)), ((2,), (4,))):
+            raise ValueError(f"no omega at {(sigma, pi_)}")
+        return base.omega(sigma, pi_)
+
+    errors = []
+    for verify in (verify_axioms, reference_axioms):
+        with pytest.raises(ValueError) as exc:
+            verify(FactorSystem(q3, base.gamma, omega_fn, base.isometries), 2, 2)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "no omega at ((4,), (2,))"
 
 
 @pytest.mark.parametrize("name", ["rank1", "rank1-n4", "rank2-q3", "rank2-n4", "drifting-coaction"])
@@ -330,3 +353,21 @@ def test_a_value_that_fails_its_check_raises_as_before():
             verify(_corrupted(base, ((1, 1), (-1, 0)), bad), 1)
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == "cocycle value at ((1, 1), (-1, 0)) is not unitary"
+
+
+def test_the_cocycle_identity_raises_at_its_first_read():
+    # u((2, 2), (1, 1)) and u((1, 1), (2, 2)) lie outside the box and are first read,
+    # both, by the identity at sigma = pi = rho = (1, 1), as u(sigma+pi, rho) and
+    # u(sigma, pi+rho), in that order
+    base = _synthetic([[2, 1], [1, 3]])
+    bad = TwistedPoly.scalar(TW2, QQi(2))
+
+    def fn(sigma, pi_):
+        return bad if (sigma, pi_) in (((2, 2), (1, 1)), ((1, 1), (2, 2))) else base.value(sigma, pi_)
+
+    errors = []
+    for verify in (verify_cocycle, reference_cocycle):
+        with pytest.raises(WitnessError) as exc:
+            verify(TwoCocycle(base.action, fn, base.delta), 1)
+        errors.append(str(exc.value))
+    assert errors[0] == errors[1] == "cocycle value at ((2, 2), (1, 1)) is not unitary"
