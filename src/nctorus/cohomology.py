@@ -37,12 +37,14 @@ adjoints s(sigma)* are read from the family's own cache.
 Cocycle values of a generator family with scalar witnesses are formed
 in the phase ring, with no column, adjoint or Kronecker product (the
 table of monomial systems in the ``factor_system`` module docstring);
-each witness is read once per cocycle, sized by the placement on such a
-family.  ``verify_cocycle`` decides the identity of one-term values in
-the phase ring, reading each value's term once per sweep
-(``factor_system``, one-term lane).
+each witness is read once per cocycle, 1 x 1 on such a family.  The
+cocycle identity is the factor system's, written once
+(``factor_system._cocycle_law``, one-term lane) with d = 1:
+u(sigma,pi) u(sigma+pi,rho) = Delta_sigma(u(pi,rho)) u(sigma,pi+rho), in
+which the order of each product is not seen, as every value is central
+in B0 and lies in B0.
 
-Each cocycle value is checked central and unitary once, by
+Each cocycle value is checked central, in B0 and unitary once, by
 ``CocycleValues._check``, before the family stores it; a value that
 fails raises :class:`WitnessError`, and :func:`verify_cocycle` records
 those verdicts instead of deciding them again.  The materialized lift
@@ -61,6 +63,7 @@ verdict is the full sweep's; the cocycle law is swept either way.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable
 
 from .algebra import PolyMatrix, TwistedPoly, TwistMismatchError, _commutator_shift, _unit_vector
@@ -79,11 +82,10 @@ from .factor_system import (
     FactorSystem,
     IsotypicLift,
     PartialIsometryFamily,
+    _cocycle_law,
     _GeneratorColumns,
     _phase_times,
     _term,
-    _term_product,
-    _term_reader,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
@@ -96,7 +98,7 @@ from .report import CheckReport, Law, LawGroup, sweep
 class WitnessError(ValueError):
     """A supplied conjugacy witness fails its defining equation.
 
-    A cocycle value that is not central and unitary raises it too: the
+    A cocycle value that is not central, in B0 and unitary raises it too: the
     witness then fails its equation on a character the value reads.
     """
 
@@ -108,18 +110,15 @@ class WitnessError(ValueError):
 
 def _is_central(action: TorusAction, x: TwistedPoly) -> bool:
     """x commutes with every u_k of B0: c(a, e_k) = 0 for every exponent a
-    of x (the lift lane of the module docstring); the exponent 0 is central
-    with no form read."""
+    of x (the lift lane of the module docstring)."""
     tw = action.twist
     if x.twist != tw:
         raise TwistMismatchError("operands have different twist matrices")
-    moving = [a for a in x.terms if any(a)]
-    if moving:
-        for k in action.base:
-            e = _unit_vector(tw.n, k)
-            for a in moving:
-                if _commutator_shift(tw, a, e) is not None:
-                    return False
+    for k in action.base:
+        e = _unit_vector(tw.n, k)
+        for a in x.terms:
+            if _commutator_shift(tw, a, e) is not None:
+                return False
     return True
 
 
@@ -141,13 +140,17 @@ def _is_unitary(x: TwistedPoly) -> bool:
 
 
 class CocycleValues(CharacterFamily):
-    """Values u(sigma, pi) of a 2-cocycle, each checked central and unitary."""
+    """Values u(sigma, pi) of a 2-cocycle, each checked central in B0, in B0
+    and unitary."""
 
     __slots__ = ()
 
     def _check(self, key, val: TwistedPoly) -> None:
         if not _is_central(self.action, val):
             raise WitnessError(f"cocycle value at {key} is not central")
+        for a in val.terms:  # the exponent 0 lies in B0, so a scalar reads no coordinate
+            if any(a) and any(a[j] for j in self.action.coords):
+                raise WitnessError(f"cocycle value at {key} leaves the fixed algebra")
         if not _is_unitary(val):
             raise WitnessError(f"cocycle value at {key} is not unitary")
 
@@ -257,30 +260,25 @@ def extract_cocycle(
         raise ValueError("cocycle extraction requires an isometry realization")
     s = fs.isometries
     binv = beta.inverse()
-    one = Phase.one(tw.nslots)
-    placement = s.placement if isinstance(s, _GeneratorColumns) else None
+    columns = isinstance(s, _GeneratorColumns)
 
-    def witness(char: Character) -> tuple:
+    def witness(char: Character) -> PolyMatrix:
         # a value may read characters off the box; s(char) has d_char rows,
         # and a generator column is 1 x 1, so it is not built
-        if placement is not None:
-            return placement(char), v.sized(char, 1, 1)
-        d = s(char).rows
-        return None, v.sized(char, d, d)
+        d = 1 if columns else s(char).rows
+        return v.sized(char, d, d)
 
     witnesses = CharacterFamily(action, witness)  # read once per character
 
     def value_fn(sigma: Character, pi_: Character) -> TwistedPoly:
         sp = char_add(sigma, pi_)
-        mp, vp = witnesses(pi_)
-        ms, vs = witnesses(sigma)
-        _, vsp = witnesses(sp)
-        if placement is not None:
+        vp, vs, vsp = witnesses(pi_), witnesses(sigma), witnesses(sp)
+        if columns:
             p, o, w = _scalar_phase(vp), _scalar_phase(vs), _scalar_phase(vsp)
             om = _scalar_phase(fs.omega(pi_, sigma))
             if p is not None and o is not None and w is not None and om is not None:
                 # v(sigma+pi) P-bar omega_s(pi, sigma), omega_s read off the columns
-                _, outer = _term_product(tw, (mp, one), (ms, one))
+                outer = s.omega_phase(pi_, sigma)
                 bar = _phase_times(_phase_times(p, o), om).conjugate()
                 return TwistedPoly.scalar(tw, _phase_times(_phase_times(w, bar), outer))
         product = twisted_product(fs, pi_, vp, sigma, vs)
@@ -295,11 +293,13 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
 
     Centrality and unitarity are the verdicts of the values' own check,
     recorded once per pair of the box; a failing value raises
-    :class:`WitnessError` when it is read.  The identity
-    u(sigma+pi, rho) u(sigma, pi) = u(sigma, pi+rho) Delta_sigma(u(pi, rho))
-    is checked on all triples from the box.  The report is remembered on
-    ``u`` for this exact box, so verifying the same box again returns it
-    without a second sweep.
+    :class:`WitnessError` when it is read.  The identity, the factor
+    system's (``factor_system._cocycle_law``) with d = 1,
+    u(sigma,pi) u(sigma+pi,rho) = Delta_sigma(u(pi,rho)) u(sigma,pi+rho), is
+    checked on all triples from the box; each side's order is not seen, as
+    a value central in B0 and lying in B0 commutes with all of B0.  The
+    report is remembered on ``u`` for this exact box, so verifying the same
+    box again returns it without a second sweep.
     """
     action = u.action
     tw = action.twist
@@ -308,23 +308,6 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
     if key in u._reports:
         return u._reports[key]
     zero = char_zero(action.d)
-
-    def cocycle_pair(sigma, pi_):
-        delta_sigma, u_sp = u.delta(sigma), u.value(sigma, pi_)
-        # the one-term lane (``factor_system`` module docstring) when Delta_sigma has the unit I_1
-        t = _term(u_sp) if delta_sigma._scalar is not None else None
-        return sigma, pi_, delta_sigma, u_sp, char_add(sigma, pi_), t
-
-    read = _term_reader(u.value)
-
-    def cocycle_identity(sigma, pi_, delta_sigma, u_sp, sp, t, rho):
-        pr = char_add(pi_, rho)
-        if t is not None:
-            x, z, y = read(sp, rho), read(sigma, pr), read(pi_, rho)
-            y = None if y is None else delta_sigma._image(y)
-            if None not in (x, y, z) and _term_product(tw, x, t) == _term_product(tw, z, y):
-                return True, True
-        return u.value(sp, rho) * u_sp, u.value(sigma, pr) * delta_sigma.apply(u.value(pi_, rho))
 
     def checked(value):  # decided by CocycleValues._check when u.value read it
         return True, True
@@ -335,7 +318,7 @@ def verify_cocycle(u: TwoCocycle, char_range=2) -> CheckReport:
         )),
         LawGroup(2, lambda sigma, pi_: (u.value(sigma, pi_),),
                  (Law("centrality", checked), Law("unitarity", checked))),
-        LawGroup(3, cocycle_pair, (), (Law("cocycle identity", cocycle_identity),)),
+        _cocycle_law(tw, u.value, u.delta, None, attrgetter("apply")),
     )
     report = u._reports[key] = sweep("two-cocycle-laws", groups, chars, ())
     return report

@@ -55,10 +55,10 @@ module docstring) with no column built:
                       unit 1
     Delta_sigma       u_k^+-1 -> q^c(+-e_k, M sigma) u_k^+-1   the generator family
     Ad u^+-m          the two maps above with M sigma = m      ``Automorphism.inner``
-    omega(sigma, pi)  q^s(M sigma, M pi)                       the generator family
+    omega(sigma, pi)  q^s(M sigma, M pi), ``omega_phase``      the generator family
     omega(0, 0)       1                                        every family
     u(sigma, pi)      v(sigma+pi) conj(v(pi) v(sigma)          the generator family, when
-                      omega(pi, sigma)) q^s(M pi, M sigma)     the four factors are 1 x 1
+                      omega(pi, sigma)) omega_phase(pi, sigma) the four factors are 1 x 1
                                                                scalars at u^0
 
 Every other value, of every other family and of every transported
@@ -71,18 +71,18 @@ q^s(M sigma, M pi), which is 1 on every rank-1 system, as L is strictly
 lower triangular; the family check makes s(0) = 1; and a phase c of an
 inner c u^m cancels.  For u, the unital morphisms gamma_pi and beta^-1
 fix phases and the star of a phase at u^0 is its conjugate; the outer
-factor s(sigma+pi)* s(pi) s(sigma) is read off the columns, not off the
-system's omega, which an omega override changes while it keeps its
+factor s(sigma+pi)* s(pi) s(sigma) is the columns' ``omega_phase``, not
+the system's omega, which an omega override changes while it keeps its
 parent's isometries.  ``from_cleft`` still builds gamma_sigma through
 the ``MatrixMorphism`` constructor, so its scope checks run.
 
-One-term lane: the coaction intertwining and cocycle identity of
-``verify_axioms``, and the cocycle identity of ``verify_cocycle``, are
-decided in the phase ring at a point where gamma_sigma (Delta_sigma) has
-the unit [[1]] and omega(sigma, pi) (u(sigma, pi)) is one term c u^a.
-``_term`` reads that term, each omega or u term once per sweep
-(``_term_reader``); ``MatrixMorphism._image`` reads gamma(c u^a) as the
-cached image of u^a scaled by c, and ``_term_product`` forms c u^a c' u^b
+One-term lane: the coaction intertwining of ``verify_axioms`` and the
+cocycle identity, one law (``_cocycle_law``) for ``verify_axioms`` and
+``verify_cocycle``, are decided in the phase ring at a point where
+gamma_sigma (Delta_sigma) has the unit [[1]] and omega(sigma, pi)
+(u(sigma, pi)) is one term c u^a.  ``_term`` reads that term, each omega
+or u term once per sweep; ``MatrixMorphism._image`` reads gamma(c u^a) as
+the cached image of u^a scaled by c, and ``_term_product`` forms c u^a c' u^b
 = c c' q^s(a, b) u^(a+b) as one term, skipping a shared unit phase, which
 both read from the layout table that built it.  These are the products
 the monomial lane forms, in canonical form, so the terms agree exactly
@@ -100,7 +100,7 @@ multiplicative and linear in the algebra argument.
 from __future__ import annotations
 
 from functools import cache, partial
-from operator import add
+from operator import add, attrgetter
 from typing import Callable
 
 from .algebra import (
@@ -162,12 +162,6 @@ def _term_product(tw, x: tuple, y: tuple) -> tuple:
     off = _reorder_shift(tw, a, b)
     c = _phase_times(p, o) if off is None else _phase_product(p, o, off)
     return tuple(map(add, a, b)), c
-
-
-def _term_reader(values: Callable) -> Callable:
-    """(s, p) -> ``_term(values(s, p))`` for one sweep, each pair read once; a
-    value that fails its family's check is not cached and raises at each read."""
-    return cache(lambda s, p: _term(values(s, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,9 +293,11 @@ class MatrixMorphism:
             return PolyMatrix.zeros(tw, self.dim, self.dim)
         return total
 
-    def _image(self, term: tuple) -> tuple | None:
+    def _image(self, term: tuple | None) -> tuple | None:
         """``apply`` of the one term (a, c) as its one term, or None when the
-        image of u^a is not one: the cached image scaled by c."""
+        image of u^a is not one or there is none: the cached image scaled by c."""
+        if term is None:
+            return None
         a, c = term
         img = self._terms.get(a, False)
         if img is False:
@@ -569,6 +565,12 @@ class _GeneratorColumns(IsometryFamily):
         """M char, checked like the column's exponent (a character of ints)."""
         return placed(self.action, char)
 
+    def omega_phase(self, sigma: Character, pi_: Character) -> Phase:
+        """q^s(M sigma, M pi) = s(sigma) s(pi) s(sigma+pi)*, read off the columns."""
+        tw = self.action.twist
+        one = _LAYOUT[tw.nslots][2]  # filled when the twist built its 1
+        return _term_product(tw, (placed(self.action, sigma), one), (placed(self.action, pi_), one))[1]
+
 
 class PartialIsometryFamily(CharacterFamily):
     """Family of matrices over B0 used as conjugacy witnesses, v(0) = 1."""
@@ -672,11 +674,11 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
         s = IsometryFamily.from_cleft_generators(action)
     tw = action.twist
     unit, one = PolyMatrix.identity(tw, 1), Phase.one(tw.nslots)
-    placement = s.placement if isinstance(s, _GeneratorColumns) else None
+    columns = isinstance(s, _GeneratorColumns)
 
     def gamma_fn(char: Character) -> MatrixMorphism:
-        if placement is not None:
-            images, inv_images = _monomial_conjugation(action, placement(char))
+        if columns:
+            images, inv_images = _monomial_conjugation(action, s.placement(char))
             return MatrixMorphism(
                 action,
                 unit,  # s s* = u^m u^-m = 1
@@ -688,8 +690,8 @@ def from_cleft(action: TorusAction, s: IsometryFamily | None = None) -> FactorSy
         return MatrixMorphism.from_map(action, lambda x: sm * PolyMatrix.from_scalar(x) * sa)
 
     def omega_fn(sigma: Character, pi_: Character) -> PolyMatrix:
-        if placement is not None:
-            _, c = _term_product(tw, (placement(sigma), one), (placement(pi_), one))
+        if columns:
+            c = s.omega_phase(sigma, pi_)
             return unit if c is one else PolyMatrix.from_scalar(TwistedPoly.scalar(tw, c))
         if not any(sigma) and not any(pi_):
             return unit  # s(0) = 1
@@ -747,6 +749,33 @@ def twisted_product(
 # ---------------------------------------------------------------------------
 
 
+def _cocycle_law(tw, values: Callable, twisting: Callable, dim: Callable | None, apply: Callable) -> LawGroup:
+    """The arity-3 "cocycle identity" (w(sigma,pi) ox 1) w(sigma+pi,rho) =
+    g_sigma(w(pi,rho)) w(sigma,pi+rho) of values w (omega, or u) twisted by g
+    (gamma, or Delta); ``dim`` reads d_rho, None when d = 1, and ``apply(g)``
+    is g's map of a value.  The one-term lane reads x = w(sigma+pi,rho),
+    y = w(pi,rho), g_sigma(y), z = w(sigma,pi+rho), each term once per sweep
+    (a value that fails its family's check is not cached and raises again)."""
+    read = cache(lambda s, p: _term(values(s, p)))
+
+    def pair(sigma, pi_):
+        g, w = twisting(sigma), values(sigma, pi_)
+        t = _term(w) if g._scalar is not None else None
+        return sigma, pi_, g, apply(g), w, char_add(sigma, pi_), t
+
+    def identity(sigma, pi_, g, f, w, sp, t, rho):
+        d = 1 if dim is None else dim(rho)
+        if t is not None and d == 1:
+            x, y = read(sp, rho), g._image(read(pi_, rho))
+            z = read(sigma, char_add(pi_, rho))
+            if None not in (x, y, z) and _term_product(tw, t, x) == _term_product(tw, y, z):
+                return True, True
+        lhs = (w if dim is None else w.ampliate(d)) * values(sp, rho)
+        return lhs, f(values(pi_, rho)) * values(sigma, char_add(pi_, rho))
+
+    return LawGroup(3, pair, (), (Law("cocycle identity", identity),))
+
+
 def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckReport:
     """Exact check of the coaction/cocycle laws over a finite box.
 
@@ -773,40 +802,18 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
             {"generator": tw.gen_name(k)},
         )
 
-    def lane(gs, om):  # the one term of omega when the one-term lane may run
-        return _term(om) if gs._scalar is not None else None
-
     def per_pair(sigma, pi_):
-        om = fs.omega(sigma, pi_)
-        gs = fs.gamma(sigma)
-        return gs, fs.gamma(pi_), om, om.adjoint(), fs.gamma(char_add(sigma, pi_)), lane(gs, om)
+        om, gs = fs.omega(sigma, pi_), fs.gamma(sigma)
+        t = _term(om) if gs._scalar is not None else None  # omega's term for the one-term lane
+        return gs, fs.gamma(pi_), om, om.adjoint(), fs.gamma(char_add(sigma, pi_)), t
 
     def intertwining(gs, gp, om, oma, gsp, t, b):
         if t is not None:
             (tb,) = b.terms.items()
-            x, y = gsp._image(tb), gp._image(tb)
-            y = None if y is None else gs._image(y)
+            x, y = gsp._image(tb), gs._image(gp._image(tb))
             if x is not None and y is not None and _term_product(tw, t, x) == _term_product(tw, y, t):
                 return True, True
         return om * gsp.apply(b), gs.apply_to_matrix(gp.apply(b)) * om
-
-    def cocycle_pair(sigma, pi_):
-        gs, om = fs.gamma(sigma), fs.omega(sigma, pi_)
-        return sigma, pi_, gs, om, char_add(sigma, pi_), lane(gs, om)
-
-    read, dim = _term_reader(fs.omega), cache(fs.dim)
-
-    def cocycle_identity(sigma, pi_, gs, om_sp, sp, t, rho):
-        d = dim(rho)
-        if t is not None and d == 1:
-            x, y = read(sp, rho), read(pi_, rho)
-            y = None if y is None else gs._image(y)
-            z = read(sigma, char_add(pi_, rho))
-            if None not in (x, y, z) and _term_product(tw, t, x) == _term_product(tw, y, z):
-                return True, True
-        lhs = om_sp.ampliate(d) * fs.omega(sp, rho)
-        rhs = gs.apply_to_matrix(fs.omega(pi_, rho)) * fs.omega(sigma, char_add(pi_, rho))
-        return lhs, rhs
 
     groups = (
         LawGroup(0, lambda: (fs.gamma(zero),), tuple(generator_row(k) for k in action.base)),
@@ -822,7 +829,7 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
             Law("range projection omega omega* = gamma_sigma(gamma_pi(1))",
                 lambda gs, gp, om, oma, gsp, t: (om * oma, gs.apply_to_matrix(gp.unit()))),
         ), (Law("coaction intertwining", intertwining),)),
-        LawGroup(3, cocycle_pair, (), (Law("cocycle identity", cocycle_identity),)),
+        _cocycle_law(tw, fs.omega, fs.gamma, cache(fs.dim), attrgetter("apply_to_matrix")),
     )
     return sweep("factor-system-axioms", groups, resolve_chars(action, char_range),
                  base_monomials(action, gen_degree))

@@ -25,10 +25,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nctorus import cohomology
 from nctorus.algebra import PolyMatrix, TwistedPoly
 from nctorus.cli import ConfigError, parse_action, parse_synthetic_cocycle
-from nctorus.cohomology import _is_central, extract_cocycle
+from nctorus.cohomology import extract_cocycle
 from nctorus.dynamics import TorusAction, char_box, placed
 from nctorus.factor_system import (
     Automorphism,
@@ -223,15 +222,6 @@ def test_witnesses_are_read_at_pi_then_sigma_then_their_sum(q3_system):
     del read[:]
     u.value((1,), (2,))
     assert read == [(2,), (1,), (3,)]
-
-
-def test_an_exponent_of_zero_is_central_without_the_commutator_form(q3_action, monkeypatch):
-    def unreachable(*args):
-        raise AssertionError("commutator form read for the exponent 0")
-
-    monkeypatch.setattr(cohomology, "_commutator_shift", unreachable)
-    tw = q3_action.twist
-    assert _is_central(q3_action, TwistedPoly.scalar(tw, Phase.unit(tw.nslots, 1, 3)))
 
 
 # ---------------------------------------------------------------------------

@@ -123,13 +123,15 @@ EXPECTED_LIFT = {
 # table read behind ``Phase.one``, and ``TwoCocycle.value``.  The lane reads
 # the shared unit phase straight from the layout table, which the phase's
 # own construction filled, and reads each omega or u term of the cocycle
-# identity once per sweep (``factor_system._term_reader``), so what is left
-# is read once per value or per system, not once per identity.  Before:
-# _layout 2,346 on the axioms and 1,028 on the lift, and TwoCocycle.value
-# 459 on the lift.
+# identity once per sweep (``factor_system._cocycle_law``'s ``read``), so
+# what is left is read once per value or per system, not once per identity.
+# Before: _layout 2,346 on the axioms and 1,028 on the lift, and
+# TwoCocycle.value 459 on the lift.  extract_cocycle reads the outer factor
+# from the columns' own omega phase, which takes the unit phase from the
+# layout table, instead of its own checked ``Phase.one``: 263 -> 262.
 EXPECTED_LOOKUPS = {
     "axioms": {"_layout": 41, "TwoCocycle.value": 0},
-    "lift": {"_layout": 263, "TwoCocycle.value": 149},
+    "lift": {"_layout": 262, "TwoCocycle.value": 149},
 }
 
 # verify_axioms on the d = 2 Pythagorean column system (d_sigma = 2 for

@@ -371,3 +371,21 @@ def test_the_cocycle_identity_raises_at_its_first_read():
             verify(TwoCocycle(base.action, fn, base.delta), 1)
         errors.append(str(exc.value))
     assert errors[0] == errors[1] == "cocycle value at ((2, 2), (1, 1)) is not unitary"
+
+
+def test_a_value_outside_the_fixed_algebra_is_refused_by_name():
+    # B0 of TW2 with both coordinates acting has no generator, so u1 commutes with
+    # all of it; it is refused as a value, not applied by Delta_sigma outside B0
+    action = TorusAction(TW2, (0, 1))
+    u1 = TwistedPoly.generator(TW2, 0)
+
+    def build():
+        return TwoCocycle(action, lambda sigma, pi_: u1 if (sigma, pi_) == ((1, 0), (0, 1)) else TW2.one)
+
+    message = "cocycle value at ((1, 0), (0, 1)) leaves the fixed algebra"
+    with pytest.raises(WitnessError) as exc:
+        verify_cocycle(build(), 1)
+    assert str(exc.value) == message
+    with pytest.raises(WitnessError) as exc:
+        build().value((1, 0), (0, 1))
+    assert str(exc.value) == message
