@@ -63,11 +63,11 @@ refuses), and a phase product by it returns the other factor
 Dense lane: the general polynomial product groups its term pairs by
 output monomial and hands each group to one kernel
 (``phases._product_terms``), with s(a, b) folded into the phase keys;
-``Phase.mul`` uses the same kernel for two multi-term phases.
-Coefficients accumulate per key as unreduced integers (a, b, d) and each
-output coefficient is reduced with one gcd.  This is exact because the
-canonical form of a Gaussian rational is unique: reducing once at the
-end gives the same value as reducing after every product and sum.
+``Phase.mul`` uses the same kernel for two multi-term phases.  Each
+coefficient product is reduced as it is written, and a key that comes
+up again merges by one Gaussian-rational sum.  This is exact because the
+canonical form of a Gaussian rational is unique: reducing after every
+product and sum gives the same value as reducing once at the end.
 """
 
 from __future__ import annotations

@@ -49,12 +49,21 @@ two-sided identity and phases are never changed after they are built.
 Monomial lane: two single-term phases give the one term whose key is
 the sum of the keys.  Single-term lane: a single-term phase times a
 multi-term one moves every term of the other by the same key offset and
-multiplies its coefficient by the same Gaussian rational, in one pass
-with no accumulator.  This is exact because k -> k + k1 (+ shift) is
-one-to-one, so no two output keys meet, and QQ(i) has no zero divisors,
-so no output coefficient is zero: each input term gives its own
-canonical output term.  Every key is still tested against the guard
-bits.  Two multi-term phases run the dense kernel ``_product_terms``.
+multiplies its coefficient by the same Gaussian rational, reduced as it
+is written, in one pass with no accumulator.  This is exact because
+k -> k + k1 (+ shift) is one-to-one, so no two output keys meet, and
+QQ(i) has no zero divisors, so no output coefficient is zero: each input
+term gives its own canonical output term.  Every key is still tested
+against the guard bits.  Two multi-term phases run the dense kernel
+``_product_terms``, which also reduces each coefficient product as it is
+written: a key formed again merges by one Gaussian-rational sum, a sum
+of zero drops the key, and a later product forms it afresh.  Almost
+every product lands on a key of its own, so this pays one gcd per
+product and no second pass.  Every formed key is tested against the
+guard bits, also one whose coefficients later cancel.  ``Phase.add``
+merges the same way.  Storage order is the order in which keys are
+first formed, except that a key that cancels and is formed again moves
+to the end; only the float summation order of ``evaluate`` reads it.
 Power lane: a single-term phase raised to k is the one term c^k q^(k e)
 tau^(k t), its key scaled as above, and ``QQi.__pow__`` squares
 repeatedly, so the cost is about log2 |k| Gaussian-rational products, not
@@ -291,17 +300,19 @@ def _product_terms(nslots: int, pairs) -> dict:
 
     ``pairs`` holds ``(s, o, shift)``: two term maps and a packed offset
     (``_offset``), or None for no shift.  A key is ``k1 + shift + k2 -
-    bias``, checked once per output key: an invalid sum has a guard bit
-    set, so it never merges with a valid key.  Each output key
-    accumulates unreduced ``(a, b, d)`` ints (numerators add over a
-    shared denominator, otherwise cross-multiply) and becomes one QQi
-    with one gcd at the end; keys that sum to exactly zero are dropped.
-    Reducing once is exact because the canonical form of a Gaussian
-    rational is unique.
+    bias``, tested against the guard bits when it is formed, so a key out
+    of range raises even if its coefficients later cancel.  Each
+    coefficient product is reduced as it is written (one gcd), and a key
+    formed again merges by one Gaussian-rational sum (over a shared
+    denominator, otherwise cross-multiplied, then one gcd); a sum of zero
+    drops the key, and a later product forms it afresh.  Reducing at every
+    write is exact because the canonical form of a Gaussian rational is
+    unique, so the result equals the one reduced once at the end.
     """
     bias, guard, _ = _LAYOUT[nslots]
-    acc: dict = {}
-    get = acc.get
+    new = object.__new__
+    out: dict = {}
+    get = out.get
     for s, o, shift in pairs:
         off = -bias if shift is None else shift - bias
         for k1, c1 in s.items():
@@ -313,39 +324,50 @@ def _product_terms(nslots: int, pairs) -> dict:
                 a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c2.d
                 cur = get(key)
                 if cur is None:
-                    acc[key] = [a, b, d]
-                elif cur[2] == d:
-                    cur[0] += a
-                    cur[1] += b
+                    if key & guard:
+                        raise PhaseRangeError(_RANGE)
                 else:
-                    e = cur[2]
-                    cur[0] = cur[0] * d + a * e
-                    cur[1] = cur[1] * d + b * e
-                    cur[2] = e * d
-    out = {}
-    for k, (a, b, d) in acc.items():
-        if k & guard:
-            raise PhaseRangeError(_RANGE)
-        if a or b:
-            out[k] = _reduced(a, b, d)
+                    e = cur.d
+                    if e == d:
+                        a += cur.a
+                        b += cur.b
+                    else:
+                        a, b, d = a * e + cur.a * d, b * e + cur.b * d, d * e
+                    if not (a or b):
+                        del out[key]
+                        continue
+                g = gcd(a, b, d)
+                if g != 1:
+                    a, b, d = a // g, b // g, d // g
+                z = new(QQi)  # _reduced inlined, as in every loop below
+                z.a, z.b, z.d = a, b, d
+                out[key] = z
     return out
 
 
 def _scaled_terms(c1: QQi, off: int, terms: dict, guard: int) -> dict:
     """Canonical terms of ``c1 * q^off * terms`` for a key offset ``off``.
 
-    The single-term lane: each key moves by ``off`` and each coefficient
-    is one Gaussian-rational product, so no two output keys meet and no
-    product is zero.  Each key is checked against the guard bits.
+    The single-term lane: each key moves by ``off`` and is checked against
+    the guard bits, and each coefficient is one Gaussian-rational product
+    reduced as it is written, so no two output keys meet and no product
+    is zero.
     """
     a1, b1, d1 = c1.a, c1.b, c1.d
+    new = object.__new__
     out = {}
     for k, c in terms.items():
         k += off
         if k & guard:
             raise PhaseRangeError(_RANGE)
         a2, b2 = c.a, c.b
-        out[k] = _reduced(a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c.d)
+        a, b, d = a1 * a2 - b1 * b2, a1 * b2 + b1 * a2, d1 * c.d
+        g = gcd(a, b, d)
+        if g != 1:
+            a, b, d = a // g, b // g, d // g
+        z = new(QQi)
+        z.a, z.b, z.d = a, b, d
+        out[k] = z
     return out
 
 
@@ -463,19 +485,31 @@ class Phase:
             raise ValueError("phase slot count mismatch")
 
     def add(self, other: "Phase") -> "Phase":
+        """The sum: a key of ``other`` already in ``self`` merges by one
+        Gaussian-rational sum, reduced as it is written, and is dropped if
+        the sum is zero (only a merged key can cancel)."""
         self._check(other)
         out = dict(self.terms)
+        get = out.get
         for k, c in other.terms.items():
-            acc = out.get(k)
-            if acc is None:
+            cur = get(k)
+            if cur is None:
                 out[k] = c
+                continue
+            d, e = c.d, cur.d
+            if d == e:
+                a, b = c.a + cur.a, c.b + cur.b
             else:
-                # only a merged key can cancel to zero
-                s = acc + c
-                if s.is_zero():
-                    del out[k]
-                else:
-                    out[k] = s
+                a, b, d = c.a * e + cur.a * d, c.b * e + cur.b * d, d * e
+            if not (a or b):
+                del out[k]
+                continue
+            g = gcd(a, b, d)
+            if g != 1:
+                a, b, d = a // g, b // g, d // g
+            z = object.__new__(QQi)
+            z.a, z.b, z.d = a, b, d
+            out[k] = z
         return _canonical(self.nslots, out)
 
     def sub(self, other: "Phase") -> "Phase":

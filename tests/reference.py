@@ -85,6 +85,11 @@ def phase_mul(p: Phase, o: Phase, shift=None) -> Phase:
     )
 
 
+def phase_add(p: Phase, o: Phase) -> Phase:
+    """p + o: the terms of both, terms on one key added."""
+    return _phase(p.nslots, _flat(p) + _flat(o))
+
+
 def phase_shift(p: Phase, v) -> Phase:
     """p * q^v."""
     return _phase(p.nslots, [(_sum(k, (*v, 0)), c) for k, c in _flat(p)])

@@ -28,8 +28,22 @@ N = TW3.nslots
 
 UNITS = [QQi(1), QQi(-1), QQi(0, 1), QQi(0, -1)]
 fractions = st.builds(Fraction, st.integers(-5, 5), st.integers(1, 4))
+nonzero_fractions = st.builds(Fraction, st.one_of(st.integers(-5, -1), st.integers(1, 5)),
+                              st.integers(1, 4))
+
+
+def nonzero_parts(parts, nonzero):
+    """(re, im) pairs of ``parts`` that are not both zero, drawn by construction
+    (a filter would spend draws on rejections): a nonzero re from ``nonzero``
+    with any im, or re = 0 with a nonzero im."""
+    return st.one_of(st.tuples(nonzero, parts), st.tuples(st.just(Fraction(0)), nonzero))
+
+
 qqis = st.one_of(st.sampled_from(UNITS + [QQi(0)]), st.builds(QQi, fractions, fractions))
-nonzero_qqis = qqis.filter(lambda c: not c.is_zero())
+# the nonzero values of qqis
+nonzero_qqis = st.one_of(
+    st.sampled_from(UNITS), nonzero_parts(fractions, nonzero_fractions).map(lambda p: QQi(*p))
+)
 
 SMALL = st.integers(-2, 2)
 WIDE = st.one_of(

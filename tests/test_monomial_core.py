@@ -22,7 +22,9 @@ from nctorus.algebra import TwistedPoly
 from nctorus.phases import Phase, QQi, _offset, _phase_product
 
 import reference
-from strategies import TW3, UNITS, fractions, phases, polys, twists
+from strategies import (
+    TW3, UNITS, fractions, nonzero_fractions, nonzero_parts, phases, polys, twists,
+)
 
 
 def assert_canonical(x: TwistedPoly):
@@ -114,20 +116,29 @@ def test_every_unit_on_either_side():
 # ---------------------------------------------------------------------------
 
 _wide_fractions = st.builds(Fraction, st.integers(-60, 60), st.integers(1, 36))
+_nonzero_wide_fractions = st.builds(
+    Fraction, st.one_of(st.integers(-60, -1), st.integers(1, 60)), st.integers(1, 36)
+)
 # (re, im) pairs; the sampled ones put the units, zero and negative components first
+_SAMPLED_PARTS = [(c.re, c.im) for c in UNITS] + [
+    (Fraction(0), Fraction(0)),
+    (Fraction(-2), Fraction(0)),
+    (Fraction(0), Fraction(-3)),
+    (Fraction(0), Fraction(-1, 2)),
+    (Fraction(-3, 4), Fraction(-5, 6)),
+    (Fraction(6, 4), Fraction(-9, 6)),
+]
 _parts = st.one_of(
-    st.sampled_from([(c.re, c.im) for c in UNITS] + [
-        (Fraction(0), Fraction(0)),
-        (Fraction(-2), Fraction(0)),
-        (Fraction(0), Fraction(-3)),
-        (Fraction(0), Fraction(-1, 2)),
-        (Fraction(-3, 4), Fraction(-5, 6)),
-        (Fraction(6, 4), Fraction(-9, 6)),
-    ]),
+    st.sampled_from(_SAMPLED_PARTS),
     st.tuples(fractions, fractions),
     st.tuples(_wide_fractions, _wide_fractions),
 )
-_nonzero_parts = _parts.filter(lambda p: p != (0, 0))
+# the pairs of _parts other than (0, 0)
+_nonzero_parts = st.one_of(
+    st.sampled_from([p for p in _SAMPLED_PARTS if p != (0, 0)]),
+    nonzero_parts(fractions, nonzero_fractions),
+    nonzero_parts(_wide_fractions, _nonzero_wide_fractions),
+)
 
 
 def assert_is(z: QQi, re: Fraction, im: Fraction):

@@ -1,4 +1,4 @@
-"""Phase lanes: the shared unit and the single-term product.
+"""Phase lanes: the shared unit, the single-term product and the dense kernel.
 
 ``phases._phase_product`` returns the other operand when one operand is
 the shared unit of its slot count (``Phase.one``), and builds the product
@@ -10,7 +10,16 @@ small values with values next to the ends of [-2^62, 2^62): both paths
 give the same terms or both raise ``PhaseRangeError``.  The unit lane
 returns its operand itself, keeps a shift, still checks the slot count,
 and every constructor of a 1 returns the shared unit.
+
+The dense kernel and ``Phase.add`` reduce each coefficient as it is
+written and merge a key formed again by one Gaussian-rational sum.  They
+are compared with the schoolbook references of ``reference.py`` where
+that contract can slip: a key that cancels and is formed again, a key
+that cancels for good, one key merged over three denominators, and a key
+out of range whose coefficients all cancel, which must still raise.
 """
+
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -28,6 +37,7 @@ from nctorus.phases import (
     _product_terms,
 )
 
+import reference
 from reference import B
 from strategies import N, TW3, WIDE, phases
 
@@ -97,6 +107,89 @@ def test_the_last_keys_in_range_are_formed_on_both_paths():
     lane, kernel = _both(single, _DENSE, None)
     assert lane == kernel
     assert {k for k, _ in lane.items()} == {((B - 2, 0, -B + 1), B - 2), ((B - 1, 0, -B), B - 1)}
+
+
+# ---------------------------------------------------------------------------
+# dense kernel and phase sums: reduce on write, merge by one sum
+# ---------------------------------------------------------------------------
+
+
+def _kernel(triples) -> Phase:
+    """The dense kernel's sum of ``p * o * q^v`` over ``(p, o, v)`` triples."""
+    pairs = [(p.terms, o.terms, None if v is None else _offset(N, v)) for p, o, v in triples]
+    return _canonical(N, _product_terms(N, pairs))
+
+
+def _reference(triples) -> Phase:
+    out = Phase(N)
+    for p, o, v in triples:
+        out = reference.phase_add(out, reference.phase_mul(p, o, v))
+    return out
+
+
+def test_a_key_that_cancels_is_formed_again_by_a_later_product():
+    # triples 1 and 2 cancel both keys; triple 3 forms (1,1,0;0) again, and
+    # (1,0,1;1) stays cancelled
+    a = _term((1, 0, 0), 0, QQi(Fraction(1, 2), 1))
+    b = Phase(N, {((0, 1, 0), 0): QQi(3), ((0, 0, 1), 1): QQi(0, Fraction(-2, 3))})
+    c = _term((1, 0, 0), 0, QQi(Fraction(1, 3)))
+    d = Phase(N, {((0, 0, 1), 0): QQi(0, 1), ((0, 2, 0), 1): QQi(5)})
+    triples = [(a, b, None), (_term((1, 0, 0), 0, QQi(Fraction(-1, 2), -1)), b, None),
+               (c, d, (0, 1, -1))]
+    got = _kernel(triples)
+    assert got == _reference(triples)
+    assert got == Phase(N, {((1, 1, 0), 0): QQi(0, Fraction(1, 3)),
+                            ((1, 3, -1), 1): QQi(Fraction(5, 3))})
+
+
+@pytest.mark.parametrize(
+    "single, other",
+    [
+        (_term((B - 1, 0, 0), 0, QQi(2)),
+         Phase(N, {((1, 0, 0), 0): QQi(1), ((0, 0, 0), 0): QQi(0, 1)})),
+        (_term((0, 0, -B)), _term((0, 0, -1), 0, QQi(Fraction(1, 3)))),
+    ],
+    ids=["slot-0-high", "slot-2-low"],
+)
+def test_a_key_out_of_range_raises_although_every_sum_cancels(single, other):
+    s, o = single.terms, other.terms
+    with pytest.raises(PhaseRangeError):
+        _product_terms(N, [(s, o, None), (s, other.neg().terms, None)])
+    with pytest.raises(reference.OutOfRange):
+        reference.phase_mul(single, other)
+
+
+def test_one_key_merges_three_products_over_three_denominators():
+    # 1/2 + 1/3 + (1 + i)/4 = (13 + 3i)/12: the second merge cross-multiplies
+    # to (26 + 6i)/24 and must reduce
+    triples = [
+        (_term((1, 0, 0), 0, QQi(Fraction(1, 2))), _term((0, 0, 0), 1), None),
+        (_term((0, 0, 0), 0, QQi(Fraction(1, 3))), _term((1, 0, 0), 1), None),
+        (_term((1, 0, 0), 1, QQi(Fraction(1, 2), Fraction(1, 2))),
+         _term((0, 0, 0), 0, QQi(Fraction(1, 2))), None),
+    ]
+    got = _kernel(triples)
+    assert got == _reference(triples)
+    assert got == _term((1, 0, 0), 1, QQi(Fraction(13, 12), Fraction(1, 4)))
+
+
+def test_a_phase_sum_drops_a_key_that_cancels():
+    p = Phase(N, {((1, 0, 0), 0): QQi(Fraction(1, 2), 1), ((0, 1, 0), 1): QQi(3)})
+    o = Phase(N, {((1, 0, 0), 0): QQi(Fraction(-1, 2), -1), ((0, 0, 1), 0): QQi(Fraction(2, 5))})
+    got = p.add(o)
+    assert got == reference.phase_add(p, o)
+    assert got == Phase(N, {((0, 1, 0), 1): QQi(3), ((0, 0, 1), 0): QQi(Fraction(2, 5))})
+    assert p.add(p.neg()).is_zero()
+
+
+def test_a_phase_sum_over_two_denominators_reduces():
+    # (1 + 3i)/6 + (1 + i)/3 cross-multiplies to (9 + 15i)/18 = (3 + 5i)/6
+    p = Phase(N, {((0, 1, 0), 0): QQi(Fraction(1, 6), Fraction(1, 2))})
+    o = Phase(N, {((0, 1, 0), 0): QQi(Fraction(1, 3), Fraction(1, 3)), ((0, 0, 0), 0): QQi(1)})
+    got = p.add(o)
+    assert got == reference.phase_add(p, o)
+    c = dict(got.items())[((0, 1, 0), 0)]
+    assert (c.a, c.b, c.d) == (3, 5, 6)
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,11 @@ check count, the same verdict and the same counterexamples, every one of
 them kept (``MAX_FAILURES`` is lifted), so an identity the lane decides
 wrongly anywhere in the box fails here.  The systems cover rank-1 and
 rank-2 generator systems, scalar, monomial and two-term omega overrides,
-a coaction that is not a homomorphism, the d = 2 Pythagorean system, and
-cocycles of scalars and of central monomials, symmetric and
-antisymmetric, with trivial and nontrivial twisting.
+two monomial overrides whose one-term factors fail to commute (so the
+order of each product in the law is seen), a coaction that is not a
+homomorphism, the d = 2 Pythagorean system, and cocycles of scalars and
+of central monomials, symmetric and antisymmetric, with trivial and
+nontrivial twisting.
 """
 
 from fractions import Fraction
@@ -181,6 +183,24 @@ def _overridden(fs: FactorSystem, *overrides) -> FactorSystem:
     return fs
 
 
+def _reordered_override(y_first: bool) -> FactorSystem:
+    """omega((1,), (1,)) = u1, omega((2,), (1,)) = u2 and omega((1,), (2,)) one of
+    u1 u2 g and g u2 u1, where g = gamma_(1)(u1)^-1.
+
+    The one-term factors of the cocycle identity at sigma = pi = rho = (1,)
+    do not commute.  Written in the law's order the identity fails there;
+    with the right side's product reversed it holds for u1 u2 g, and with
+    the left side's reversed it holds for g u2 u1, so a lane that forms
+    either product in the other order misses that counterexample."""
+    fs = from_cleft(TorusAction(TW3, (2,)))
+    u1, u2 = TwistedPoly.generator(TW3, 0), TwistedPoly.generator(TW3, 1)
+    g = fs.gamma((1,)).apply(u1).entries[0][0].inverse_monomial()
+    value = u1 * u2 * g if y_first else g * u2 * u1
+    return _overridden(fs, ((1,), (1,), PolyMatrix.from_scalar(u1)),
+                       ((2,), (1,), PolyMatrix.from_scalar(u2)),
+                       ((1,), (2,), PolyMatrix.from_scalar(value)))
+
+
 def _systems():
     q3 = TorusAction(TW3, (2,))
     q3_rank2 = TorusAction(TW3, (1, 2))
@@ -210,6 +230,8 @@ def _systems():
         # each the mirror of a pair read the other way
         "out-of-box-override": (lambda: _overridden(
             from_cleft(q3), ((3,), (-1,), _scalar(tw, i)), ((1,), (3,), PolyMatrix.from_scalar(u1))), 2),
+        "reordered-override-u1u2g": (lambda: _reordered_override(True), 1),
+        "reordered-override-gu2u1": (lambda: _reordered_override(False), 1),
         "drifting-coaction": (lambda: drifting_system(q3), 2),
         "pythagorean": (lambda: from_cleft(q3, pythagorean_column(q3)), 1),
     }
@@ -218,7 +240,8 @@ def _systems():
 SYSTEMS = _systems()
 # systems whose laws fail somewhere: the comparison then covers counterexamples
 FAILING = {"scalar-override", "rank2-scalar-override", "monomial-override",
-           "rank2-monomial-override", "two-term-override", "out-of-box-override", "drifting-coaction"}
+           "rank2-monomial-override", "two-term-override", "out-of-box-override",
+           "reordered-override-u1u2g", "reordered-override-gu2u1", "drifting-coaction"}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
