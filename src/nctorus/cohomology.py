@@ -84,14 +84,13 @@ from .factor_system import (
     PartialIsometryFamily,
     _cocycle_law,
     _GeneratorColumns,
-    _phase_times,
     _term,
     apply_automorphism,
     frohlich_morphism,
     twisted_product,
     verify_conjugacy,
 )
-from .phases import Phase
+from .phases import Phase, _phase_product
 from .report import CheckReport, Law, LawGroup, sweep
 
 
@@ -279,8 +278,8 @@ def extract_cocycle(
             if p is not None and o is not None and w is not None and om is not None:
                 # v(sigma+pi) P-bar omega_s(pi, sigma), omega_s read off the columns
                 outer = s.omega_phase(pi_, sigma)
-                bar = _phase_times(_phase_times(p, o), om).conjugate()
-                return TwistedPoly.scalar(tw, _phase_times(_phase_times(w, bar), outer))
+                bar = _phase_product(_phase_product(p, o, None), om, None).conjugate()
+                return TwistedPoly.scalar(tw, _phase_product(_phase_product(w, bar, None), outer, None))
         product = twisted_product(fs, pi_, vp, sigma, vs)
         inner = binv.apply_matrix(vsp * product.adjoint())
         return (s.adjoint(sp) * inner * s(pi_).kron(s(sigma))).as_scalar()
@@ -352,9 +351,11 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     Builds a candidate cochain by exact recursion along staircase paths
     (over Z, the one-variable recursion c(n+1) = c(n) u(n,1)*,
     c(-n-1) = u(-n-1,1) c(-n), normalized to c(0) = c(1) = 1) and then
-    substitutes it into the coboundary equation for every pair in the
-    box.  Success returns the :class:`OneCochain`; any residual returns
-    an :class:`Obstruction` carrying the first witness.
+    substitutes it into the coboundary equation for every pair of the
+    characters of ``char_range`` (a box radius or an explicit list, whose
+    largest coordinate sizes the staircase).  Success returns the
+    :class:`OneCochain`; any residual returns an :class:`Obstruction`
+    carrying the first witness.
 
     Over Z the verified recursion always succeeds for a valid cocycle.
     Over Z^d with d >= 2 the candidate fixes c(e_j) = 1 on the basis
@@ -365,9 +366,11 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     coboundary can leave a residual, and the obstruction is a missed
     search, not a certificate.
 
-    The precondition is :func:`verify_cocycle` on the same box; a
+    The precondition is :func:`verify_cocycle` on the same characters,
+    and both the coboundary equation and the antisymmetric search check
+    only pairs of them (the staircase reads u along its paths); a
     non-cocycle raises ``ValueError``.  When the caller has already
-    verified that box, the precondition reads the remembered report.
+    verified them, the precondition reads the remembered report.
     """
     action = u.action
     pre = verify_cocycle(u, char_range)
@@ -383,9 +386,9 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
     for sig in char_box(d, 2 * radius):
         _staircase(u, values, sig)
 
-    for sigma in char_box(d, radius):
+    for sigma in chars:
         delta_sigma = u.delta(sigma)
-        for pi_ in char_box(d, radius):
+        for pi_ in chars:
             expected = (
                 delta_sigma.apply(values[pi_])
                 * values[sigma]
@@ -393,12 +396,11 @@ def solve_coboundary(u: TwoCocycle, char_range=2):
             )
             actual = u.value(sigma, pi_)
             if actual != expected:
-                box = char_box(d, radius)
-                if u.has_trivial_twist(box):
+                if u.has_trivial_twist(chars):
                     # coboundaries of central cochains are symmetric when the
                     # twist is trivial, so an asymmetric pair is a certificate
-                    for s2 in box:
-                        for p2 in box:
+                    for s2 in chars:
+                        for p2 in chars:
                             ratio = u.value(s2, p2) * u.value(p2, s2).star()
                             if ratio != one:
                                 return Obstruction(

@@ -35,11 +35,8 @@ monomials applied: in the verifiers, the character box times the degree.
 Lift lane: ``apply`` scales each cached image by its term's phase
 through ``PolyMatrix.scaled``, which builds the entries directly: a
 nonzero phase times a nonzero term cannot vanish (QQ(i)[F] has no zero
-divisors).  A morphism whose unit is the twist's shared [[1]] sends a
-scalar p to [[p]], as a unital morphism fixes phases (the scalar lane;
-the constructor keeps the exponent 0 as its key).  An
-:class:`IsometryFamily` keeps the s(sigma)* its isometry check forms,
-stored only once the column passes.
+divisors).  An :class:`IsometryFamily` keeps the s(sigma)* its isometry
+check forms, stored only once the column passes.
 
 Monomial systems: the default family of ``from_cleft_generators``
 (``_GeneratorColumns``) has the columns s(sigma) = u^(M sigma), where M
@@ -79,14 +76,14 @@ the ``MatrixMorphism`` constructor, so its scope checks run.
 One-term lane: the coaction intertwining of ``verify_axioms`` and the
 cocycle identity, one law (``_cocycle_law``) for ``verify_axioms`` and
 ``verify_cocycle``, are decided in the phase ring at a point where
-gamma_sigma (Delta_sigma) has the unit [[1]] and omega(sigma, pi)
-(u(sigma, pi)) is one term c u^a.  ``_term`` reads that term, each omega
-or u term once per sweep; ``MatrixMorphism._image`` reads gamma(c u^a) as
-the cached image of u^a scaled by c, and ``_term_product`` forms c u^a c' u^b
-= c c' q^s(a, b) u^(a+b) as one term, skipping a shared unit phase, which
-both read from the layout table that built it.  These are the products
-the monomial lane forms, in canonical form, so the terms agree exactly
-when the matrices do.  An identity with a side of another shape
+omega(sigma, pi) (u(sigma, pi)) is one term c u^a.  ``_term`` reads that
+term, each omega or u term once per sweep; ``MatrixMorphism._image``
+reads gamma(c u^a) as the cached image of u^a scaled by c, whatever the
+unit (a c that is the shared unit phase, read from the layout table that
+built it, skips the product), and ``_term_product`` forms c u^a c' u^b =
+c c' q^s(a, b) u^(a+b) as one term with one ``_phase_product`` call.
+These are the products the monomial lane forms, in canonical form, so
+the terms agree exactly when the matrices do.  An identity with a side of another shape
 (d_sigma > 1, more terms), or whose one-term sides differ, takes the
 ``PolyMatrix`` expression, so check counts, verdicts and counterexamples
 stay as they were.
@@ -145,23 +142,15 @@ def _term(x) -> tuple | None:
     return next(iter(x.terms.items())) if len(x.terms) == 1 else None
 
 
-def _phase_times(p: Phase, o: Phase) -> Phase:
-    """p o; a factor that is the shared unit phase costs no product."""
-    one = _LAYOUT[p.nslots][2]  # the entry exists once a phase of nslots does
-    return o if p is one else p if o is one else _phase_product(p, o, None)
-
-
 def _term_product(tw, x: tuple, y: tuple) -> tuple:
     """The one term (a + b, c c' q^s(a, b)) of c u^a times c' u^b, for the terms
     x = (a, c) and y = (b, c') (one-term lane, module docstring)."""
     (a, p), (b, o) = x, y
     if not any(a):
-        return b, _phase_times(p, o)
+        return b, _phase_product(p, o, None)
     if not any(b):
-        return a, _phase_times(p, o)
-    off = _reorder_shift(tw, a, b)
-    c = _phase_times(p, o) if off is None else _phase_product(p, o, off)
-    return tuple(map(add, a, b)), c
+        return a, _phase_product(p, o, None)
+    return tuple(map(add, a, b)), _phase_product(p, o, _reorder_shift(tw, a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -214,7 +203,7 @@ class MatrixMorphism:
     d = 1 case.
     """
 
-    __slots__ = ("action", "dim", "images", "inv_images", "_unit", "_powers", "_monomials", "_terms", "_scalar")
+    __slots__ = ("action", "dim", "images", "inv_images", "_unit", "_powers", "_monomials", "_terms")
 
     def __init__(self, action: TorusAction, unit: PolyMatrix, images: dict, inv_images: dict):
         tw = action.twist
@@ -236,12 +225,8 @@ class MatrixMorphism:
         self.inv_images = dict(inv_images)
         self._unit = unit
         self._powers: dict = {}
-        zero = (0,) * tw.n
-        self._monomials: dict = {zero: unit}
+        self._monomials: dict = {(0,) * tw.n: unit}
         self._terms: dict = {}
-        # the scalar lane's key: the exponent of 1 when the unit is I_1, else None
-        one = unit.rows == unit.cols == 1 and unit.entries[0][0] is tw.one
-        self._scalar = zero if one else None
 
     @staticmethod
     def from_map(action: TorusAction, f: Callable) -> "MatrixMorphism":
@@ -279,12 +264,8 @@ class MatrixMorphism:
         tw = self.action.twist
         if x.twist is not tw and x.twist != tw:
             raise TwistMismatchError("argument over a different twist matrix")
-        terms = x.terms
-        if self._scalar in terms and len(terms) == 1:
-            # scalar lane: a unital morphism fixes phases, gamma(p 1) = p
-            return PolyMatrix.from_scalar(x)
         total = None
-        for a, phase in terms.items():
+        for a, phase in x.terms.items():
             term = self._monomial(a)
             if not phase.is_one():
                 term = term.scaled(phase)
@@ -304,7 +285,7 @@ class MatrixMorphism:
             img = self._terms[a] = _term(self._monomial(a))
         if img is None or c is _LAYOUT[c.nslots][2]:
             return img
-        return img[0], _phase_times(img[1], c)
+        return img[0], _phase_product(img[1], c, None)
 
     def apply_to_matrix(self, m: PolyMatrix) -> PolyMatrix:
         """Entrywise application; the morphism indexes the outer tensor leg.
@@ -760,7 +741,7 @@ def _cocycle_law(tw, values: Callable, twisting: Callable, dim: Callable | None,
 
     def pair(sigma, pi_):
         g, w = twisting(sigma), values(sigma, pi_)
-        t = _term(w) if g._scalar is not None else None
+        t = _term(w)
         return sigma, pi_, g, apply(g), w, char_add(sigma, pi_), t
 
     def identity(sigma, pi_, g, f, w, sp, t, rho):
@@ -804,7 +785,7 @@ def verify_axioms(fs: FactorSystem, char_range=3, gen_degree: int = 2) -> CheckR
 
     def per_pair(sigma, pi_):
         om, gs = fs.omega(sigma, pi_), fs.gamma(sigma)
-        t = _term(om) if gs._scalar is not None else None  # omega's term for the one-term lane
+        t = _term(om)  # omega's term for the one-term lane
         return gs, fs.gamma(pi_), om, om.adjoint(), fs.gamma(char_add(sigma, pi_)), t
 
     def intertwining(gs, gp, om, oma, gsp, t, b):

@@ -258,6 +258,22 @@ class TestSolveCoboundary:
         # the canonical asymmetric pair has ratio exactly q
         assert u.value((1, 0), (0, 1)) * u.value((0, 1), (1, 0)).star() == TwistedPoly.scalar(tw, q.invert())
 
+    @pytest.mark.parametrize(
+        "chars, witness",
+        [([(0, 0), (1, 1)], ((1, 1), (1, 1))), ([(1, 0), (0, 1)], ((1, 0), (0, 1)))],
+    )
+    def test_an_explicit_character_list_bounds_both_sweeps(self, chars, witness):
+        # the precondition verified these characters only, so the coboundary
+        # equation and the antisymmetric search read no other pair; the box of
+        # radius 1 would give ((-1, -1), (-1, 0))
+        tw = TwistMatrix([[0, Fraction(1, 5)], [Fraction(-1, 5), 0]])
+        act = TorusAction(tw, (0, 1))
+        q = Phase.unit(tw.nslots, 0)
+        u = TwoCocycle(act, lambda s, p: TwistedPoly.scalar(tw, q ** (s[0] * p[1])))
+        got = solve_coboundary(u, chars)
+        assert isinstance(got, Obstruction)
+        assert got.witness == witness
+
     def test_rank_two_extraction_pipeline_solves(self):
         tw = TwistMatrix(
             [

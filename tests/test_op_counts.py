@@ -65,10 +65,13 @@ from conftest import pythagorean_column
 # placement M sigma from sigma alone and omega is read off the twist, so no
 # column is built, checked or adjoined: 432 -> 312 helper calls and
 # 209 -> 72 products.  The coaction intertwining and the cocycle identity
-# of one-term data are decided in the phase ring: a product by the shared
-# unit phase is skipped, not called, so 312 -> 264 helper calls.
+# of one-term data are decided in the phase ring: 312 -> 264 helper calls,
+# when a product by the shared unit phase was skipped before the call.
+# Each of the lane's phase products is now one helper call, a product by
+# the shared unit phase included, which the helper's unit lane returns at
+# once: 264 -> 1,277 helper calls, with no product or kernel call more.
 EXPECTED = {
-    "_phase_product": 264,
+    "_phase_product": 1277,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 72,
     "Phase.mul": 0,
@@ -109,9 +112,12 @@ EXPECTED = {
 # as a one-sided inverse under an absorbing unit is two-sided: 380 -> 356
 # products and 136 -> 112 helper calls.  The cocycle identity of one-term
 # values is decided in the phase ring, with no polynomial product:
-# 356 -> 106 products.
+# 356 -> 106 products.  Each phase product of that lane and of the cocycle
+# values formed in the phase ring is one helper call, a product by the
+# shared unit phase included, which the helper's unit lane returns at
+# once: 112 -> 752 helper calls.
 EXPECTED_LIFT = {
-    "_phase_product": 112,
+    "_phase_product": 752,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 106,
     "Phase.mul": 0,
@@ -140,14 +146,15 @@ EXPECTED_LOOKUPS = {
 # product with I_1: 5,120 / 6,040 / 6,040 before.  Phase.mul and
 # QQi.__mul__ 5,999 / 5,999 before the helper.  The unit lane: 5,079 ->
 # 5,037 products and 5,999 -> 5,728 helper calls.  Every phase here is a
-# single term, so the dense kernel never runs.  gamma_0, the one morphism
-# here whose unit is I_1 (d_0 = 1), sends a scalar p to [[p]] instead of
-# scaling its unit by p: 56 such scalars, 5,728 -> 5,672 helper calls.
-# The gamma_sigma with d_sigma = 2 keep the loop.  omega(0, 0) is the unit,
+# single term, so the dense kernel never runs.  Every morphism scales its
+# cached image of 1 by a scalar p, gamma_0 (d_0 = 1) included: 56 such
+# scalars, each one helper call.  omega(0, 0) is the unit,
 # as every family has s(0) = 1, with no product: 5,037 -> 5,036 products.
-# Every other omega keeps the product.
+# Every other omega keeps the product.  The one-term lane's products at
+# d_sigma = 1 are helper calls, a product by the shared unit phase
+# included: 5,728 -> 5,756 helper calls.
 EXPECTED_D2 = {
-    "_phase_product": 5672,
+    "_phase_product": 5756,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 5036,
     "Phase.mul": 0,
@@ -166,13 +173,14 @@ EXPECTED_D2 = {
 # unit lane: 413 -> 308 products and 509 -> 380 helper calls.  The
 # single-term lane: 260 -> 1 kernel calls, since nearly every dense product
 # has a single-term factor.  gamma_sigma read off the commutator form:
-# 380 -> 344 helper calls and 308 -> 272 products.  gamma_sigma, whose
-# unit is I_1, sends the three-term scalar H(pi) of the cocycle derivative
-# to [[H(pi)]] instead of scaling its unit by it: 344 -> 324 helper calls.
-# gamma_sigma and omega of the default family build no column: 324 -> 280
-# helper calls and 272 -> 219 products.
+# 380 -> 344 helper calls and 308 -> 272 products.  gamma_sigma and omega
+# of the default family build no column: 344 -> 300 helper calls and
+# 272 -> 219 products.  gamma_sigma scales its cached image of 1 by the
+# three-term scalar H(pi) of the cocycle derivative, one helper call each.
+# The one-term lane's products are helper calls, a product by the shared
+# unit phase included: 300 -> 325 helper calls.
 EXPECTED_DENSE = {
-    "_phase_product": 280,
+    "_phase_product": 325,
     "_product_terms": 1,
     "TwistedPoly.__mul__": 219,
     "Phase.mul": 0,
@@ -483,7 +491,10 @@ def test_curvature_sweep_operation_counts(counts):
 # q12^power is one key shift of the shared unit phase, and a power of 0 is
 # the shared 1, so no coefficient is raised to a power: QQi.__mul__ 640 -> 0.
 # The cocycle identity of one-term values is decided in the phase ring: the
-# same helper calls, and 1,486 -> 28 polynomial products.
+# same helper calls, and 1,486 -> 28 polynomial products.  Delta_sigma
+# scales its cached image of 1 by the one scalar value it is applied to
+# that is not 1: 900 -> 901 helper calls.  The lane's products are helper
+# calls, a product by the shared unit phase included: 901 -> 2,055.
 SYNTHETIC_CONFIG = {
     "n": 2,
     "theta": [["0", "1/5"], ["-1/5", "0"]],
@@ -492,7 +503,7 @@ SYNTHETIC_CONFIG = {
     "cocycle": {"slot": [1, 2], "bilinear_exponents": [[2, 1], [-1, 3]]},
 }
 EXPECTED_SYNTHETIC = {
-    "_phase_product": 900,
+    "_phase_product": 2055,
     "_product_terms": 0,
     "TwistedPoly.__mul__": 28,
     "Phase.mul": 0,

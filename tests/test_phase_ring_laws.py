@@ -11,7 +11,9 @@ wrongly anywhere in the box fails here.  The systems cover rank-1 and
 rank-2 generator systems, scalar, monomial and two-term omega overrides,
 two monomial overrides whose one-term factors fail to commute (so the
 order of each product in the law is seen), a coaction that is not a
-homomorphism, the d = 2 Pythagorean system, and cocycles of scalars and
+homomorphism, the d = 2 Pythagorean system, the generator system with a
+unit 1 built apart from ``tw.one`` and with the unit [[0]], which the lane
+takes whatever the unit, and cocycles of scalars and
 of central monomials, symmetric and antisymmetric, with trivial and
 nontrivial twisting.
 """
@@ -201,6 +203,19 @@ def _reordered_override(y_first: bool) -> FactorSystem:
                        ((1,), (2,), PolyMatrix.from_scalar(value)))
 
 
+def _with_unit(entry: TwistedPoly) -> FactorSystem:
+    """from_cleft on q3 with every gamma_sigma's generator images kept and its
+    unit replaced by [[entry]]; omega is kept too."""
+    action = TorusAction(TW3, (2,))
+    fs = from_cleft(action)
+
+    def gamma_fn(char):
+        g = fs.gamma(char)
+        return MatrixMorphism(action, PolyMatrix.from_scalar(entry), g.images, g.inv_images)
+
+    return FactorSystem(action, gamma_fn, fs.omega)
+
+
 def _systems():
     q3 = TorusAction(TW3, (2,))
     q3_rank2 = TorusAction(TW3, (1, 2))
@@ -234,6 +249,9 @@ def _systems():
         "reordered-override-gu2u1": (lambda: _reordered_override(False), 1),
         "drifting-coaction": (lambda: drifting_system(q3), 2),
         "pythagorean": (lambda: from_cleft(q3, pythagorean_column(q3)), 1),
+        # a 1 equal to tw.one but built apart from it, and the unit [[0]]
+        "unit-built-apart": (lambda: _with_unit(TwistedPoly(tw, {(0,) * tw.n: Phase.one(tw.nslots)})), 2),
+        "zero-unit": (lambda: _with_unit(TwistedPoly.zero(tw)), 2),
     }
 
 
@@ -241,7 +259,7 @@ SYSTEMS = _systems()
 # systems whose laws fail somewhere: the comparison then covers counterexamples
 FAILING = {"scalar-override", "rank2-scalar-override", "monomial-override",
            "rank2-monomial-override", "two-term-override", "out-of-box-override",
-           "reordered-override-u1u2g", "reordered-override-gu2u1", "drifting-coaction"}
+           "reordered-override-u1u2g", "reordered-override-gu2u1", "drifting-coaction", "zero-unit"}
 
 
 @pytest.mark.parametrize("name", SYSTEMS)
@@ -273,7 +291,8 @@ def test_a_failing_omega_raises_at_the_identitys_first_read():
     assert errors[0] == errors[1] == "no omega at ((4,), (2,))"
 
 
-@pytest.mark.parametrize("name", ["rank1", "rank1-n4", "rank2-q3", "rank2-n4", "drifting-coaction"])
+@pytest.mark.parametrize("name", ["rank1", "rank1-n4", "rank2-q3", "rank2-n4", "drifting-coaction",
+                                  "unit-built-apart"])
 def test_the_lane_decides_every_one_term_identity(monkeypatch, name):
     # once per pair the range projection applies gamma_sigma to gamma_pi(1); every
     # coaction and cocycle identity whose one-term sides agree forms no matrix

@@ -1,4 +1,4 @@
-"""Scalar lanes: one-term powers, one-term unitarity and scalar images.
+"""Scalar lanes: one-term powers, one-term unitarity, and ``apply`` on scalars.
 
 ``Phase.__pow__`` raises a single-term phase by scaling its packed key,
 ``bias + k * (key - bias)``, after checking every k*e (``phases`` module
@@ -6,10 +6,9 @@ docstring), and ``QQi.__pow__`` squares repeatedly; both are compared
 here with repeated products.  ``cohomology._is_unitary`` decides a
 one-term value from |c| = 1 and tau exponent 0 (``cohomology`` module
 docstring) and is compared with the product x* x = 1.
-``MatrixMorphism.apply`` returns [[p]] for a scalar p when its unit is
-the 1 x 1 identity (``factor_system`` module docstring); it is compared
-with the loop's value, the unit scaled by p, on every kind of morphism
-the pipeline builds, and must not fire for any other unit.
+``MatrixMorphism.apply`` of a scalar p is its unit scaled by p, as a
+unital morphism fixes phases; that is checked on every kind of morphism
+the pipeline builds, on a d = 2 unit and on the unit [[0]].
 """
 
 from fractions import Fraction
@@ -178,12 +177,12 @@ def test_cocycle_values_are_checked_by_the_lane():
 
 
 # ---------------------------------------------------------------------------
-# scalar images
+# ``apply`` on scalars
 # ---------------------------------------------------------------------------
 
 
 def _generic(m: MatrixMorphism, x: TwistedPoly) -> PolyMatrix:
-    """The loop's image of a scalar: the unit, scaled by a phase that is not 1."""
+    """The image of a scalar: the unit, scaled by a phase that is not 1."""
     (p,) = x.terms.values()
     unit = m._monomial((0,) * x.twist.n)
     return unit if p.is_one() else unit.scaled(p)
@@ -205,7 +204,7 @@ def _q3():
     return TorusAction(TW3, (2,))
 
 
-def _lane_morphisms():
+def _morphisms():
     action = _q3()
     nslots = action.twist.nslots
     fs = from_cleft(action)
@@ -221,18 +220,19 @@ def _lane_morphisms():
     }
 
 
-@pytest.mark.parametrize("name", list(_lane_morphisms()))
+# named for the scalar lane it once checked; the name is kept so its node ids stay stable
+@pytest.mark.parametrize("name", list(_morphisms()))
 def test_scalar_lane_matches_the_loop(name):
-    m = _lane_morphisms()[name]
+    """``apply`` on scalars, for each morphism kind with the unit [[1]]."""
+    m = _morphisms()[name]
     assert m.dim == 1 and m.unit().entries[0][0] is m.action.twist.one
     for x in _scalars(m.action.twist):
-        out = MatrixMorphism.apply(m, x)
-        assert out == _generic(m, x)
-        assert out.entries[0][0] is x  # the lane fired
+        assert MatrixMorphism.apply(m, x) == _generic(m, x)
 
 
 @pytest.mark.parametrize("char", [(1,), (-2,)])
-def test_scalar_lane_skips_a_unit_that_is_not_the_1x1_identity(char):
+def test_apply_on_a_scalar_scales_a_d2_unit(char):
+    """``apply`` on scalars, for a gamma_sigma with d_sigma = 2."""
     action = _q3()
     m = from_cleft(action, pythagorean_column(action)).gamma(char)
     assert m.dim == 2
@@ -240,7 +240,8 @@ def test_scalar_lane_skips_a_unit_that_is_not_the_1x1_identity(char):
         assert m.apply(x) == _generic(m, x)
 
 
-def test_scalar_lane_skips_a_1x1_unit_other_than_one():
+def test_apply_on_a_scalar_scales_the_zero_unit():
+    """``apply`` on scalars, for the unit [[0]]."""
     action = _q3()
     tw = action.twist
     zero = PolyMatrix.zeros(tw, 1, 1)
