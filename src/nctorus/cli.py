@@ -15,7 +15,12 @@ monomials).
 
 Each ``cmd_*`` builds its report with ``_report`` and returns it;
 ``main`` times the command, emits the report and maps the verdict or
-the exception to the exit code.
+the exception to the exit code.  ``main`` builds only the parser of the
+command its argv names (``build_parser(argv[0])``), which parses as the
+full parser does, so usage, help and errors read the same.  ``demo
+q3torus`` reads no config and draws all three angles with
+``--random-theta``: a ``--config``, or a ``--thetaXY`` next to
+``--random-theta``, exits 2.
 """
 
 from __future__ import annotations
@@ -628,6 +633,12 @@ def cmd_curvature(cfg: dict, args) -> dict:
 
 
 def cmd_demo_q3torus(args) -> dict:
+    # the demo shares --config with the other commands but reads none
+    if args.config is not None:
+        raise ConfigError("--config: demo q3torus reads no config")
+    given = [f"--theta{ij}" for ij in ("12", "13", "23") if getattr(args, f"theta{ij}") is not None]
+    if args.random_theta and given:
+        raise ConfigError(f"--random-theta draws every angle; it cannot go with {', '.join(given)}")
     if args.random_theta:
         rng = random.Random(args.seed)
         tw = random_rational_twist(rng, 3, 12)
@@ -707,24 +718,7 @@ def _add_common(parser):
                         help="include elapsed_ms (breaks byte-for-byte determinism)")
 
 
-# name -> (help, command) of the commands that read a --config
-COMMANDS = {
-    "check-factor-system": ("verify the factor-system laws", cmd_check_factor_system),
-    "lift": ("cohomological lifting pipeline for an automorphism", cmd_lift),
-    "lift-derivation": ("verify derivation lift conditions", cmd_lift_derivation),
-    "curvature": ("curvature sweep on an associated module", cmd_curvature),
-}
-
-
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="nctorus",
-        description="exact verification toolkit for torus actions on quantum tori",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, _) in COMMANDS.items():
-        _add_common(sub.add_parser(name, help=help_text))
-
+def _add_demo(sub) -> None:
     p = sub.add_parser("demo", help="worked examples")
     demo_sub = p.add_subparsers(dest="demo_target", required=True)
     q3 = demo_sub.add_parser("q3torus", help="quantum 3-torus walkthrough")
@@ -735,6 +729,40 @@ def build_parser() -> argparse.ArgumentParser:
     q3.add_argument("--random-theta", action="store_true",
                     help="draw rational angles from --seed instead")
 
+
+# name -> (help, command) of the commands that read a --config
+COMMANDS = {
+    "check-factor-system": ("verify the factor-system laws", cmd_check_factor_system),
+    "lift": ("cohomological lifting pipeline for an automorphism", cmd_lift),
+    "lift-derivation": ("verify derivation lift conditions", cmd_lift_derivation),
+    "curvature": ("curvature sweep on an associated module", cmd_curvature),
+}
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser; with ``command`` a command name, only that command's.
+
+    The one-command parser parses every argv that starts with ``command``
+    as the full parser does.  Its subparsers action carries the metavar
+    argparse itself writes for the full set of names, so the top-level
+    usage line (printed with "unrecognized arguments") reads the same.
+    Any other ``command`` (None, a typo, ``-h``, ``--``) builds the full
+    parser without that metavar: there argparse names the action
+    "command" in its "required" and "invalid choice" errors.
+    """
+    parser = argparse.ArgumentParser(
+        prog="nctorus",
+        description="exact verification toolkit for torus actions on quantum tori",
+    )
+    names, metavar = [*COMMANDS, "demo"], None
+    if command in names:
+        names, metavar = [command], "{" + ",".join(names) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in names:
+        if name == "demo":
+            _add_demo(sub)
+        else:
+            _add_common(sub.add_parser(name, help=COMMANDS[name][0]))
     return parser
 
 
@@ -751,7 +779,8 @@ def _failure(exc: Exception) -> tuple[int, str]:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     clock = time.perf_counter
     start = clock()
     try:

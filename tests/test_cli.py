@@ -779,6 +779,26 @@ class TestDemo:
         assert proc.returncode == 0
         assert "elapsed_ms" in json.loads(proc.stdout)
 
+    def test_config_is_an_input_error(self):
+        # the demo reads no config, so one given is refused, not ignored
+        proc = run_cli("demo", "q3torus", "--json", "--config", "missing.json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout) == {
+            "command": "demo", "passed": False, "error": "--config: demo q3torus reads no config",
+        }
+
+    @pytest.mark.parametrize(
+        "angles, named",
+        [(["--theta12", "1/3"], "--theta12"),
+         (["--theta23=0", "--theta13", "1/2"], "--theta13, --theta23")],
+    )
+    def test_random_theta_with_a_given_angle_is_an_input_error(self, angles, named):
+        proc = run_cli("demo", "q3torus", "--random-theta", *angles, "--json")
+        assert proc.returncode == 2
+        assert json.loads(proc.stdout)["error"] == (
+            f"--random-theta draws every angle; it cannot go with {named}"
+        )
+
 
 @pytest.mark.parametrize(
     "args, named",
